@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .saliency import minmax_or_zeros
 from .tensor import Tensor
 
 
@@ -40,11 +41,6 @@ class GcParams:
     def tensors(self) -> dict[str, Tensor]:
         return {"w_k": self.w_k, "w_v1": self.w_v1, "ln_gain": self.ln_gain,
                 "ln_bias": self.ln_bias, "w_v2": self.w_v2}
-
-
-@dataclass
-class FusionConfig:
-    epsilon: float = math.e
 
 
 def bottleneck_width(channels: int, ratio: int = 4) -> int:
@@ -116,10 +112,7 @@ def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
                 "non-integer factor")
         fh, fw = hs // out_h, ws // out_w
         s = s.reshape(out_h, fh, out_w, fw).mean(axis=(1, 3))
-    lo, hi = s.min(), s.max()
-    if hi > lo:
-        return (s - lo) / (hi - lo)
-    return np.zeros_like(s)
+    return minmax_or_zeros(s)
 
 
 def fuse_bottom_up(z: Tensor, saliency: np.ndarray, epsilon: float = math.e) -> Tensor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -432,23 +433,18 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
         if fresh:
             writer.writerow(columns)
             fh.flush()
-        for split_id in cfg["sweep.split"]:
-            for seed in cfg["sweep.seeds"]:
-                for eps in cfg["sweep.epsilon"]:
-                    for beta in cfg["sweep.beta"]:
-                        for eta in cfg["sweep.eta"]:
-                            for gamma in cfg["sweep.gamma"]:
-                                for k in cfg["sweep.k"]:
-                                    key = tuple(str(v) for v in
-                                                (beta, eta, eps, gamma,
-                                                 split_id, k, seed))
-                                    if key in done:
-                                        continue
-                                    row = sweep_cell(cfg, beta, eta, eps, gamma,
-                                                     split_id, k, seed, base_cache)
-                                    writer.writerow(key + row)
-                                    fh.flush()
-                                    print(",".join(key + row), flush=True)
+        grid = itertools.product(
+            cfg["sweep.split"], cfg["sweep.seeds"], cfg["sweep.epsilon"],
+            cfg["sweep.beta"], cfg["sweep.eta"], cfg["sweep.gamma"], cfg["sweep.k"])
+        for split_id, seed, eps, beta, eta, gamma, k in grid:
+            key = tuple(str(v) for v in (beta, eta, eps, gamma, split_id, k, seed))
+            if key in done:
+                continue
+            row = sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed,
+                             base_cache)
+            writer.writerow(key + row)
+            fh.flush()
+            print(",".join(key + row), flush=True)
     print(f"sweep table: {csv_path}")
     return 0
 

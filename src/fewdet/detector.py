@@ -39,20 +39,10 @@ class Box:
         return (self.cx - self.w / 2, self.cy - self.h / 2,
                 self.cx + self.w / 2, self.cy + self.h / 2)
 
-    def area(self) -> float:
-        return self.w * self.h
-
 
 def iou(a: Box, b: Box) -> float:
     """Intersection area over union area, in [0,1]."""
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
+    return float(iou_matrix(boxes_to_array([a]), boxes_to_array([b]))[0, 0])
 
 
 def boxes_to_array(boxes) -> np.ndarray:
@@ -431,14 +421,17 @@ def hard_negative_mining(cls_losses: np.ndarray, match: MatchResult,
 
 
 def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
-              anchors: AnchorSet, params: DetectorParams,
-              cfg: DetectorConfig) -> tuple[Tensor, dict[str, float]]:
+              anchors: AnchorSet, params: DetectorParams, cfg: DetectorConfig,
+              alpha: float | None = None) -> tuple[Tensor, dict[str, float]]:
     """Detection loss: (cross-entropy + alpha * smooth-L1) / max(N, 1).
 
     Classification covers positives (their class row) and mined hard
     negatives (the background row); regression covers positives only,
-    against offsets encoded from their matched ground truth.
+    against offsets encoded from their matched ground truth. ``alpha``
+    defaults to cfg.alpha, the base stage's weight; the novel stage passes
+    its own.
     """
+    alpha = cfg.alpha if alpha is None else alpha
     pos_idx = np.where(match.positive_class > 0)[0]
     neg_idx = np.where(match.hard_negative)[0]
     n = max(match.num_positives, 1)
@@ -456,9 +449,9 @@ def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
                             for i in pos_idx])
         l_bbox = T.sum_all(T.smooth_l1(T.gather(outputs.offsets, pos_idx),
                                        Tensor(targets)))
-        total = T.scale(T.add(l_cls, T.scale(l_bbox, cfg.alpha)), 1.0 / n)
+        total = T.scale(T.add(l_cls, T.scale(l_bbox, alpha)), 1.0 / n)
         parts = {"loss_cls": float(l_cls.data) / n,
-                 "loss_bbox": cfg.alpha * float(l_bbox.data) / n}
+                 "loss_bbox": alpha * float(l_bbox.data) / n}
     else:
         total = T.scale(l_cls, 1.0 / n)
         parts = {"loss_cls": float(l_cls.data) / n, "loss_bbox": 0.0}
@@ -489,26 +482,17 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
     if idx.size == 0:
         return []
     order = idx[np.argsort(-scores[idx], kind="stable")]
-    x0 = boxes[:, 0] - boxes[:, 2] / 2
-    y0 = boxes[:, 1] - boxes[:, 3] / 2
-    x1 = boxes[:, 0] + boxes[:, 2] / 2
-    y1 = boxes[:, 1] + boxes[:, 3] / 2
-    areas = boxes[:, 2] * boxes[:, 3]
+    ranked = boxes[order]
+    overlaps = iou_matrix(ranked, ranked) > iou_thr
+    suppressed = np.zeros(len(order), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        ok = True
-        for j in kept:
-            iw = min(x1[i], x1[j]) - max(x0[i], x0[j])
-            ih = min(y1[i], y1[j]) - max(y0[i], y0[j])
-            if iw > 0 and ih > 0:
-                inter = iw * ih
-                if inter / (areas[i] + areas[j] - inter) > iou_thr:
-                    ok = False
-                    break
-        if ok:
-            kept.append(int(i))
-            if top_k is not None and len(kept) == top_k:
-                break
+    for pos, i in enumerate(order):
+        if suppressed[pos]:
+            continue
+        kept.append(int(i))
+        if top_k is not None and len(kept) == top_k:
+            break
+        suppressed |= overlaps[pos]
     return kept
 
 

@@ -9,16 +9,18 @@ Everything is deterministic given (data, config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import detector as det
 from . import tensor as T
-from .attention import pool_saliency
+# pool_saliency and bms_saliency are unused here; bench/selftest.py checks
+# that its tracer rebinds these two ``from ... import`` bindings
+from .attention import pool_saliency  # noqa: F401
 from .detector import (AnchorSet, Box, DetectorConfig, DetectorOutputs,
                        DetectorParams, MatchResult)
-from .saliency import BmsConfig, bms_saliency
+from .saliency import bms_saliency  # noqa: F401
 from .synthdata import Scene, SplitSpec, class_instance_index
 from .tensor import Tape, Tensor, backward
 
@@ -63,18 +65,6 @@ class TrainConfig:
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay: float = 0.1
     clip_norm: float = 5.0  # global gradient-norm cap per step; 0 disables
-
-
-def make_saliency_provider(cfg: DetectorConfig, bms: BmsConfig | None = None):
-    """Scene -> pooled bottom-up saliency map sized for the fusion point
-    (one quarter of the input resolution)."""
-    bms = bms if bms is not None else BmsConfig()
-    side = cfg.image_size // 4
-
-    def provider(scene: Scene) -> np.ndarray:
-        return pool_saliency(bms_saliency(scene.image, bms), side, side)
-
-    return provider
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +131,13 @@ def novel_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box]
                hp: Hyperparams, base_logits: np.ndarray | None = None,
                base_offsets: np.ndarray | None = None
                ) -> tuple[Tensor, dict[str, float]]:
-    """Full novel-stage objective: detection loss plus weighted concentration
-    and distillation terms. Zero-weight terms are skipped outright, so with
-    beta = eta = gamma = 0 the returned tensor is the detection loss itself.
+    """Full novel-stage objective: detection loss, its box term weighted by
+    hp.alpha, plus weighted concentration and distillation terms. Zero-weight
+    terms are skipped outright, so with beta = eta = gamma = 0 the returned
+    tensor is the detection loss itself.
     """
-    total, parts = det.base_loss(outputs, match, gt_boxes, anchors, params, cfg)
+    total, parts = det.base_loss(outputs, match, gt_boxes, anchors, params, cfg,
+                                 alpha=hp.alpha)
     parts.update({"loss_conc_pos": 0.0, "loss_conc_neg": 0.0, "loss_dist": 0.0})
     if hp.beta != 0.0:
         l_pos = object_concentration_loss(outputs.features, params.cls_rows,
@@ -413,7 +405,8 @@ def train_base(scenes: list[Scene], cfg: DetectorConfig, train_cfg: TrainConfig,
     caches = _prepare(scenes, cfg, anchors, saliency_provider)
 
     def loss_fn(out, mined, cache):
-        return det.base_loss(out, mined, cache.gt_boxes, anchors, params, cfg)
+        return det.base_loss(out, mined, cache.gt_boxes, anchors, params, cfg,
+                             alpha=cfg.alpha)
 
     metrics = _run_epochs(scenes, caches, params, anchors, cfg, train_cfg,
                           "base", seed, loss_fn)

@@ -73,7 +73,7 @@ def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     for m in maps:
         acc += surroundedness(m, config.opening_radius)
     acc /= len(maps)
-    return _minmax_or_zeros(acc)
+    return minmax_or_zeros(acc)
 
 
 def box_blur(m: np.ndarray) -> np.ndarray:
@@ -103,13 +103,11 @@ def oracle_saliency(scene, blur_radius: int = 2) -> np.ndarray:
         union = np.maximum(union, obj.mask.astype(np.float64))
     for _ in range(blur_radius):
         union = box_blur(union)
-    lo, hi = union.min(), union.max()
-    if hi > lo:
-        return (union - lo) / (hi - lo)
-    return union
+    return minmax_or_zeros(union) if union.max() > union.min() else union
 
 
-def _minmax_or_zeros(m: np.ndarray) -> np.ndarray:
+def minmax_or_zeros(m: np.ndarray) -> np.ndarray:
+    """Rescale a map linearly onto [0,1]; a constant map becomes all zeros."""
     lo, hi = m.min(), m.max()
     if hi > lo:
         return (m - lo) / (hi - lo)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import Box
+from .detector import Box, iou
 from .ppm import write_ppm
 
 
@@ -186,7 +186,7 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
             if mask is None:
                 continue
             box = _tight_box(mask, size)
-            if all(_box_iou(box, o.box) <= cfg.overlap_cap for o in objects):
+            if all(iou(box, o.box) <= cfg.overlap_cap for o in objects):
                 break
         else:
             raise GenerationError(
@@ -196,17 +196,6 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
         objects.append(SceneObject(class_id=class_id, box=box, mask=mask))
 
     return Scene(image=image, objects=objects, annotated=[True] * len(objects))
-
-
-def _box_iou(a: Box, b: Box) -> float:
-    ax0, ay0, ax1, ay1 = a.corners()
-    bx0, by0, bx1, by1 = b.corners()
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area() + b.area() - inter)
 
 
 @dataclass

@@ -2,9 +2,8 @@
 
 Everything is double precision and deterministic: identical inputs produce
 bit-identical forward values and gradients. The tape records each primitive
-application (op name, inputs, output, closures for replaying the forward pass
-and for pushing gradients back), lives for exactly one training step, and is
-discarded afterwards.
+application (op name, inputs, output, and a closure that pushes gradients
+back), lives for exactly one training step, and is discarded afterwards.
 
 Ops are module-level functions. They record onto the innermost active
 ``Tape`` (opened with ``with Tape() as tape:``) whenever any input requires
@@ -90,13 +89,12 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "output", "forward_fn", "backward_fn")
+    __slots__ = ("op", "inputs", "output", "backward_fn")
 
-    def __init__(self, op, inputs, output, forward_fn, backward_fn):
+    def __init__(self, op, inputs, output, backward_fn):
         self.op = op
         self.inputs = inputs
         self.output = output
-        self.forward_fn = forward_fn
         self.backward_fn = backward_fn
 
 
@@ -108,9 +106,7 @@ class Tape:
 
     Entries are appended in execution order, so every entry's inputs were
     produced by an earlier entry or are leaves; :func:`backward` walks the
-    list in reverse. ``replay`` re-runs every recorded forward closure against
-    the inputs' current data, reproducing the recorded outputs bit-identically
-    when the leaves are unchanged.
+    list in reverse.
     """
 
     __slots__ = ("nodes",)
@@ -126,10 +122,6 @@ class Tape:
         popped = _TAPES.pop()
         assert popped is self
 
-    def replay(self) -> None:
-        for node in self.nodes:
-            node.output.data = node.forward_fn()
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -139,13 +131,12 @@ def _active_tape() -> Tape | None:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: Array,
-            forward_fn: Callable[[], Array],
             backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor._wrap(out_data, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(op, tuple(inputs), out, forward_fn, backward_fn))
+        tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
     return out
 
 
@@ -212,14 +203,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-    return _record("add", (a, b), a.data + b.data, lambda: a.data + b.data, bwd)
+    return _record("add", (a, b), a.data + b.data, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                 -_unbroadcast(g, b.data.shape) if b.requires_grad else None)
-    return _record("sub", (a, b), a.data - b.data, lambda: a.data - b.data, bwd)
+    return _record("sub", (a, b), a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -228,16 +219,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
                 _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
-    return _record("mul", (a, b), ad * bd, lambda: a.data * b.data, bwd)
+    return _record("mul", (a, b), ad * bd, bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _record("neg", (a,), -a.data, lambda: -a.data, lambda g: (-g,))
+    return _record("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record("scale", (a,), a.data * c, lambda: a.data * c, lambda g: (g * c,))
+    return _record("scale", (a,), a.data * c, lambda g: (g * c,))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -245,8 +236,7 @@ def relu(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * mask,)
-    return _record("relu", (a,), np.where(mask, a.data, 0.0),
-                   lambda: np.maximum(a.data, 0.0), bwd)
+    return _record("relu", (a,), np.where(mask, a.data, 0.0), bwd)
 
 
 def log_shift(a: Tensor, eps: float) -> Tensor:
@@ -257,8 +247,7 @@ def log_shift(a: Tensor, eps: float) -> Tensor:
 
     def bwd(g):
         return (g / (eps + a.data),)
-    return _record("log_shift", (a,), np.log(shifted),
-                   lambda: np.log(eps + a.data), bwd)
+    return _record("log_shift", (a,), np.log(shifted), bwd)
 
 
 def square(a: Tensor) -> Tensor:
@@ -266,7 +255,7 @@ def square(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (2.0 * ad * g,)
-    return _record("square", (a,), ad * ad, lambda: a.data * a.data, bwd)
+    return _record("square", (a,), ad * ad, bwd)
 
 
 def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
@@ -274,16 +263,12 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
     d = a.data - b.data
     inner = np.abs(d) < 1.0
 
-    def fwd():
-        dd = a.data - b.data
-        return np.where(np.abs(dd) < 1.0, 0.5 * dd * dd, np.abs(dd) - 0.5)
-
     def bwd(g):
         dd = np.where(inner, d, np.sign(d))
         return (_unbroadcast(g * dd, a.data.shape) if a.requires_grad else None,
                 _unbroadcast(-g * dd, b.data.shape) if b.requires_grad else None)
     return _record("smooth_l1", (a, b),
-                   np.where(inner, 0.5 * d * d, np.abs(d) - 0.5), fwd, bwd)
+                   np.where(inner, 0.5 * d * d, np.abs(d) - 0.5), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +278,7 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         return (np.broadcast_to(g, a.data.shape).copy(),)
-    return _record("sum", (a,), np.asarray(a.data.sum()), lambda: np.asarray(a.data.sum()), bwd)
+    return _record("sum", (a,), np.asarray(a.data.sum()), bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -301,8 +286,7 @@ def mean_all(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (np.broadcast_to(g / n, a.data.shape).copy(),)
-    return _record("mean", (a,), np.asarray(a.data.mean()),
-                   lambda: np.asarray(a.data.mean()), bwd)
+    return _record("mean", (a,), np.asarray(a.data.mean()), bwd)
 
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -311,8 +295,7 @@ def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def bwd(g):
         ge = np.expand_dims(g, axes)
         return (np.broadcast_to(ge, a.data.shape).copy(),)
-    return _record("sum_axes", (a,), a.data.sum(axis=axes),
-                   lambda: a.data.sum(axis=axes), bwd)
+    return _record("sum_axes", (a,), a.data.sum(axis=axes), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -320,8 +303,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bwd(g):
         return (g.reshape(a.data.shape),)
-    return _record("reshape", (a,), a.data.reshape(shape),
-                   lambda: a.data.reshape(shape), bwd)
+    return _record("reshape", (a,), a.data.reshape(shape), bwd)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -330,8 +312,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
     def bwd(g):
         return (g.transpose(inverse),)
-    return _record("transpose", (a,), a.data.transpose(axes),
-                   lambda: a.data.transpose(axes), bwd)
+    return _record("transpose", (a,), a.data.transpose(axes), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -347,7 +328,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             pieces.append(g[tuple(key)] if t.requires_grad else None)
         return tuple(pieces)
     return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis),
-                   lambda: np.concatenate([t.data for t in tensors], axis=axis), bwd)
+                   bwd)
 
 
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -363,8 +344,7 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
         else:
             np.add.at(gz, (slice(None), idx), g)
         return (gz,)
-    return _record("gather", (a,), np.take(a.data, idx, axis=axis),
-                   lambda: np.take(a.data, idx, axis=axis), bwd)
+    return _record("gather", (a,), np.take(a.data, idx, axis=axis), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +359,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (g * bd if a.requires_grad else None,
                 g * ad if b.requires_grad else None)
-    return _record("dot", (a, b), np.asarray(ad @ bd), lambda: np.asarray(a.data @ b.data), bwd)
+    return _record("dot", (a, b), np.asarray(ad @ bd), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -392,7 +372,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (g @ bd.T if a.requires_grad else None,
                 ad.T @ g if b.requires_grad else None)
-    return _record("matmul", (a, b), ad @ bd, lambda: a.data @ b.data, bwd)
+    return _record("matmul", (a, b), ad @ bd, bwd)
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -402,13 +382,9 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
         raise ValueError("cannot L2-normalize a zero-norm slice")
     y = a.data / norms
 
-    def fwd():
-        n = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
-        return a.data / n
-
     def bwd(g):
         return ((g - y * np.sum(g * y, axis=axis, keepdims=True)) / norms,)
-    return _record("l2_normalize", (a,), y, fwd, bwd)
+    return _record("l2_normalize", (a,), y, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +396,13 @@ def softmax_spatial(logits: Tensor) -> Tensor:
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_spatial expects a 2-d map, got shape {logits.data.shape}")
 
-    def compute(x: Array) -> Array:
-        e = np.exp(x - x.max())
-        return e / e.sum()
-
-    p = compute(logits.data)
+    x = logits.data
+    e = np.exp(x - x.max())
+    p = e / e.sum()
 
     def bwd(g):
         return (p * (g - np.sum(g * p)),)
-    return _record("softmax_spatial", (logits,), p, lambda: compute(logits.data), bwd)
+    return _record("softmax_spatial", (logits,), p, bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -442,20 +416,17 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= logits.data.shape[1]):
         raise ShapeError("target class index out of range")
 
-    def compute(x: Array) -> Array:
-        m = x.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
-        return lse - x[np.arange(x.shape[0]), t]
+    x = logits.data
+    m = x.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
 
     def bwd(g):
-        x = logits.data
-        m = x.max(axis=1, keepdims=True)
         e = np.exp(x - m)
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(x.shape[0]), t] -= 1.0
         return (p * g[:, None],)
-    return _record("softmax_cross_entropy", (logits,), compute(logits.data),
-                   lambda: compute(logits.data), bwd)
+    return _record("softmax_cross_entropy", (logits,),
+                   lse - x[np.arange(x.shape[0]), t], bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps_ln: float = 1e-5) -> Tensor:
@@ -465,16 +436,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps_ln: float = 1e-5) -> T
     if gain.data.shape != x.data.shape or bias.data.shape != x.data.shape:
         raise ShapeError("layer_norm gain/bias must match input shape")
 
-    def compute(xv: Array, gv: Array, bv: Array) -> Array:
-        m = xv.mean()
-        s = 1.0 / np.sqrt(xv.var() + eps_ln)
-        return gv * ((xv - m) * s) + bv
-
     m = x.data.mean()
     s = 1.0 / np.sqrt(x.data.var() + eps_ln)
     xhat = (x.data - m) * s
     out = gain.data * xhat + bias.data
-    n = x.data.size
 
     def bwd(g):
         dxhat = g * gain.data
@@ -484,9 +449,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps_ln: float = 1e-5) -> T
         dbias = g.copy() if bias.requires_grad else None
         return (dx, dgain, dbias)
 
-    _ = n  # population variance: the means above already divide by n
-    return _record("layer_norm", (x, gain, bias), out,
-                   lambda: compute(x.data, gain.data, bias.data), bwd)
+    return _record("layer_norm", (x, gain, bias), out, bwd)
 
 
 def _conv_out_size(h: int, k: int, stride: int, pad: int) -> int:
@@ -531,13 +494,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out = out + bias.data[:, None, None]
 
-    def fwd():
-        c2, _, _ = _im2col(x.data, kh, kw, stride, padding)
-        o = (kernel.data.reshape(cout, -1) @ c2).reshape(cout, ho, wo)
-        if bias is not None:
-            o = o + bias.data[:, None, None]
-        return o
-
     def bwd(g):
         gm = g.reshape(cout, ho * wo)
         gk = (gm @ cols.T).reshape(kernel.data.shape) if kernel.requires_grad else None
@@ -555,7 +511,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         return (gx, gk, gb)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _record("conv2d", inputs, out, fwd, bwd)
+    return _record("conv2d", inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,39 +548,12 @@ def grad_check(f: Callable[[dict[str, Tensor]], Tensor],
                point: dict[str, Array], h: float = 1e-3) -> dict[str, float]:
     """Compare taped gradients of ``f`` against central finite differences.
 
-    ``f`` maps a dict of named leaf tensors to a scalar tensor. Returns the
-    per-leaf maximum relative error |a - n| / max(1e-8, |a| + |n|). Raises
-    NonFiniteError if any probe evaluation is non-finite.
+    ``f`` maps a dict of named leaf tensors to a scalar tensor. Every
+    coordinate of every leaf is probed. Returns the per-leaf maximum relative
+    error |a - n| / max(1e-8, |a| + |n|). Raises NonFiniteError if any probe
+    evaluation is non-finite.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    point = {k: np.asarray(v, dtype=np.float64) for k, v in point.items()}
-
-    leaves = {k: Tensor(v, requires_grad=True) for k, v in point.items()}
-    with Tape() as tape:
-        out = f(leaves)
-    if out.data.shape != () and out.data.size != 1:
-        raise ShapeError("grad_check target must be scalar-valued")
-    backward(tape, out)
-
-    def evaluate(values: dict[str, Array]) -> float:
-        probe = {k: Tensor(v) for k, v in values.items()}
-        return float(f(probe).data)
-
-    report: dict[str, float] = {}
-    for name, leaf in leaves.items():
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        numeric = np.zeros_like(analytic)
-        for idx in np.ndindex(point[name].shape):
-            plus = {k: v.copy() for k, v in point.items()}
-            minus = {k: v.copy() for k, v in point.items()}
-            plus[name][idx] += h
-            minus[name][idx] -= h
-            numeric[idx] = (evaluate(plus) - evaluate(minus)) / (2.0 * h)
-        denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-        rel = np.abs(analytic - numeric) / denom
-        report[name] = float(rel.max()) if rel.size else 0.0
-    return report
+    return _check_coordinates(f, point, h, np.ndindex)
 
 
 def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
@@ -637,10 +566,27 @@ def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
     minutes; probing a few coordinates per tensor keeps composite-loss checks
     inside an interactive budget while still touching every leaf.
     """
+    rng = rng if rng is not None else np.random.default_rng(0)
+
+    def sample(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+        size = math.prod(shape)
+        n = min(samples_per_leaf, size)
+        flat = rng.choice(size, size=n, replace=False) if n else []
+        return [np.unravel_index(int(c), shape) for c in flat]
+
+    return _check_coordinates(f, point, h, sample)
+
+
+def _check_coordinates(f: Callable[[dict[str, Tensor]], Tensor],
+                       point: dict[str, Array], h: float,
+                       coordinates: Callable[[tuple[int, ...]], Iterable]
+                       ) -> dict[str, float]:
+    """The finite-difference core: ``coordinates(shape)`` names the indices
+    probed in each leaf, asked leaf by leaf after the taped evaluation."""
     if h <= 0:
         raise ValueError("h must be positive")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    point = {k: np.asarray(v, dtype=np.float64) for k, v in point.items()}
+    # a private copy: each probe perturbs one coordinate in place, then restores it
+    point = {k: np.array(v, dtype=np.float64) for k, v in point.items()}
 
     leaves = {k: Tensor(v, requires_grad=True) for k, v in point.items()}
     with Tape() as tape:
@@ -649,24 +595,22 @@ def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
         raise ShapeError("grad_check target must be scalar-valued")
     backward(tape, out)
 
-    def evaluate(values: dict[str, Array]) -> float:
-        probe = {k: Tensor(v) for k, v in values.items()}
-        return float(f(probe).data)
+    def evaluate() -> float:
+        return float(f({k: Tensor(v) for k, v in point.items()}).data)
 
     report: dict[str, float] = {}
     for name, leaf in leaves.items():
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        flat = point[name].reshape(-1)
-        n = min(samples_per_leaf, flat.size)
-        coords = rng.choice(flat.size, size=n, replace=False) if n else []
+        values = point[name]
         worst = 0.0
-        for c in coords:
-            idx = np.unravel_index(int(c), point[name].shape)
-            plus = {k: v.copy() for k, v in point.items()}
-            minus = {k: v.copy() for k, v in point.items()}
-            plus[name][idx] += h
-            minus[name][idx] -= h
-            numeric = (evaluate(plus) - evaluate(minus)) / (2.0 * h)
+        for idx in coordinates(values.shape):
+            x = values[idx]
+            values[idx] = x + h
+            up = evaluate()
+            values[idx] = x - h
+            down = evaluate()
+            values[idx] = x
+            numeric = (up - down) / (2.0 * h)
             a = float(analytic[idx])
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, rel)
@@ -706,13 +650,24 @@ def load_arrays(path) -> tuple[dict[str, Array], dict]:
         raise CheckpointError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}"
             if isinstance(doc, dict) else "checkpoint is not a JSON object")
+    entries, meta = doc.get("arrays", {}), doc.get("meta", {})
+    if not isinstance(entries, dict) or not isinstance(meta, dict):
+        raise CheckpointError("checkpoint 'arrays' and 'meta' must be JSON objects")
     arrays: dict[str, Array] = {}
-    for name, entry in doc.get("arrays", {}).items():
-        shape = tuple(entry["shape"])
-        flat = np.asarray(entry["data"], dtype=np.float64)
+    for name, entry in entries.items():
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise CheckpointError(f"array {name!r} must be an object with 'shape' and 'data'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"array {name!r}: shape {shape!r} is not a list of sizes")
+        try:
+            flat = np.asarray(entry["data"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise CheckpointError(f"array {name!r}: data is not a list of numbers") from None
         if flat.size != math.prod(shape):
-            raise CheckpointError(f"array {name!r}: {flat.size} values for shape {shape}")
+            raise CheckpointError(f"array {name!r}: {flat.size} values for shape {tuple(shape)}")
         if not np.all(np.isfinite(flat)):
             raise CheckpointError(f"array {name!r} holds non-finite values")
         arrays[name] = flat.reshape(shape)
-    return arrays, doc.get("meta", {})
+    return arrays, meta

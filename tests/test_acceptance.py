@@ -13,7 +13,11 @@ its result, and no such per-instance outcome is asserted.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +265,22 @@ class TestDeterminism:
                          "--config", str(a / "config.json")]) == 0
         for name in ("metrics.jsonl", "novel.ckpt.json", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_train_base_is_byte_identical_across_blas_thread_counts(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=pythonpath,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "fewdet.cli", "train-base",
+                            "--out", str(out), "--set", "data.base_train=30",
+                            "--set", "data.test=20", "--set", "base.epochs=3"],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outs.append(out)
+        for name in ("base.ckpt.json", "metrics.jsonl", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

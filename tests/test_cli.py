@@ -161,6 +161,22 @@ class TestTrainNovel:
         assert rc == 1
         assert "format_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arrays", [
+        {"cls.rows": {"data": [1.0]}},
+        {"cls.rows": 5},
+        {"cls.rows": {"shape": 3, "data": [1.0, 2.0, 3.0]}},
+        {"cls.rows": {"shape": [1], "data": [{"v": 1.0}]}},
+        [1.0],
+    ])
+    def test_malformed_array_entry_is_one_error_line(self, tmp_path, capsys,
+                                                      arrays):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format_version": 1, "arrays": arrays}))
+        rc = run(["eval", "--out", str(tmp_path / "e"), "--ckpt", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_checkpoint_without_metadata_rejected(self, tmp_path, capsys):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"format_version": 1, "arrays": {}}))
@@ -272,7 +288,6 @@ class TestGradcheckCommand:
             mask = a.data > 0.0
             out = np.where(mask, a.data, 0.0)
             return T._record("relu", (a,), out,
-                             lambda: np.where(a.data > 0.0, a.data, 0.0),
                              lambda g: (np.negative(g * mask),))
 
         monkeypatch.setattr(T, "relu", flipped_relu)

@@ -431,8 +431,12 @@ class TestNms:
             boxes = np.column_stack([rng.uniform(0.2, 0.8, m), rng.uniform(0.2, 0.8, m),
                                      rng.uniform(0.05, 0.5, m), rng.uniform(0.05, 0.5, m)])
             scores = np.round(rng.uniform(0, 1, m), 2)  # rounding forces ties
-            got = D.nms(boxes, scores, iou_thr=0.4)
-            want = brute_force_nms(boxes.tolist(), scores.tolist(), 0.4)
+            iou_thr = float(rng.uniform(0.1, 0.7))
+            score_thr = float(np.round(rng.uniform(0, 0.5), 2))
+            top_k = None if rng.random() < 0.3 else int(rng.integers(1, m + 1))
+            got = D.nms(boxes, scores, iou_thr, score_thr=score_thr, top_k=top_k)
+            want = brute_force_nms(boxes.tolist(), scores.tolist(), iou_thr,
+                                   score_thr=score_thr, top_k=top_k)
             assert got == want
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fewdet import cli
 from fewdet import detector as det
 from fewdet import fewshot as fs
 from fewdet import synthdata as sd
@@ -690,12 +691,28 @@ class TestTraining:
         assert abs(metrics[0]["loss_dist"]) < 1e-20
         assert metrics[0]["loss_conc_pos"] != 0.0
 
+    def test_novel_alpha_weights_the_novel_box_term(self):
+        rng = np.random.default_rng(23)
+        cfg = tiny_config()
+        base = det.init_detector_params(cfg, [1, 2], rng)
+        support = fs.SupportSet(
+            scenes=[toy_scene(rng, cfg, 3)],
+            novel_instances={3: [(0, 0)]}, base_instances={}, k=1)
+        tc = fs.TrainConfig(epochs=2, lr=0.001)
+        # detector.alpha weights the base stage only; hp.alpha the novel one
+        _, with_box = fs.train_novel(base, support, tiny_config(alpha=0.0), tc,
+                                     fs.Hyperparams(), seed=12)
+        _, without = fs.train_novel(base, support, cfg, tc,
+                                    fs.Hyperparams(alpha=0.0), seed=12)
+        assert all(m["loss_bbox"] > 0.0 for m in with_box)
+        assert all(m["loss_bbox"] == 0.0 for m in without)
+
 
 class TestSaliencyProvider:
     def test_shape_and_range(self):
         cfg = DetectorConfig()
         scene = sd.generate_scene(np.random.SeedSequence([95, 0]))
-        provider = fs.make_saliency_provider(cfg)
+        provider = cli.saliency_provider(dict(cli.DEFAULTS), cfg)
         s = provider(scene)
         assert s.shape == (16, 16)
         assert s.min() >= 0.0 and s.max() <= 1.0
