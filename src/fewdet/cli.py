@@ -126,7 +126,36 @@ def resolve_config(config_path: str | None, sets: list[str]) -> dict[str, object
             cfg[key] = json.loads(raw)
         except json.JSONDecodeError:
             cfg[key] = raw
+    validate_config(cfg)
     return cfg
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# key -> (type test, range test, what the key must be)
+RULES = {
+    "base.epochs": (_is_int, lambda v: v >= 0, "an integer >= 0"),
+    "novel.epochs": (_is_int, lambda v: v >= 0, "an integer >= 0"),
+    "base.batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "novel.batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
+    "detector.pos_thr": (_is_number, lambda v: 0 < v < 1, "a number in (0,1)"),
+    "detector.nms_iou": (_is_number, lambda v: 0 < v < 1, "a number in (0,1)"),
+    "detector.score_thr": (_is_number, lambda v: v >= 0, "a number >= 0"),
+}
+
+
+def validate_config(cfg: dict[str, object]) -> None:
+    """Reject values the pipeline cannot run with, naming the key."""
+    for key, (is_type, in_range, need) in RULES.items():
+        v = cfg[key]
+        if not (is_type(v) and in_range(v)):
+            raise UsageError(f"{key} must be {need}, got {json.dumps(v)}")
 
 
 def write_snapshot(cfg: dict[str, object], outdir: str) -> None:
@@ -224,14 +253,47 @@ def save_checkpoint(path: str, params: det.DetectorParams, meta: dict) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[det.DetectorParams, dict]:
+    """Read a checkpoint and check it against the architecture its metadata
+    describes: the parameter names and shapes must be exactly those a
+    detector built from ``meta["config"]`` and ``meta["class_ids"]`` has."""
     if not os.path.exists(path):
         raise UsageError(f"checkpoint not found: {path}")
     arrays, meta = T.load_arrays(path)
-    if "class_ids" not in meta or "config" not in meta:
+    if "class_ids" not in meta or "config" not in meta or "split" not in meta:
         raise UsageError(f"checkpoint {path} lacks required metadata")
-    params = det.DetectorParams.from_arrays(
-        arrays, [int(c) for c in meta["class_ids"]])
-    return params, meta
+    class_ids, config = meta["class_ids"], meta["config"]
+    if not isinstance(class_ids, list) or not all(_is_int(c) for c in class_ids):
+        raise UsageError(f"checkpoint {path}: class_ids must be a list of integers")
+    if not isinstance(config, dict):
+        raise UsageError(f"checkpoint {path}: config must be an object")
+    if not _is_int(meta["split"]):
+        raise UsageError(f"checkpoint {path}: split must be an integer")
+    unknown = sorted(set(config) - set(DEFAULTS))
+    if unknown:
+        raise UsageError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
+    run_cfg = dict(DEFAULTS)
+    run_cfg.update(config)
+    try:
+        validate_config(run_cfg)
+    except UsageError as e:
+        raise UsageError(f"checkpoint {path}: {e}")
+    try:
+        # the initializer is the one place that names parameters and shapes
+        reference = det.init_detector_params(
+            detector_config(run_cfg), class_ids, np.random.default_rng(0))
+    except (TypeError, ValueError, IndexError) as e:
+        raise UsageError(f"checkpoint {path} does not describe a detector: {e}")
+    for name, t in sorted(reference.tensors.items()):
+        if name not in arrays:
+            raise UsageError(f"checkpoint {path} lacks parameter {name!r}")
+        if arrays[name].shape != t.data.shape:
+            raise UsageError(f"checkpoint {path}: parameter {name!r} has shape "
+                             f"{list(arrays[name].shape)}, the architecture "
+                             f"needs {list(t.data.shape)}")
+    extra = sorted(set(arrays) - set(reference.tensors))
+    if extra:
+        raise UsageError(f"checkpoint {path} has unexpected parameter {extra[0]!r}")
+    return det.DetectorParams.from_arrays(arrays, class_ids), meta
 
 
 def meta_run_config(cfg: dict[str, object], meta: dict) -> dict[str, object]:

@@ -496,35 +496,34 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
     return kept
 
 
-def _clip_box(row: np.ndarray) -> Box | None:
-    x0 = max(0.0, row[0] - row[2] / 2)
-    y0 = max(0.0, row[1] - row[3] / 2)
-    x1 = min(1.0, row[0] + row[2] / 2)
-    y1 = min(1.0, row[1] + row[3] / 2)
-    if x1 - x0 <= 0 or y1 - y0 <= 0:
-        return None
-    return Box(cx=(x0 + x1) / 2, cy=(y0 + y1) / 2, w=x1 - x0, h=y1 - y0)
-
-
 def detect(outputs: DetectorOutputs, anchors: AnchorSet, params: DetectorParams,
            cfg: DetectorConfig) -> list[Detection]:
-    """Decode one image's outputs into per-class NMS-filtered detections."""
+    """Decode one image's outputs into per-class NMS-filtered detections.
+
+    Decoded boxes are clipped to the unit square; anchors whose clipped box
+    has no area never reach NMS.
+    """
     logits = outputs.logits.data
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     probs = e / e.sum(axis=1, keepdims=True)
     decoded = decode_all(outputs.offsets.data, anchors.array)
 
-    clipped: list[Box | None] = [_clip_box(row) for row in decoded]
-    valid = np.array([b is not None for b in clipped])
+    half_w, half_h = decoded[:, 2] / 2, decoded[:, 3] / 2
+    x0 = np.maximum(0.0, decoded[:, 0] - half_w)
+    y0 = np.maximum(0.0, decoded[:, 1] - half_h)
+    x1 = np.minimum(1.0, decoded[:, 0] + half_w)
+    y1 = np.minimum(1.0, decoded[:, 1] + half_h)
+    clipped = np.stack([(x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0], axis=1)
+    valid = (clipped[:, 2] > 0) & (clipped[:, 3] > 0)
+    boxes, probs = clipped[valid], probs[valid]
+
     detections: list[Detection] = []
     for col, cid in enumerate(params.class_ids, start=1):
-        scores = np.where(valid, probs[:, col], -1.0)
-        arr = np.stack([[b.cx, b.cy, b.w, b.h] if b else [0.5, 0.5, 1.0, 1.0]
-                        for b in clipped])
-        for i in nms(arr, scores, cfg.nms_iou, cfg.score_thr, cfg.top_k):
-            detections.append(Detection(class_id=cid, score=float(probs[i, col]),
-                                        box=clipped[i]))
+        scores = probs[:, col]
+        for i in nms(boxes, scores, cfg.nms_iou, cfg.score_thr, cfg.top_k):
+            detections.append(Detection(class_id=cid, score=float(scores[i]),
+                                        box=Box(*boxes[i].tolist())))
     return detections
 
 
@@ -560,19 +559,24 @@ def evaluate_map(detections_per_image: list[list[Detection]],
         gts = [[box for cid, box in gts_i if cid == c] for gts_i in gt_per_image]
         n_gt = sum(len(g) for g in gts)
         matched = [np.zeros(len(g), dtype=bool) for g in gts]
-        dets = sorted(
-            ((d.score, img_i, d_i, d.box)
-             for img_i, dets_i in enumerate(detections_per_image)
-             for d_i, d in enumerate(dets_i) if d.class_id == c),
-            key=lambda t: (-t[0], t[1], t[2]))
+        dets = [[d for d in dets_i if d.class_id == c]
+                for dets_i in detections_per_image]
+        # row r of overlaps[img_i]: IoU of that image's r-th class-c detection
+        # with each of its class-c ground truths
+        overlaps = [iou_matrix(boxes_to_array([d.box for d in dets_i]),
+                               boxes_to_array(gts_i))
+                    for dets_i, gts_i in zip(dets, gts)]
+        ranked = sorted(((d.score, img_i, r)
+                         for img_i, dets_i in enumerate(dets)
+                         for r, d in enumerate(dets_i)),
+                        key=lambda t: (-t[0], t[1], t[2]))
         scored_hits = []
-        for score, img_i, _, box in dets:
-            best, best_iou = -1, 0.0
-            for g_i, gt_box in enumerate(gts[img_i]):
-                v = iou(box, gt_box)
-                if v > best_iou:
-                    best, best_iou = g_i, v
-            hit = best >= 0 and best_iou >= iou_thr and not matched[img_i][best]
+        for score, img_i, r in ranked:
+            row = overlaps[img_i][r]
+            # the first strict maximum above 0 wins; all zeros match nothing
+            best = int(np.argmax(row)) if row.size and row.max() > 0 else -1
+            hit = (best >= 0 and row[best] >= iou_thr
+                   and not matched[img_i][best])
             if hit:
                 matched[img_i][best] = True
             scored_hits.append((score, hit))

@@ -14,6 +14,10 @@ from scipy import ndimage
 
 # 4-connectivity: shared edges only, no diagonals
 _CROSS = ndimage.generate_binary_structure(2, 1)
+# the same cross in the middle plane of a 3x3x3 structure: labelling an
+# [N,H,W] stack with it never connects two maps
+_STACK_CROSS = np.zeros((3, 3, 3), dtype=bool)
+_STACK_CROSS[1] = _CROSS
 
 
 @dataclass
@@ -22,12 +26,12 @@ class BmsConfig:
     opening_radius: int = 1  # 0 disables the opening entirely
 
 
-def boolean_maps(image: np.ndarray, config: BmsConfig) -> list[np.ndarray]:
+def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     """Threshold each channel at t_k = k/(T+1), k=1..T; emit map and complement.
 
     Thresholding is strict (value > t_k), so pixels exactly at a threshold
-    fall into the complement. Returns 3*T*2 binary maps, channel-major, then
-    threshold, map before complement.
+    fall into the complement. Returns a [3*T*2, H, W] boolean stack,
+    channel-major, then threshold, map before complement.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
@@ -37,29 +41,55 @@ def boolean_maps(image: np.ndarray, config: BmsConfig) -> list[np.ndarray]:
     t = config.thresholds_per_channel
     if t < 1:
         raise ValueError("thresholds_per_channel must be >= 1")
-    maps = []
-    for channel in image:
-        for k in range(1, t + 1):
-            m = channel > k / (t + 1)
-            maps.append(m)
-            maps.append(~m)
-    return maps
+    thresholds = np.arange(1, t + 1) / (t + 1)
+    above = image[:, None] > thresholds[None, :, None, None]  # [3,T,H,W]
+    return np.stack([above, ~above], axis=2).reshape(-1, *image.shape[1:])
 
 
 def surroundedness(bmap: np.ndarray, opening_radius: int = 1) -> np.ndarray:
     """Keep only enclosed regions: drop 4-connected components touching the
-    border, then apply a morphological opening of the configured radius."""
+    border, then apply a cross-shaped morphological opening of the configured
+    radius.
+
+    Takes one [H,W] map or an [N,H,W] stack of maps. A stack is labelled in
+    one pass with a structure that connects pixels within a map only, so
+    every map is processed independently of the others.
+    """
     bmap = np.asarray(bmap, dtype=bool)
-    labels, n = ndimage.label(bmap, structure=_CROSS)
-    if n == 0:
-        return np.zeros_like(bmap)
-    border = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
-    touching = np.unique(border[border > 0])
-    kept = bmap & ~np.isin(labels, touching)
-    if opening_radius > 0 and kept.any():
-        kept = ndimage.binary_opening(kept, structure=_CROSS,
-                                      iterations=opening_radius)
-    return kept
+    stack = bmap[None] if bmap.ndim == 2 else bmap
+    labels, n = ndimage.label(stack, structure=_STACK_CROSS)
+    touching = np.zeros(n + 1, dtype=bool)
+    touching[0] = True  # background
+    for edge in (labels[:, 0], labels[:, -1], labels[:, :, 0], labels[:, :, -1]):
+        touching[edge] = True
+    kept = ~touching[labels]
+    for _ in range(opening_radius):
+        kept = _cross_erode(kept)
+    for _ in range(opening_radius):
+        kept = _cross_dilate(kept)
+    return kept.reshape(bmap.shape)
+
+
+def _cross_erode(stack: np.ndarray) -> np.ndarray:
+    """Erosion of every [H,W] plane by _CROSS, pixels outside counting as
+    False. The edge rows and columns must already be False (surroundedness
+    has removed everything touching the border), so they stay False."""
+    out = stack.copy()
+    out[:, 1:] &= stack[:, :-1]
+    out[:, :-1] &= stack[:, 1:]
+    out[:, :, 1:] &= stack[:, :, :-1]
+    out[:, :, :-1] &= stack[:, :, 1:]
+    return out
+
+
+def _cross_dilate(stack: np.ndarray) -> np.ndarray:
+    """Dilation of every [H,W] plane by _CROSS."""
+    out = stack.copy()
+    out[:, 1:] |= stack[:, :-1]
+    out[:, :-1] |= stack[:, 1:]
+    out[:, :, 1:] |= stack[:, :, :-1]
+    out[:, :, :-1] |= stack[:, :, 1:]
+    return out
 
 
 def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
@@ -69,11 +99,8 @@ def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     an enclosed region) normalizes to all zeros.
     """
     maps = boolean_maps(image, config)
-    acc = np.zeros(image.shape[1:], dtype=np.float64)
-    for m in maps:
-        acc += surroundedness(m, config.opening_radius)
-    acc /= len(maps)
-    return minmax_or_zeros(acc)
+    counts = surroundedness(maps, config.opening_radius).sum(axis=0)
+    return minmax_or_zeros(counts / len(maps))
 
 
 def box_blur(m: np.ndarray) -> np.ndarray:

@@ -155,3 +155,105 @@ def eleven_point_ap(tp_flags, n_gt):
         best = max((p for r, p in points if r >= t), default=0.0)
         total += best
     return total / 11.0
+
+
+def bms_saliency_per_map(image, thresholds_per_channel, opening_radius):
+    """Boolean-map saliency one map at a time, with scipy's own labelling and
+    binary opening: the reference for the stacked implementation.
+
+    Returns the min-max normalized mean surroundedness (all zeros when the
+    mean map is constant).
+    """
+    from scipy import ndimage
+
+    cross = ndimage.generate_binary_structure(2, 1)
+    t = thresholds_per_channel
+    maps = []
+    for channel in image:
+        for k in range(1, t + 1):
+            m = channel > k / (t + 1)
+            maps.append(m)
+            maps.append(~m)
+    acc = np.zeros(image.shape[1:], dtype=np.float64)
+    for bmap in maps:
+        labels, n = ndimage.label(bmap, structure=cross)
+        if n == 0:
+            continue
+        border = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+        kept = bmap & ~np.isin(labels, np.unique(border[border > 0]))
+        if opening_radius > 0 and kept.any():
+            kept = ndimage.binary_opening(kept, structure=cross,
+                                          iterations=opening_radius)
+        acc += kept
+    acc /= len(maps)
+    lo, hi = acc.min(), acc.max()
+    return (acc - lo) / (hi - lo) if hi > lo else np.zeros_like(acc)
+
+
+def detect_per_anchor(logits, offsets, anchors, class_ids, nms_iou, score_thr,
+                      top_k, variances=(0.1, 0.2)):
+    """Decode, clip and suppress one anchor at a time.
+
+    logits: [N, 1+C]; offsets and anchors: [N,4] center form. Anchors whose
+    clipped box has no area keep a placeholder box and a score of -1.
+    Returns (class_id, score, (cx, cy, w, h)) per kept detection, class by
+    class in score order.
+    """
+    v0, v1 = variances
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    probs = e / e.sum(axis=1, keepdims=True)
+    widths = anchors[:, 2] * np.exp(offsets[:, 2] * v1)
+    heights = anchors[:, 3] * np.exp(offsets[:, 3] * v1)
+    clipped = []
+    for i in range(len(anchors)):
+        cx = anchors[i, 0] + offsets[i, 0] * v0 * anchors[i, 2]
+        cy = anchors[i, 1] + offsets[i, 1] * v0 * anchors[i, 3]
+        x0 = max(0.0, cx - widths[i] / 2)
+        y0 = max(0.0, cy - heights[i] / 2)
+        x1 = min(1.0, cx + widths[i] / 2)
+        y1 = min(1.0, cy + heights[i] / 2)
+        if x1 - x0 <= 0 or y1 - y0 <= 0:
+            clipped.append(None)
+        else:
+            clipped.append(((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0))
+    boxes = [b if b is not None else (0.5, 0.5, 1.0, 1.0) for b in clipped]
+    out = []
+    for col, cid in enumerate(class_ids, start=1):
+        scores = [float(probs[i, col]) if clipped[i] is not None else -1.0
+                  for i in range(len(anchors))]
+        for i in brute_force_nms(boxes, scores, nms_iou, score_thr, top_k):
+            out.append((cid, scores[i], tuple(float(v) for v in clipped[i])))
+    return out
+
+
+def match_detections_per_pair(detections, gts, iou_thr):
+    """Greedy mAP matching with one scalar IoU per (detection, gt) pair.
+
+    detections: per image, a list of (class_id, score, box); gts: per image,
+    a list of (class_id, box); boxes are center form. Returns
+    {class_id: (list of (score, hit) in rank order, number of gts)}. A
+    detection matches the first gt with the strictly largest IoU above 0.
+    """
+    out = {}
+    for c in sorted({cid for g in gts for cid, _ in g}):
+        gts_c = [[center_to_corners(b) for cid, b in g if cid == c] for g in gts]
+        taken = [[False] * len(g) for g in gts_c]
+        ranked = sorted(((score, img, j, box)
+                         for img, dets in enumerate(detections)
+                         for j, (cid, score, box) in enumerate(dets) if cid == c),
+                        key=lambda t: (-t[0], t[1], t[2]))
+        hits = []
+        for score, img, _, box in ranked:
+            corners = center_to_corners(box)
+            best, best_iou = -1, 0.0
+            for g, gt in enumerate(gts_c[img]):
+                v = iou_corners(corners, gt)
+                if v > best_iou:
+                    best, best_iou = g, v
+            hit = best >= 0 and best_iou >= iou_thr and not taken[img][best]
+            if hit:
+                taken[img][best] = True
+            hits.append((score, hit))
+        out[c] = (hits, sum(len(g) for g in gts_c))
+    return out

@@ -91,6 +91,22 @@ class TestExitCodes:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("base.epochs", "-1"), ("novel.epochs", "-1"),
+        ("base.batch_size", "0"), ("novel.batch_size", "0"),
+        ("detector.pos_thr", "0"), ("detector.pos_thr", "1"),
+        ("detector.nms_iou", "0"), ("detector.nms_iou", "1.5"),
+        ("detector.score_thr", "-0.1"), ("base.epochs", "two"),
+    ])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
+                                                value):
+        rc = run(["train-base", "--out", str(tmp_path), *TINY,
+                  "--set", f"{key}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+        assert not (tmp_path / "base.ckpt.json").exists()
+
 
 class TestTrainBase:
     def test_zero_epochs_checkpoint_is_initialization(self, base_run):
@@ -173,6 +189,31 @@ class TestTrainNovel:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"format_version": 1, "arrays": arrays}))
         rc = run(["eval", "--out", str(tmp_path / "e"), "--ckpt", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["arrays"].pop("head.0.feat.kernel"),
+        lambda doc: doc["arrays"].update({"extra.bias": {"shape": [1], "data": [0.0]}}),
+        lambda doc: doc["arrays"].update({"cls.rows": {
+            "shape": [3, 16], "data": doc["arrays"]["cls.rows"]["data"][:48]}}),
+        lambda doc: doc["meta"].update({"class_ids": 5}),
+        lambda doc: doc["meta"].update({"class_ids": [2, "3"]}),
+        lambda doc: doc["meta"].update({"config": 5}),
+        lambda doc: doc["meta"]["config"].update({"detector.feat_dim": 8}),
+        lambda doc: doc["meta"]["config"].update({"detector.nms_iou": 2}),
+        lambda doc: doc["meta"]["config"].update({"anchors.scales": 5}),
+    ], ids=["missing_param", "extra_param", "cls_rows_cut", "class_ids_int",
+            "class_ids_str", "config_int", "feat_dim_mismatch", "bad_nms_iou",
+            "bad_anchor_scales"])
+    def test_checkpoint_not_fitting_its_architecture_is_one_error_line(
+            self, base_run, tmp_path, capsys, edit):
+        doc = json.loads((base_run / "base.ckpt.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = run(["eval", "--out", str(tmp_path / "e"), "--ckpt", str(bad), *TINY])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err

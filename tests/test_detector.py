@@ -12,8 +12,8 @@ from fewdet import tensor as T
 from fewdet.detector import (AnchorConfig, AnchorSet, Box, DetectorConfig,
                              DetectorOutputs, MatchResult)
 from fewdet.tensor import Tensor, grad_check
-from oracles import (brute_force_matcher, brute_force_nms, eleven_point_ap,
-                     iou_corners)
+from oracles import (brute_force_matcher, brute_force_nms, detect_per_anchor,
+                     eleven_point_ap, iou_corners, match_detections_per_pair)
 
 
 def tiny_config(**overrides):
@@ -440,6 +440,42 @@ class TestNms:
             assert got == want
 
 
+class TestDetect:
+    """Array decode and clipping give the same detections, to the bit, as
+    decoding, clipping and suppressing one anchor at a time."""
+
+    @staticmethod
+    def outputs(rng, anchors, n_classes):
+        n = len(anchors)
+        logits = rng.standard_normal((n, 1 + n_classes)) * 3.0
+        offsets = rng.standard_normal((n, 4))
+        # push a quarter of the centers far outside the unit square, so their
+        # clipped boxes have no area
+        far = rng.random(n) < 0.25
+        offsets[far, int(rng.integers(2))] = rng.choice([-1e3, 1e3], far.sum())
+        return DetectorOutputs(logits=Tensor(logits), offsets=Tensor(offsets),
+                               features=Tensor(np.zeros((n, 1))))
+
+    @pytest.mark.parametrize("score_thr", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("top_k", [None, 1, 50])
+    def test_matches_per_anchor_reference(self, score_thr, top_k):
+        rng = np.random.default_rng(17)
+        anchors = D.generate_anchors(AnchorConfig())
+        class_ids = [2, 3, 5, 6]
+        params = D.DetectorParams({}, class_ids)
+        cfg = DetectorConfig(score_thr=score_thr, top_k=top_k)
+        for _ in range(8):
+            out = self.outputs(rng, anchors, len(class_ids))
+            got = [(d.class_id, d.score, (d.box.cx, d.box.cy, d.box.w, d.box.h))
+                   for d in D.detect(out, anchors, params, cfg)]
+            want = detect_per_anchor(out.logits.data, out.offsets.data,
+                                     anchors.array, class_ids, cfg.nms_iou,
+                                     score_thr, top_k)
+            assert len(want) > 0
+            assert [(c, s.hex(), [v.hex() for v in b]) for c, s, b in got] == \
+                [(c, s.hex(), [v.hex() for v in b]) for c, s, b in want]
+
+
 class TestEvaluateMap:
 
     def det(self, cid, score, box):
@@ -485,6 +521,42 @@ class TestEvaluateMap:
         per_class, mean_ap = D.evaluate_map(dets, gt)
         assert per_class[1] == 1.0 and per_class[2] == 0.0
         assert mean_ap == 0.5
+
+    def test_iou_tie_goes_to_first_gt(self):
+        """d1 overlaps gts a and b equally (IoU 0.6) and takes a, the first;
+        d2 matches a exactly but finds it taken, so it is a false positive."""
+        a, b = Box(0.375, 0.5, 0.5, 0.5), Box(0.625, 0.5, 0.5, 0.5)
+        gt = [[(1, a), (1, b)]]
+        dets = [[self.det(1, 0.9, Box(0.5, 0.5, 0.5, 0.5)), self.det(1, 0.8, a)]]
+        per_class, _ = D.evaluate_map(dets, gt)
+        assert per_class[1] == eleven_point_ap([1, 0], 2)
+
+    def test_matches_per_pair_reference(self):
+        """Random detections over random ground truth, with duplicated gts
+        (exact IoU ties) and far-away detections (all-zero IoU rows)."""
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            gts, dets = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                g = [(int(rng.integers(1, 4)), random_box(rng))
+                     for _ in range(int(rng.integers(0, 5)))]
+                g += g[:int(rng.integers(0, 2))]
+                gts.append(g)
+                d = [(int(rng.integers(1, 4)), float(np.round(rng.random(), 1)),
+                      random_box(rng)) for _ in range(int(rng.integers(0, 8)))]
+                d += [(cid, float(rng.random()),
+                       Box(b.cx + 0.01 * rng.random(), b.cy, b.w, b.h))
+                      for cid, b in g]
+                d.append((1, 0.3, Box(0.02, 0.02, 0.01, 0.01)))
+                dets.append(d)
+            per_class, _ = D.evaluate_map(
+                [[self.det(c, s, b) for c, s, b in d] for d in dets], gts)
+            want = match_detections_per_pair(
+                [[(c, s, (b.cx, b.cy, b.w, b.h)) for c, s, b in d] for d in dets],
+                [[(c, (b.cx, b.cy, b.w, b.h)) for c, b in g] for g in gts], 0.5)
+            assert set(per_class) == set(want)
+            for c, (hits, n_gt) in want.items():
+                assert per_class[c] == D.eleven_point_ap(hits, n_gt)
 
     def test_detected_class_absent_from_gt_ignored(self):
         gt = [[(1, Box(0.3, 0.3, 0.2, 0.2))]]

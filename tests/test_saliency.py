@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewdet import saliency as S
+from fewdet import synthdata as sd
 from fewdet.saliency import BmsConfig
 from fewdet.tensor import Tape
-from oracles import flood_fill_surroundedness
+from oracles import bms_saliency_per_map, flood_fill_surroundedness
 
 
 class FakeObject:
@@ -149,6 +150,31 @@ class TestBmsSaliency:
             S.bms_saliency(img, BmsConfig())
             S.oracle_saliency(FakeScene(8, [np.eye(8, dtype=bool)]), 1)
         assert len(tape) == 0
+
+
+class TestStackedBmsMatchesPerMap:
+    """The one-pass stacked labelling and the shifted-array opening give the
+    same bits as labelling and opening each boolean map on its own."""
+
+    @staticmethod
+    def images():
+        rng = np.random.default_rng(5)
+        blocks = np.kron(rng.uniform(0, 1, (3, 5, 6)), np.ones((1, 4, 4)))
+        yield rng.uniform(0, 1, (3, 17, 23))
+        yield blocks[:, :17, :23]
+        yield blocks[:, :20, :9].transpose(0, 2, 1)
+        yield sd.generate_scene(2).image
+        for value in (0.0, 0.5, 1.0, 0.3):
+            yield np.full((3, 17, 23), value)
+
+    @pytest.mark.parametrize("thresholds", range(1, 10))
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_byte_identical(self, thresholds, radius):
+        cfg = BmsConfig(thresholds_per_channel=thresholds, opening_radius=radius)
+        for img in self.images():
+            got = S.bms_saliency(img, cfg)
+            want = bms_saliency_per_map(img, thresholds, radius)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestOracleSaliency:
