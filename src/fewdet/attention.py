@@ -14,7 +14,6 @@ pass through bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,43 +22,23 @@ from .saliency import minmax_or_zeros
 from .tensor import Tensor
 
 
-@dataclass
-class GcParams:
-    """Parameters of the global-context block for a C-channel stage.
-
-    w_k scores positions (1x1 conv C->1); w_v1/w_v2 are the bottleneck down
-    + up projections (1x1 convs C->C_b->C); ln_gain/ln_bias parameterize the
-    normalization between them. All five participate in differentiation.
-    """
-
-    w_k: Tensor      # [1, C, 1, 1]
-    w_v1: Tensor     # [C_b, C, 1, 1]
-    ln_gain: Tensor  # [C_b]
-    ln_bias: Tensor  # [C_b]
-    w_v2: Tensor     # [C, C_b, 1, 1]
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"w_k": self.w_k, "w_v1": self.w_v1, "ln_gain": self.ln_gain,
-                "ln_bias": self.ln_bias, "w_v2": self.w_v2}
-
-
 def bottleneck_width(channels: int, ratio: int = 4) -> int:
     return max(1, channels // ratio)
 
 
 def init_gc_params(rng: np.random.Generator, channels: int,
-                   bottleneck_ratio: int = 4) -> GcParams:
-    """Fresh block parameters; w_v2 starts at zero so the block is an identity."""
+                   bottleneck_ratio: int = 4) -> dict[str, Tensor]:
+    """Fresh block parameters for a C-channel stage, named as gc_block's
+    arguments: w_k [1,C,1,1] scores positions; w_v1 [C_b,C,1,1] and w_v2
+    [C,C_b,1,1] are the bottleneck's down and up projections; ln_gain and
+    ln_bias [C_b] parameterize the normalization between them. w_v2 starts
+    at zero, so the block starts as an identity."""
     cb = bottleneck_width(channels, bottleneck_ratio)
     w_k = rng.standard_normal((1, channels, 1, 1)) / math.sqrt(channels)
     w_v1 = rng.standard_normal((cb, channels, 1, 1)) * math.sqrt(2.0 / channels)
-    return GcParams(
-        w_k=Tensor(w_k, requires_grad=True),
-        w_v1=Tensor(w_v1, requires_grad=True),
-        ln_gain=Tensor(np.ones(cb), requires_grad=True),
-        ln_bias=Tensor(np.zeros(cb), requires_grad=True),
-        w_v2=Tensor(np.zeros((channels, cb, 1, 1)), requires_grad=True),
-    )
+    arrays = {"w_k": w_k, "w_v1": w_v1, "ln_gain": np.ones(cb),
+              "ln_bias": np.zeros(cb), "w_v2": np.zeros((channels, cb, 1, 1))}
+    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
 def topdown_map(features: Tensor, w_k: Tensor) -> Tensor:
@@ -79,20 +58,24 @@ def global_context(features: Tensor, h: Tensor) -> Tensor:
     return T.sum_axes(T.mul(features, h), (1, 2))
 
 
-def gc_block(features: Tensor, params: GcParams, eps_ln: float = 1e-5) -> Tensor:
+def gc_block(features: Tensor, w_k: Tensor, w_v1: Tensor, ln_gain: Tensor,
+             ln_bias: Tensor, w_v2: Tensor, eps_ln: float = 1e-5
+             ) -> tuple[Tensor, Tensor]:
     """Residual global-context transform: z = y + W_v2 ReLU(LN(W_v1 y')).
 
-    The bottleneck output is a single C-vector broadcast to every position,
-    so with w_v2 = 0 the block returns the features unchanged.
+    Returns (z, h): the transformed features and the top-down attention map
+    h that pooled them into y'. The bottleneck output is a single C-vector
+    broadcast to every position, so with w_v2 = 0 the block returns the
+    features unchanged.
     """
     c = features.data.shape[0]
-    cb = params.w_v1.data.shape[0]
-    h = topdown_map(features, params.w_k)
+    cb = w_v1.data.shape[0]
+    h = topdown_map(features, w_k)
     y = global_context(features, h)
-    t = T.reshape(T.matmul(T.reshape(params.w_v1, (cb, c)), T.reshape(y, (c, 1))), (cb,))
-    t = T.relu(T.layer_norm(t, params.ln_gain, params.ln_bias, eps_ln=eps_ln))
-    u = T.matmul(T.reshape(params.w_v2, (c, cb)), T.reshape(t, (cb, 1)))
-    return T.add(features, T.reshape(u, (c, 1, 1)))
+    t = T.reshape(T.matmul(T.reshape(w_v1, (cb, c)), T.reshape(y, (c, 1))), (cb,))
+    t = T.relu(T.layer_norm(t, ln_gain, ln_bias, eps_ln=eps_ln))
+    u = T.matmul(T.reshape(w_v2, (c, cb)), T.reshape(t, (cb, 1)))
+    return T.add(features, T.reshape(u, (c, 1, 1))), h
 
 
 def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -138,24 +138,62 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# key -> (type test, range test, what the key must be)
+def _fits(value, default) -> bool:
+    """Whether a config value has the JSON type of the key's default; a
+    list's items are checked against the default's first item."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+# the key groups a checkpoint stores and a detector is built from
+ARCHITECTURE = ("detector", "anchors", "saliency")
+
+# key -> (range test, what the key must be)
 RULES = {
-    "base.epochs": (_is_int, lambda v: v >= 0, "an integer >= 0"),
-    "novel.epochs": (_is_int, lambda v: v >= 0, "an integer >= 0"),
-    "base.batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
-    "novel.batch_size": (_is_int, lambda v: v >= 1, "an integer >= 1"),
-    "detector.pos_thr": (_is_number, lambda v: 0 < v < 1, "a number in (0,1)"),
-    "detector.nms_iou": (_is_number, lambda v: 0 < v < 1, "a number in (0,1)"),
-    "detector.score_thr": (_is_number, lambda v: v >= 0, "a number >= 0"),
+    "base.epochs": (lambda v: v >= 0, "an integer >= 0"),
+    "novel.epochs": (lambda v: v >= 0, "an integer >= 0"),
+    "base.batch_size": (lambda v: v >= 1, "an integer >= 1"),
+    "novel.batch_size": (lambda v: v >= 1, "an integer >= 1"),
+    "detector.pos_thr": (lambda v: 0 < v < 1, "a number in (0,1)"),
+    "detector.nms_iou": (lambda v: 0 < v < 1, "a number in (0,1)"),
+    "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
+    "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
+    "gradcheck.points": (lambda v: v >= 1, "an integer >= 1"),
 }
 
 
 def validate_config(cfg: dict[str, object]) -> None:
-    """Reject values the pipeline cannot run with, naming the key."""
-    for key, (is_type, in_range, need) in RULES.items():
-        v = cfg[key]
-        if not (is_type(v) and in_range(v)):
-            raise UsageError(f"{key} must be {need}, got {json.dumps(v)}")
+    """Reject values the pipeline cannot run with, naming the key: a value
+    whose JSON type differs from its default's, one outside its key's rule,
+    or architecture settings whose detector cannot be built and run once on
+    a blank scene."""
+    for key, default in DEFAULTS.items():
+        if not _fits(cfg[key], default):
+            raise UsageError(f"{key} must have the type of its default "
+                             f"{json.dumps(default)}, got {json.dumps(cfg[key])}")
+    for key, (in_range, need) in RULES.items():
+        if not in_range(cfg[key]):
+            raise UsageError(f"{key} must be {need}, got {json.dumps(cfg[key])}")
+    dcfg = detector_config(cfg)
+    side = dcfg.image_size
+    blank = sd.Scene(image=np.zeros((3, side, side)), objects=[], annotated=[])
+    provider = saliency_provider(cfg, dcfg)
+    try:
+        det.generate_anchors(dcfg.anchors)
+        params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
+        det.forward(blank.image, provider(blank) if provider else None, params, dcfg)
+    except (T.TensorError, ValueError, ArithmeticError) as e:
+        changed = [f"{k}={json.dumps(v)}" for k, v in cfg.items()
+                   if k.split(".")[0] in ARCHITECTURE and v != DEFAULTS[k]]
+        raise UsageError(f"the settings {', '.join(changed) or '(defaults)'} do not "
+                         f"describe a working detector: {e}")
 
 
 def write_snapshot(cfg: dict[str, object], outdir: str) -> None:
@@ -241,8 +279,7 @@ def benchmark(cfg: dict[str, object]) -> tuple[sd.Benchmark, sd.SplitSpec]:
 
 def checkpoint_meta(cfg: dict[str, object], stage: str,
                     params: det.DetectorParams, split_id: int) -> dict:
-    keep = [k for k in sorted(cfg)
-            if k.split(".")[0] in ("detector", "anchors", "saliency")]
+    keep = [k for k in sorted(cfg) if k.split(".")[0] in ARCHITECTURE]
     return {"stage": stage, "class_ids": list(params.class_ids),
             "split": split_id, "seed": int(cfg["seed"]),
             "config": {k: cfg[k] for k in keep}}
@@ -281,7 +318,7 @@ def load_checkpoint(path: str) -> tuple[det.DetectorParams, dict]:
         # the initializer is the one place that names parameters and shapes
         reference = det.init_detector_params(
             detector_config(run_cfg), class_ids, np.random.default_rng(0))
-    except (TypeError, ValueError, IndexError) as e:
+    except ValueError as e:
         raise UsageError(f"checkpoint {path} does not describe a detector: {e}")
     for name, t in sorted(reference.tensors.items()):
         if name not in arrays:
@@ -435,7 +472,7 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
 
     full = full_saliency(run_cfg, scene)
     pooled = att.pool_saliency(full, side, side) if dcfg.use_bottom_up else None
-    out = det.forward(scene.image, pooled, params, dcfg, want_topdown=True)
+    out = det.forward(scene.image, pooled, params, dcfg)
 
     write_ppm(os.path.join(outdir, "image.ppm"), scene.image)
     write_ppm(os.path.join(outdir, "saliency.ppm"), full)
@@ -483,11 +520,17 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
     columns = ("beta", "eta", "epsilon", "gamma", "split", "k", "seed",
                "map_base", "map_novel", "map_all")
     done: set[tuple[str, ...]] = set()
-    fresh = not os.path.exists(csv_path) or os.path.getsize(csv_path) == 0
-    if not fresh:
-        with open(csv_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done.add(tuple(row[c] for c in columns[:7]))
+    complete = 0
+    if os.path.exists(csv_path):
+        with open(csv_path, "rb+") as fh:
+            raw = fh.read()
+            # a killed run can leave a torn last row: cut back to the last line
+            # end, so that row's cell is computed again
+            complete = raw.rfind(b"\n") + 1
+            fh.truncate(complete)
+        for row in csv.DictReader(raw[:complete].decode().splitlines()):
+            done.add(tuple(row[c] for c in columns[:7]))
+    fresh = complete == 0
 
     base_cache: dict[tuple, det.DetectorParams] = {}
     with open(csv_path, "a", newline="") as fh:

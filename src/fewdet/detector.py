@@ -11,7 +11,7 @@ same footing as trained ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,18 +76,9 @@ class AnchorConfig:
     aspects: tuple[float, ...] = (1.0, 2.0, 0.5)
 
 
-@dataclass
-class AnchorSet:
-    boxes: list[Box]
-    array: np.ndarray       # [N,4] center form
-    scale_index: np.ndarray  # [N] which feature map each anchor came from
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-
-def generate_anchors(cfg: AnchorConfig) -> AnchorSet:
-    """Anchor grid: scale-major, then row-major over cells, aspect-minor.
+def generate_anchors(cfg: AnchorConfig) -> np.ndarray:
+    """Anchor grid as an [N,4] center-form array: scale-major, then
+    row-major over cells, aspect-minor.
 
     The anchor for cell (i,j) of an H'xW' map is centered at
     ((j+0.5)/W', (i+0.5)/H'); aspect a maps a base scale s to sides
@@ -97,17 +88,16 @@ def generate_anchors(cfg: AnchorConfig) -> AnchorSet:
         raise ValueError("anchor config needs at least one feature map and scale")
     if len(cfg.map_sizes) != len(cfg.scales):
         raise ValueError("one scale per feature map required")
-    boxes, scale_index = [], []
-    for s_idx, ((fh, fw), scale) in enumerate(zip(cfg.map_sizes, cfg.scales)):
+    if min(cfg.scales) <= 0 or not cfg.aspects or min(cfg.aspects) <= 0:
+        raise ValueError("anchor scales and aspects must be positive")
+    rows = []
+    for (fh, fw), scale in zip(cfg.map_sizes, cfg.scales):
         for i in range(fh):
             for j in range(fw):
                 for a in cfg.aspects:
                     r = math.sqrt(a)
-                    boxes.append(Box(cx=(j + 0.5) / fw, cy=(i + 0.5) / fh,
-                                     w=scale * r, h=scale / r))
-                    scale_index.append(s_idx)
-    return AnchorSet(boxes=boxes, array=boxes_to_array(boxes),
-                     scale_index=np.array(scale_index, dtype=np.int64))
+                    rows.append(((j + 0.5) / fw, (i + 0.5) / fh, scale * r, scale / r))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ class MatchResult:
             raise ValueError("an anchor cannot be both positive and hard negative")
 
 
-def match_anchors(anchors: AnchorSet, gt_boxes: list[Box], gt_labels,
+def match_anchors(anchors: np.ndarray, gt_boxes: list[Box], gt_labels,
                   pos_thr: float = 0.5) -> MatchResult:
     """Assign anchors to ground truth; hard negatives are filled later.
 
@@ -154,7 +144,7 @@ def match_anchors(anchors: AnchorSet, gt_boxes: list[Box], gt_labels,
     if len(gt_boxes) > n:
         raise ValueError("more ground-truth boxes than anchors")
 
-    m = iou_matrix(anchors.array, boxes_to_array(gt_boxes))  # [N, G]
+    m = iou_matrix(anchors, boxes_to_array(gt_boxes))  # [N, G]
     claimed = np.zeros(n, dtype=bool)
     for g in range(len(gt_boxes)):
         col = np.where(claimed, -1.0, m[:, g])
@@ -174,29 +164,25 @@ def match_anchors(anchors: AnchorSet, gt_boxes: list[Box], gt_labels,
 VARIANCES = (0.1, 0.2)
 
 
-def encode_box(gt: Box, anchor: Box, variances=VARIANCES) -> np.ndarray:
-    """Offsets regressed against an anchor: scaled center deltas and log sizes."""
+def encode_all(gt: np.ndarray, anchor_array: np.ndarray,
+               variances=VARIANCES) -> np.ndarray:
+    """Offsets regressed from [N,4] anchors to [N,4] ground truth: scaled
+    center deltas and log size ratios. The logs are libm's (math.log):
+    numpy's vectorized log differs from it in the last bit on some ratios,
+    and training follows those bits."""
     v0, v1 = variances
-    return np.array([
-        (gt.cx - anchor.cx) / (v0 * anchor.w),
-        (gt.cy - anchor.cy) / (v0 * anchor.h),
-        math.log(gt.w / anchor.w) / v1,
-        math.log(gt.h / anchor.h) / v1,
-    ])
-
-
-def decode_box(offsets, anchor: Box, variances=VARIANCES) -> Box:
-    v0, v1 = variances
-    tx, ty, tw, th = (float(o) for o in offsets)
-    return Box(cx=anchor.cx + tx * v0 * anchor.w,
-               cy=anchor.cy + ty * v0 * anchor.h,
-               w=anchor.w * math.exp(tw * v1),
-               h=anchor.h * math.exp(th * v1))
+    out = np.empty_like(gt)
+    out[:, 0] = (gt[:, 0] - anchor_array[:, 0]) / (v0 * anchor_array[:, 2])
+    out[:, 1] = (gt[:, 1] - anchor_array[:, 1]) / (v0 * anchor_array[:, 3])
+    ratios = gt[:, 2:] / anchor_array[:, 2:]
+    out[:, 2:] = np.array([[math.log(rw), math.log(rh)] for rw, rh in ratios.tolist()],
+                          dtype=np.float64).reshape(-1, 2) / v1
+    return out
 
 
 def decode_all(offsets: np.ndarray, anchor_array: np.ndarray,
                variances=VARIANCES) -> np.ndarray:
-    """Vectorized decode of [N,4] offsets against [N,4] anchors."""
+    """Boxes from [N,4] offsets against [N,4] anchors: the inverse of encode_all."""
     v0, v1 = variances
     out = np.empty_like(offsets)
     out[:, 0] = anchor_array[:, 0] + offsets[:, 0] * v0 * anchor_array[:, 2]
@@ -231,9 +217,6 @@ class DetectorConfig:
     def num_aspects(self) -> int:
         return len(self.anchors.aspects)
 
-    def scaled(self, **overrides) -> "DetectorConfig":
-        return replace(self, **overrides)
-
 
 class DetectorParams:
     """Named parameter tensors plus the classifier's class-id row map.
@@ -252,12 +235,6 @@ class DetectorParams:
 
     def row_of(self, class_id: int) -> int:
         return 1 + self.class_ids.index(class_id)
-
-    def gc_params(self) -> att.GcParams:
-        t = self.tensors
-        return att.GcParams(w_k=t["gc.w_k"], w_v1=t["gc.w_v1"],
-                            ln_gain=t["gc.ln_gain"], ln_bias=t["gc.ln_bias"],
-                            w_v2=t["gc.w_v2"])
 
     def set_requires_grad(self, flag: bool) -> None:
         for t in self.tensors.values():
@@ -288,6 +265,10 @@ def init_detector_params(cfg: DetectorConfig, class_ids: list[int],
     """Fresh parameters; draw order is fixed so a seed pins every value."""
     if len(set(class_ids)) != len(class_ids) or BACKGROUND in class_ids:
         raise ValueError("class ids must be unique and nonzero")
+    if len(cfg.backbone_channels) != 4 or len(cfg.anchors.map_sizes) != 2:
+        raise ValueError(f"the detector has 4 backbone stages and 2 heads, got "
+                         f"{len(cfg.backbone_channels)} channel counts and "
+                         f"{len(cfg.anchors.map_sizes)} anchor maps")
     tensors: dict[str, Tensor] = {}
 
     def conv(name, cout, cin, k, bias_scale=0.0):
@@ -302,7 +283,7 @@ def init_detector_params(cfg: DetectorConfig, class_ids: list[int],
         conv(f"backbone.{i}", chans[i + 1], chans[i], 3)
 
     gc = att.init_gc_params(rng, cfg.backbone_channels[1], cfg.bottleneck_ratio)
-    for name, t in gc.tensors().items():
+    for name, t in gc.items():
         tensors[f"gc.{name}"] = t
 
     a, d = cfg.num_aspects, cfg.feat_dim
@@ -325,7 +306,7 @@ class DetectorOutputs:
     logits: Tensor    # [N_anchors, 1 + n_classes]
     offsets: Tensor   # [N_anchors, 4]
     features: Tensor  # [N_anchors, feat_dim], pre-normalization
-    topdown: Tensor | None = None  # [H,W] attention map, on request
+    topdown: Tensor | None = None  # [H,W] top-down attention map, set by forward
 
 
 def _flatten_head(x: Tensor, per_anchor: int, num_aspects: int) -> Tensor:
@@ -336,12 +317,13 @@ def _flatten_head(x: Tensor, per_anchor: int, num_aspects: int) -> Tensor:
     return T.reshape(x, (h * w * num_aspects, per_anchor))
 
 
-def forward(image, saliency, params: DetectorParams, cfg: DetectorConfig,
-            want_topdown: bool = False) -> DetectorOutputs:
+def forward(image, saliency, params: DetectorParams,
+            cfg: DetectorConfig) -> DetectorOutputs:
     """Run the detector on one image.
 
     ``saliency`` is an [H,W] numpy map or None; it is ignored unless
-    cfg.use_bottom_up. Records on the active tape, if any.
+    cfg.use_bottom_up. The outputs carry the global-context block's
+    attention map as ``topdown``. Records on the active tape, if any.
     """
     x = image if isinstance(image, Tensor) else Tensor(image)
     if x.data.shape != (3, cfg.image_size, cfg.image_size):
@@ -352,15 +334,13 @@ def forward(image, saliency, params: DetectorParams, cfg: DetectorConfig,
     x = T.sub(T.scale(x, 2.0), Tensor(np.float64(1.0)))
     t = params.tensors
 
-    topdown = None
     head_inputs = []
     for i in range(4):
         x = T.relu(T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
                             stride=2, padding=1))
         if i == 1:
-            if want_topdown:
-                topdown = att.topdown_map(x, t["gc.w_k"])
-            x = att.gc_block(x, params.gc_params())
+            x, topdown = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
+                                      t["gc.ln_bias"], t["gc.w_v2"])
             if cfg.use_bottom_up and saliency is not None:
                 x = att.fuse_bottom_up(x, saliency, cfg.epsilon)
         if i >= 2:
@@ -421,7 +401,7 @@ def hard_negative_mining(cls_losses: np.ndarray, match: MatchResult,
 
 
 def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
-              anchors: AnchorSet, params: DetectorParams, cfg: DetectorConfig,
+              anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
               alpha: float | None = None) -> tuple[Tensor, dict[str, float]]:
     """Detection loss: (cross-entropy + alpha * smooth-L1) / max(N, 1).
 
@@ -445,8 +425,8 @@ def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
     l_cls = T.sum_all(T.softmax_cross_entropy(T.gather(outputs.logits, sel), rows))
 
     if pos_idx.size:
-        targets = np.stack([encode_box(gt_boxes[match.matched_gt[i]], anchors.boxes[i])
-                            for i in pos_idx])
+        targets = encode_all(boxes_to_array(gt_boxes)[match.matched_gt[pos_idx]],
+                             anchors[pos_idx])
         l_bbox = T.sum_all(T.smooth_l1(T.gather(outputs.offsets, pos_idx),
                                        Tensor(targets)))
         total = T.scale(T.add(l_cls, T.scale(l_bbox, alpha)), 1.0 / n)
@@ -475,11 +455,12 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
 
     Boxes below score_thr are dropped first. Processing order is score
     descending with the lower index winning ties; a kept box suppresses any
-    later box with IoU strictly greater than iou_thr.
+    later box with IoU strictly greater than iou_thr. At most top_k boxes
+    are kept.
     """
     keep_mask = scores >= score_thr
     idx = np.where(keep_mask)[0]
-    if idx.size == 0:
+    if idx.size == 0 or (top_k is not None and top_k < 1):
         return []
     order = idx[np.argsort(-scores[idx], kind="stable")]
     ranked = boxes[order]
@@ -496,7 +477,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
     return kept
 
 
-def detect(outputs: DetectorOutputs, anchors: AnchorSet, params: DetectorParams,
+def detect(outputs: DetectorOutputs, anchors: np.ndarray, params: DetectorParams,
            cfg: DetectorConfig) -> list[Detection]:
     """Decode one image's outputs into per-class NMS-filtered detections.
 
@@ -507,7 +488,7 @@ def detect(outputs: DetectorOutputs, anchors: AnchorSet, params: DetectorParams,
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     probs = e / e.sum(axis=1, keepdims=True)
-    decoded = decode_all(outputs.offsets.data, anchors.array)
+    decoded = decode_all(outputs.offsets.data, anchors)
 
     half_w, half_h = decoded[:, 2] / 2, decoded[:, 3] / 2
     x0 = np.maximum(0.0, decoded[:, 0] - half_w)

@@ -18,8 +18,8 @@ from . import tensor as T
 # pool_saliency and bms_saliency are unused here; bench/selftest.py checks
 # that its tracer rebinds these two ``from ... import`` bindings
 from .attention import pool_saliency  # noqa: F401
-from .detector import (AnchorSet, Box, DetectorConfig, DetectorOutputs,
-                       DetectorParams, MatchResult)
+from .detector import (Box, DetectorConfig, DetectorOutputs, DetectorParams,
+                       MatchResult)
 from .saliency import bms_saliency  # noqa: F401
 from .synthdata import Scene, SplitSpec, class_instance_index
 from .tensor import Tape, Tensor, backward
@@ -127,7 +127,7 @@ def distillation_loss(outputs: DetectorOutputs, base_logits: np.ndarray,
 
 
 def novel_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
-               anchors: AnchorSet, params: DetectorParams, cfg: DetectorConfig,
+               anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
                hp: Hyperparams, base_logits: np.ndarray | None = None,
                base_offsets: np.ndarray | None = None
                ) -> tuple[Tensor, dict[str, float]]:
@@ -272,7 +272,7 @@ def init_novel_detector(base_params: DetectorParams, support: SupportSet,
             box = scene.objects[obj_idx].box
             sal = saliency_provider(scene) if saliency_provider else None
             out = det.forward(scene.image, sal, base_params, cfg)
-            ious = det.iou_matrix(anchors.array, det.boxes_to_array([box]))[:, 0]
+            ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
             best = int(np.argmax(ious))
             if ious[best] == 0.0:
                 raise ImprintError(
@@ -295,12 +295,9 @@ METRIC_KEYS = ("stage", "epoch", "loss_total", "loss_cls", "loss_bbox",
 
 def _metric_row(stage: str, epoch: int, sums: dict[str, float], count: int,
                 lr: float) -> dict:
-    row = {"stage": stage, "epoch": epoch}
-    for key in ("loss_total", "loss_cls", "loss_bbox", "loss_conc_pos",
-                "loss_conc_neg", "loss_dist"):
-        row[key] = sums.get(key, 0.0) / max(count, 1)
-    row["lr"] = lr
-    return row
+    fixed = {"stage": stage, "epoch": epoch, "lr": lr}
+    return {key: fixed[key] if key in fixed else sums.get(key, 0.0) / max(count, 1)
+            for key in METRIC_KEYS}
 
 
 @dataclass
@@ -312,7 +309,7 @@ class _SceneCache:
     base_offsets: np.ndarray | None = None
 
 
-def _prepare(scenes: list[Scene], cfg: DetectorConfig, anchors: AnchorSet,
+def _prepare(scenes: list[Scene], cfg: DetectorConfig, anchors: np.ndarray,
              saliency_provider) -> list[_SceneCache]:
     caches = []
     for scene in scenes:
@@ -345,8 +342,7 @@ def _clip_gradients(params: DetectorParams, max_norm: float) -> None:
                 t.grad = t.grad * scale
 
 
-def _run_epochs(scenes, caches, params, anchors, cfg, train_cfg, stage,
-                seed, loss_fn):
+def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
     """Shared epoch loop: shuffle, batch, accumulate grads, step, log."""
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     velocity: dict[str, np.ndarray] = {}
@@ -408,8 +404,8 @@ def train_base(scenes: list[Scene], cfg: DetectorConfig, train_cfg: TrainConfig,
         return det.base_loss(out, mined, cache.gt_boxes, anchors, params, cfg,
                              alpha=cfg.alpha)
 
-    metrics = _run_epochs(scenes, caches, params, anchors, cfg, train_cfg,
-                          "base", seed, loss_fn)
+    metrics = _run_epochs(scenes, caches, params, cfg, train_cfg, "base", seed,
+                          loss_fn)
     return params, metrics
 
 
@@ -436,8 +432,8 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
         return novel_loss(out, mined, cache.gt_boxes, anchors, params, cfg, hp,
                           cache.base_logits, cache.base_offsets)
 
-    metrics = _run_epochs(scenes, caches, params, anchors, cfg, train_cfg,
-                          "novel", seed, loss_fn)
+    metrics = _run_epochs(scenes, caches, params, cfg, train_cfg, "novel", seed,
+                          loss_fn)
     return params, metrics
 
 

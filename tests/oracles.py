@@ -88,24 +88,45 @@ def center_to_corners(box):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
+def encode_box(gt, anchor, variances=(0.1, 0.2)):
+    """Offsets of one center-form gt box against one anchor, scalar by scalar."""
+    v0, v1 = variances
+    return ((gt[0] - anchor[0]) / (v0 * anchor[2]),
+            (gt[1] - anchor[1]) / (v0 * anchor[3]),
+            math.log(gt[2] / anchor[2]) / v1,
+            math.log(gt[3] / anchor[3]) / v1)
+
+
+def decode_box(offsets, anchor, variances=(0.1, 0.2)):
+    """The center-form box that one anchor's offsets describe. The exp is
+    numpy's, as in the package's decode: libm's differs from it in the last
+    bit on a few percent of inputs."""
+    v0, v1 = variances
+    tx, ty, tw, th = offsets
+    return (anchor[0] + tx * v0 * anchor[2],
+            anchor[1] + ty * v0 * anchor[3],
+            anchor[2] * float(np.exp(tw * v1)),
+            anchor[3] * float(np.exp(th * v1)))
+
+
 def brute_force_nms(boxes, scores, iou_thr, score_thr=0.0, top_k=None):
     """Quadratic greedy suppression; boxes are [M,4] center form.
 
-    Returns kept indices. A box is suppressed by any higher-ranked kept box
-    with IoU strictly greater than iou_thr; ranking is score descending with
-    lower index winning ties.
+    Returns at most top_k kept indices. A box is suppressed by any
+    higher-ranked kept box with IoU strictly greater than iou_thr; ranking is
+    score descending with lower index winning ties.
     """
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     order = [i for i in order if scores[i] >= score_thr]
     kept = []
     for i in order:
+        if top_k is not None and len(kept) >= top_k:
+            break
         ci = center_to_corners(boxes[i])
         suppressed = any(
             iou_corners(ci, center_to_corners(boxes[j])) > iou_thr for j in kept)
         if not suppressed:
             kept.append(i)
-            if top_k is not None and len(kept) == top_k:
-                break
     return kept
 
 

@@ -12,6 +12,7 @@ instance ranks its own class first. No seed subset may therefore be chosen by
 its result, and no such per-instance outcome is asserted.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -96,10 +97,10 @@ class TestResidualIdentity:
             c = int(rng.integers(2, 12))
             p = A.init_gc_params(rng, c, bottleneck_ratio=2)
             # everything except w_v2 randomized: the residual must still win
-            p.ln_gain.data = rng.uniform(0.5, 2.0, p.ln_gain.data.shape)
-            p.ln_bias.data = rng.standard_normal(p.ln_bias.data.shape)
+            p["ln_gain"].data = rng.uniform(0.5, 2.0, p["ln_gain"].data.shape)
+            p["ln_bias"].data = rng.standard_normal(p["ln_bias"].data.shape)
             feats = Tensor(rng.standard_normal((c, 5, 3)) * rng.uniform(0.1, 10))
-            out = A.gc_block(feats, p)
+            out = A.gc_block(feats, **p)[0]
             assert np.array_equal(out.data, feats.data)
 
 
@@ -226,14 +227,14 @@ class TestOracleEquivalence:
             c = int(rng.integers(2, 9))
             h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             p = A.init_gc_params(rng, c, bottleneck_ratio=2)
-            p.w_v2.data = rng.standard_normal(p.w_v2.data.shape) * 0.5
-            p.ln_gain.data = rng.uniform(0.5, 2.0, p.ln_gain.data.shape)
-            p.ln_bias.data = rng.standard_normal(p.ln_bias.data.shape) * 0.1
+            p["w_v2"].data = rng.standard_normal(p["w_v2"].data.shape) * 0.5
+            p["ln_gain"].data = rng.uniform(0.5, 2.0, p["ln_gain"].data.shape)
+            p["ln_bias"].data = rng.standard_normal(p["ln_bias"].data.shape) * 0.1
             feats = rng.standard_normal((c, h, w))
-            got = A.gc_block(Tensor(feats), p).data
+            got = A.gc_block(Tensor(feats), **p)[0].data
             want = oracles.gc_block_loops(
-                feats, p.w_k.data[0, :, 0, 0], p.w_v1.data[:, :, 0, 0],
-                p.ln_gain.data, p.ln_bias.data, p.w_v2.data[:, :, 0, 0])
+                feats, p["w_k"].data[0, :, 0, 0], p["w_v1"].data[:, :, 0, 0],
+                p["ln_gain"].data, p["ln_bias"].data, p["w_v2"].data[:, :, 0, 0])
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -298,7 +299,7 @@ def matrix():
     """
     split = sd.make_split(1)
     cfg_bu = det.DetectorConfig()
-    cfg_td = cfg_bu.scaled(use_bottom_up=False)
+    cfg_td = dataclasses.replace(cfg_bu, use_bottom_up=False)
     tc_base = fs.TrainConfig(epochs=60, lr=0.01, lr_decay_epochs=(45,),
                              lr_decay=0.3)
     tc_novel = fs.TrainConfig(epochs=40, lr=0.002, lr_decay_epochs=(30,),
@@ -380,8 +381,7 @@ class TestMatrixImprinting:
                     scene = support.scenes[scene_pos]
                     box = scene.objects[obj_idx].box
                     out = det.forward(scene.image, _oracle(scene), base, cfg)
-                    ious = det.iou_matrix(anchors.array,
-                                          det.boxes_to_array([box]))[:, 0]
+                    ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
                     feat = out.features.data[int(np.argmax(ious))]
                     feats.append(feat / np.linalg.norm(feat))
                 assert len(feats) == 2

@@ -97,6 +97,10 @@ class TestExitCodes:
         ("detector.pos_thr", "0"), ("detector.pos_thr", "1"),
         ("detector.nms_iou", "0"), ("detector.nms_iou", "1.5"),
         ("detector.score_thr", "-0.1"), ("base.epochs", "two"),
+        ("detector.image_size", "32"), ("base.lr_decay_epochs", "5"),
+        ("detector.backbone_channels", "[8,16]"), ("gradcheck.points", "0"),
+        ("detector.top_k", "0"), ("detector.use_bottom_up", "1"),
+        ("anchors.map_sizes", "[[8,8]]"), ("saliency.mode", "[]"),
     ])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
                                                 value):
@@ -359,6 +363,23 @@ class TestSweep:
         combined = (out / "sweep.csv").read_bytes()
         assert combined.startswith(first)
         assert len(combined.decode().splitlines()) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cut", ["in_values", "in_keys"])
+    def test_torn_last_row_is_recomputed(self, tmp_path, capsys, cut):
+        """A run killed while writing its last row leaves it torn; the resumed
+        sweep drops the torn bytes and computes that cell again, which gives
+        the table an uninterrupted run writes."""
+        args = [*self.ARGS, "--set", "sweep.seeds=[3,4]"]
+        assert run(["sweep", "--out", str(tmp_path / "whole"), *args]) == 0
+        whole = (tmp_path / "whole" / "sweep.csv").read_bytes()
+        last_row = whole.rstrip(b"\r\n").rfind(b"\n") + 1
+        end = last_row + 6 if cut == "in_keys" else len(whole) - 5
+        assert whole[last_row:end].count(b",") == (1 if cut == "in_keys" else 9)
+        (tmp_path / "torn").mkdir()
+        (tmp_path / "torn" / "sweep.csv").write_bytes(whole[:end])
+        assert run(["sweep", "--out", str(tmp_path / "torn"), *args]) == 0
+        assert (tmp_path / "torn" / "sweep.csv").read_bytes() == whole
         capsys.readouterr()
 
     def test_completed_grid_is_a_no_op(self, tmp_path, capsys):

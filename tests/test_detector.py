@@ -1,5 +1,6 @@
 """Tests for anchors, matching, losses, NMS, and mAP evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from fewdet import detector as D
 from fewdet import tensor as T
-from fewdet.detector import (AnchorConfig, AnchorSet, Box, DetectorConfig,
-                             DetectorOutputs, MatchResult)
+from fewdet.attention import topdown_map
+from fewdet.detector import (AnchorConfig, Box, DetectorConfig, DetectorOutputs,
+                             MatchResult)
 from fewdet.tensor import Tensor, grad_check
-from oracles import (brute_force_matcher, brute_force_nms, detect_per_anchor,
-                     eleven_point_ap, iou_corners, match_detections_per_pair)
+from oracles import (brute_force_matcher, brute_force_nms, decode_box,
+                     detect_per_anchor, eleven_point_ap, encode_box, iou_corners,
+                     match_detections_per_pair)
 
 
 def tiny_config(**overrides):
@@ -21,11 +24,6 @@ def tiny_config(**overrides):
                 anchors=AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
     base.update(overrides)
     return DetectorConfig(**base)
-
-
-def make_anchor_set(boxes) -> AnchorSet:
-    return AnchorSet(boxes=list(boxes), array=D.boxes_to_array(boxes),
-                     scale_index=np.zeros(len(boxes), dtype=np.int64))
 
 
 def random_box(rng) -> Box:
@@ -74,14 +72,13 @@ class TestAnchors:
 
     def test_single_cell_single_scale(self):
         cfg = AnchorConfig(map_sizes=((1, 1),), scales=(0.5,), aspects=(1.0,))
-        anchors = generate = D.generate_anchors(cfg)
-        assert len(generate) == 1
-        assert anchors.boxes[0] == Box(0.5, 0.5, 0.5, 0.5)
+        anchors = D.generate_anchors(cfg)
+        assert anchors.tolist() == [[0.5, 0.5, 0.5, 0.5]]
 
     def test_two_by_two_centers(self):
         cfg = AnchorConfig(map_sizes=((2, 2),), scales=(0.3,), aspects=(1.0,))
         anchors = D.generate_anchors(cfg)
-        centers = {(b.cx, b.cy) for b in anchors.boxes}
+        centers = {(cx, cy) for cx, cy, _, _ in anchors.tolist()}
         assert centers == {(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)}
 
     def test_enumeration_oracle(self):
@@ -97,50 +94,52 @@ class TestAnchors:
                     for a in (1.0, 2.0, 0.5):
                         expected.append(((j + 0.5) / fw, (i + 0.5) / fh,
                                          scale * math.sqrt(a), scale / math.sqrt(a)))
-        got = [(b.cx, b.cy, b.w, b.h) for b in anchors.boxes]
-        np.testing.assert_allclose(got, expected, atol=1e-15)
-        again = [(b.cx, b.cy, b.w, b.h) for b in D.generate_anchors(cfg).boxes]
-        assert got == again
-
-    def test_scale_index_layout(self):
-        cfg = AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.2, 0.4),
-                           aspects=(1.0,))
-        anchors = D.generate_anchors(cfg)
-        np.testing.assert_array_equal(anchors.scale_index, [0, 0, 0, 0, 1])
+        np.testing.assert_allclose(anchors, expected, atol=1e-15)
+        assert np.array_equal(anchors, D.generate_anchors(cfg))
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
             D.generate_anchors(AnchorConfig(map_sizes=(), scales=()))
 
 
+def random_box_array(rng, n) -> np.ndarray:
+    return D.boxes_to_array([random_box(rng) for _ in range(n)])
+
+
 class TestEncodeDecode:
 
     def test_identity_encoding(self):
-        b = Box(0.4, 0.6, 0.2, 0.3)
-        np.testing.assert_allclose(D.encode_box(b, b), np.zeros(4), atol=1e-12)
+        b = D.boxes_to_array([Box(0.4, 0.6, 0.2, 0.3)])
+        np.testing.assert_allclose(D.encode_all(b, b), np.zeros((1, 4)), atol=1e-12)
 
     def test_hand_case(self):
-        anchor = Box(0.5, 0.5, 0.2, 0.2)
-        gt = Box(0.52, 0.5, 0.4, 0.2)
-        got = D.encode_box(gt, anchor)
-        np.testing.assert_allclose(got, [1.0, 0.0, math.log(2) / 0.2, 0.0], atol=1e-12)
+        anchor = D.boxes_to_array([Box(0.5, 0.5, 0.2, 0.2)])
+        gt = D.boxes_to_array([Box(0.52, 0.5, 0.4, 0.2)])
+        np.testing.assert_allclose(D.encode_all(gt, anchor),
+                                   [[1.0, 0.0, math.log(2) / 0.2, 0.0]], atol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            gt, anchor = random_box(rng), random_box(rng)
-            back = D.decode_box(D.encode_box(gt, anchor), anchor)
-            np.testing.assert_allclose([back.cx, back.cy, back.w, back.h],
-                                       [gt.cx, gt.cy, gt.w, gt.h], atol=1e-12)
+        gts, anchors = random_box_array(rng, 100), random_box_array(rng, 100)
+        back = D.decode_all(D.encode_all(gts, anchors), anchors)
+        np.testing.assert_allclose(back, gts, atol=1e-12)
+
+    def test_encode_all_matches_scalar(self):
+        """Bit for bit: enough random size ratios that a log other than
+        libm's would differ in the last bit somewhere."""
+        rng = np.random.default_rng(11)
+        gts, anchors = random_box_array(rng, 10000), random_box_array(rng, 10000)
+        got = D.encode_all(gts, anchors)
+        want = [encode_box(g, a) for g, a in zip(gts.tolist(), anchors.tolist())]
+        assert got.tolist() == [list(w) for w in want]
 
     def test_decode_all_matches_scalar(self):
         rng = np.random.default_rng(3)
-        anchors = [random_box(rng) for _ in range(20)]
-        offsets = rng.standard_normal((20, 4))
-        got = D.decode_all(offsets, D.boxes_to_array(anchors))
-        for i, a in enumerate(anchors):
-            b = D.decode_box(offsets[i], a)
-            np.testing.assert_allclose(got[i], [b.cx, b.cy, b.w, b.h], atol=1e-12)
+        anchors = random_box_array(rng, 2000)
+        offsets = rng.standard_normal((2000, 4))
+        got = D.decode_all(offsets, anchors)
+        want = [decode_box(o, a) for o, a in zip(offsets.tolist(), anchors.tolist())]
+        assert got.tolist() == [list(w) for w in want]
 
 
 class TestMatching:
@@ -152,7 +151,7 @@ class TestMatching:
         assert not match.hard_negative.any()
 
     def test_exact_anchor_is_sole_positive(self):
-        anchors = make_anchor_set([Box(0.2, 0.2, 0.2, 0.2), Box(0.8, 0.8, 0.2, 0.2)])
+        anchors = D.boxes_to_array([Box(0.2, 0.2, 0.2, 0.2), Box(0.8, 0.8, 0.2, 0.2)])
         match = D.match_anchors(anchors, [Box(0.2, 0.2, 0.2, 0.2)], [3])
         np.testing.assert_array_equal(match.positive_class, [3, 0])
         np.testing.assert_array_equal(match.matched_gt, [0, -1])
@@ -161,7 +160,7 @@ class TestMatching:
         gt = Box(0.5, 0.5, 0.2, 0.2)
         a1 = Box(0.5, 0.5, 0.2 / math.sqrt(0.7), 0.2 / math.sqrt(0.7))  # IoU 0.7
         a2 = Box(0.5, 0.5, 0.2 / math.sqrt(0.6), 0.2 / math.sqrt(0.6))  # IoU 0.6
-        anchors = make_anchor_set([a1, a2])
+        anchors = D.boxes_to_array([a1, a2])
         np.testing.assert_allclose(D.iou(a1, gt), 0.7, atol=1e-12)
         np.testing.assert_allclose(D.iou(a2, gt), 0.6, atol=1e-12)
         match = D.match_anchors(anchors, [gt], [5], pos_thr=0.5)
@@ -172,7 +171,7 @@ class TestMatching:
         """Two gts whose best anchor coincides still both get one."""
         shared = Box(0.5, 0.5, 0.3, 0.3)
         other = Box(0.52, 0.5, 0.3, 0.3)
-        anchors = make_anchor_set([shared, other])
+        anchors = D.boxes_to_array([shared, other])
         gts = [Box(0.5, 0.5, 0.29, 0.29), Box(0.5, 0.5, 0.28, 0.28)]
         match = D.match_anchors(anchors, gts, [1, 2], pos_thr=0.99)
         assert match.num_positives == 2
@@ -188,7 +187,7 @@ class TestMatching:
             labels = [int(rng.integers(1, 9)) for _ in range(n_gt)]
             match = D.match_anchors(anchors, gts, labels, pos_thr=0.4)
             want_pos, want_match = brute_force_matcher(
-                anchors.array.tolist(), [[b.cx, b.cy, b.w, b.h] for b in gts],
+                anchors.tolist(), [[b.cx, b.cy, b.w, b.h] for b in gts],
                 labels, 0.4)
             np.testing.assert_array_equal(match.positive_class, want_pos)
             np.testing.assert_array_equal(match.matched_gt, want_match)
@@ -262,7 +261,7 @@ class TestBaseLoss:
     def setup_method(self):
         self.params = D.DetectorParams(
             {"cls.rows": Tensor(np.zeros((3, 3)))}, class_ids=[1, 2])
-        self.anchors = make_anchor_set(
+        self.anchors = D.boxes_to_array(
             [Box(0.3, 0.3, 0.2, 0.2), Box(0.7, 0.7, 0.2, 0.2)])
         self.cfg = tiny_config()
 
@@ -279,7 +278,7 @@ class TestBaseLoss:
     def test_perfect_offsets_zero_bbox_term(self):
         gt = Box(0.32, 0.3, 0.22, 0.2)
         offsets = np.zeros((2, 4))
-        offsets[0] = D.encode_box(gt, self.anchors.boxes[0])
+        offsets[0] = D.encode_all(D.boxes_to_array([gt]), self.anchors[:1])[0]
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
         outputs = synthetic_outputs(np.zeros((2, 3)), offsets)
@@ -301,7 +300,7 @@ class TestBaseLoss:
         def ce(row, k):
             return math.log(sum(math.exp(v) for v in row)) - row[k]
 
-        target = D.encode_box(gt, self.anchors.boxes[0])
+        target = D.encode_all(D.boxes_to_array([gt]), self.anchors[:1])[0]
         diffs = offsets[0] - target
         sl1 = sum(0.5 * d * d if abs(d) < 1 else abs(d) - 0.5 for d in diffs)
         want = (ce(logits[0], 1) + ce(logits[1], 0) + sl1) / 1
@@ -378,7 +377,7 @@ class TestForward:
         sal = np.zeros((16, 16))
         sal[4:10, 4:10] = 1.0
         on = D.forward(self.image, sal, self.params, self.cfg)
-        off_cfg = self.cfg.scaled(use_bottom_up=False)
+        off_cfg = dataclasses.replace(self.cfg, use_bottom_up=False)
         off = D.forward(self.image, sal, self.params, off_cfg)
         plain = D.forward(self.image, None, self.params, self.cfg)
         assert not np.array_equal(on.logits.data, plain.logits.data)
@@ -388,10 +387,18 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             D.forward(np.zeros((3, 8, 8)), None, self.params, self.cfg)
 
-    def test_topdown_on_request(self):
-        out = D.forward(self.image, None, self.params, self.cfg, want_topdown=True)
-        assert out.topdown is not None
+    def test_topdown_is_the_stage2_attention_map(self):
+        """forward returns the map the global-context block pooled with:
+        bitwise the top-down map of the stage-2 features."""
+        out = D.forward(self.image, None, self.params, self.cfg)
+        t = self.params.tensors
+        x = T.sub(T.scale(Tensor(self.image), 2.0), Tensor(np.float64(1.0)))
+        for i in range(2):
+            x = T.relu(T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
+                                stride=2, padding=1))
+        want = topdown_map(x, t["gc.w_k"]).data
         assert out.topdown.shape == (4, 4)
+        assert out.topdown.data.tobytes() == want.tobytes()
         assert abs(out.topdown.data.sum() - 1.0) <= 1e-12
 
 
@@ -419,6 +426,7 @@ class TestNms:
         scores = np.array([0.9, 0.04, 0.7])
         assert D.nms(boxes, scores, 0.5, score_thr=0.05) == [0, 2]
         assert D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=1) == [0]
+        assert D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=0) == []
 
     def test_tie_prefers_lower_index(self):
         boxes = np.array([[0.5, 0.5, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]])
@@ -433,7 +441,7 @@ class TestNms:
             scores = np.round(rng.uniform(0, 1, m), 2)  # rounding forces ties
             iou_thr = float(rng.uniform(0.1, 0.7))
             score_thr = float(np.round(rng.uniform(0, 0.5), 2))
-            top_k = None if rng.random() < 0.3 else int(rng.integers(1, m + 1))
+            top_k = None if rng.random() < 0.3 else int(rng.integers(0, m + 1))
             got = D.nms(boxes, scores, iou_thr, score_thr=score_thr, top_k=top_k)
             want = brute_force_nms(boxes.tolist(), scores.tolist(), iou_thr,
                                    score_thr=score_thr, top_k=top_k)
@@ -469,7 +477,7 @@ class TestDetect:
             got = [(d.class_id, d.score, (d.box.cx, d.box.cy, d.box.w, d.box.h))
                    for d in D.detect(out, anchors, params, cfg)]
             want = detect_per_anchor(out.logits.data, out.offsets.data,
-                                     anchors.array, class_ids, cfg.nms_iou,
+                                     anchors, class_ids, cfg.nms_iou,
                                      score_thr, top_k)
             assert len(want) > 0
             assert [(c, s.hex(), [v.hex() for v in b]) for c, s, b in got] == \
@@ -591,11 +599,10 @@ class TestProperties:
            st.floats(0.2, 0.8), st.floats(0.2, 0.8))
     @settings(max_examples=40, deadline=None)
     def test_encode_decode_inverse(self, w, h, cx, cy):
-        gt = Box(cx, cy, w, h)
-        anchor = Box(0.5, 0.5, 0.3, 0.3)
-        back = D.decode_box(D.encode_box(gt, anchor), anchor)
-        assert abs(back.cx - cx) < 1e-12 and abs(back.cy - cy) < 1e-12
-        assert abs(back.w - w) < 1e-12 and abs(back.h - h) < 1e-12
+        gt = np.array([[cx, cy, w, h]])
+        anchor = np.array([[0.5, 0.5, 0.3, 0.3]])
+        back = D.decode_all(D.encode_all(gt, anchor), anchor)
+        assert np.all(np.abs(back - gt) < 1e-12)
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=25, deadline=None)

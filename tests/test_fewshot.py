@@ -445,8 +445,7 @@ class TestInitNovelDetector:
 
         anchors = det.generate_anchors(cfg.anchors)
         out = det.forward(scene.image, None, base, cfg)
-        ious = det.iou_matrix(anchors.array,
-                              det.boxes_to_array([scene.objects[0].box]))[:, 0]
+        ious = det.iou_matrix(anchors, det.boxes_to_array([scene.objects[0].box]))[:, 0]
         f = out.features.data[int(np.argmax(ious))]
         expected = f / np.linalg.norm(f)
         assert np.array_equal(novel.cls_rows.data[-1], expected)
