@@ -42,40 +42,43 @@ def init_gc_params(rng: np.random.Generator, channels: int,
 
 
 def topdown_map(features: Tensor, w_k: Tensor) -> Tensor:
-    """Soft attention map over positions: spatial softmax of 1x1-conv scores."""
-    if features.data.ndim != 3:
-        raise T.ShapeError(f"expected [C,H,W] features, got {features.shape}")
-    _, h, w = features.shape
+    """Soft attention maps over positions: per sample, the spatial softmax
+    of 1x1-conv scores. [B,C,H,W] features -> [B,H,W] maps."""
+    if features.data.ndim != 4:
+        raise T.ShapeError(f"expected [B,C,H,W] features, got {features.shape}")
+    b, _, h, w = features.shape
     logits = T.conv2d(features, w_k)
-    return T.softmax_spatial(T.reshape(logits, (h, w)))
+    return T.softmax_spatial(T.reshape(logits, (b, h, w)))
 
 
 def global_context(features: Tensor, h: Tensor) -> Tensor:
-    """Attention-weighted spatial pooling: y'[c] = sum_ij y[c,i,j] * h[i,j]."""
-    if features.data.shape[1:] != h.data.shape:
+    """Attention-weighted spatial pooling: y'[b,c] = sum_ij y[b,c,i,j] * h[b,i,j]."""
+    b = features.data.shape[0]
+    if features.data.ndim != 4 or h.data.shape != (b,) + features.data.shape[2:]:
         raise T.ShapeError(
             f"feature map {features.shape} does not match attention map {h.shape}")
-    return T.sum_axes(T.mul(features, h), (1, 2))
+    return T.sum_axes(T.mul(features, T.reshape(h, (b, 1) + h.data.shape[1:])), (2, 3))
 
 
 def gc_block(features: Tensor, w_k: Tensor, w_v1: Tensor, ln_gain: Tensor,
              ln_bias: Tensor, w_v2: Tensor, eps_ln: float = 1e-5
              ) -> tuple[Tensor, Tensor]:
-    """Residual global-context transform: z = y + W_v2 ReLU(LN(W_v1 y')).
+    """Residual global-context transform: z = y + W_v2 ReLU(LN(W_v1 y')),
+    per sample of a [B,C,H,W] stack.
 
-    Returns (z, h): the transformed features and the top-down attention map
-    h that pooled them into y'. The bottleneck output is a single C-vector
-    broadcast to every position, so with w_v2 = 0 the block returns the
-    features unchanged.
+    Returns (z, h): the transformed features and the [B,H,W] top-down
+    attention maps that pooled them into y'. The bottleneck output is one
+    C-vector per sample, broadcast to every position, so with w_v2 = 0 the
+    block returns the features unchanged.
     """
-    c = features.data.shape[0]
+    b, c = features.data.shape[:2]
     cb = w_v1.data.shape[0]
     h = topdown_map(features, w_k)
     y = global_context(features, h)
-    t = T.reshape(T.matmul(T.reshape(w_v1, (cb, c)), T.reshape(y, (c, 1))), (cb,))
+    t = T.reshape(T.matmul(T.reshape(w_v1, (cb, c)), T.reshape(y, (b, c, 1))), (b, cb))
     t = T.relu(T.layer_norm(t, ln_gain, ln_bias, eps_ln=eps_ln))
-    u = T.matmul(T.reshape(w_v2, (c, cb)), T.reshape(t, (cb, 1)))
-    return T.add(features, T.reshape(u, (c, 1, 1))), h
+    u = T.matmul(T.reshape(w_v2, (c, cb)), T.reshape(t, (b, cb, 1)))
+    return T.add(features, T.reshape(u, (b, c, 1, 1))), h
 
 
 def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -99,17 +102,20 @@ def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def fuse_bottom_up(z: Tensor, saliency: np.ndarray, epsilon: float = math.e) -> Tensor:
-    """Gate features by saliency: z'[c,i,j] = z[c,i,j] * ln(eps + s[i,j]).
+    """Gate features by saliency: z'[b,c,i,j] = z[b,c,i,j] * ln(eps + s[b,i,j]).
 
-    The saliency map is pooled to the feature resolution and renormalized to
-    [0,1] first. It enters as a constant: gradients flow into z only.
+    ``saliency`` holds one map per sample of z, [B,h,w]. Each map is pooled
+    to the feature resolution and renormalized to [0,1] first. It enters as
+    a constant: gradients flow into z only.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    _, h, w = z.data.shape
-    s = pool_saliency(saliency, h, w)
-    gate = np.log(epsilon + s)
-    return T.mul(z, Tensor(gate))
+    if z.data.ndim != 4 or np.ndim(saliency) != 3 or len(saliency) != z.data.shape[0]:
+        raise T.ShapeError(f"expected [B,C,H,W] features and [B,h,w] saliency, got "
+                           f"{z.data.shape} and {np.shape(saliency)}")
+    _, _, h, w = z.data.shape
+    gate = np.stack([np.log(epsilon + pool_saliency(s, h, w)) for s in saliency])
+    return T.mul(z, Tensor(gate[:, None]))
 
 
 def upsample_nearest(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from . import fewshot as fs
 from . import saliency as sal
 from . import synthdata as sd
 from . import tensor as T
+from .atomic import atomic_open
 from .ppm import write_ppm
 
 
@@ -155,17 +156,43 @@ def _fits(value, default) -> bool:
 # the key groups a checkpoint stores and a detector is built from
 ARCHITECTURE = ("detector", "anchors", "saliency")
 
-# key -> (range test, what the key must be)
+
+def _known_split(v) -> bool:
+    try:
+        sd.make_split(v)
+    except ValueError:
+        return False
+    return True
+
+
+# key -> (range test, what the key must be); a list key's test applies to
+# every item, so a sweep grid is checked before its first cell trains
 RULES = {
+    "data.split": (_known_split, "a known split id"),
+    "data.base_train": (lambda v: v >= 1, "an integer >= 1"),
+    "data.novel_pool": (lambda v: v >= 1, "an integer >= 1"),
+    "data.test": (lambda v: v >= 1, "an integer >= 1"),
     "base.epochs": (lambda v: v >= 0, "an integer >= 0"),
     "novel.epochs": (lambda v: v >= 0, "an integer >= 0"),
     "base.batch_size": (lambda v: v >= 1, "an integer >= 1"),
     "novel.batch_size": (lambda v: v >= 1, "an integer >= 1"),
+    "base.lr": (lambda v: v > 0, "a number > 0"),
+    "novel.lr": (lambda v: v > 0, "a number > 0"),
+    "base.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
+    "novel.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
+    "detector.temperature": (lambda v: v > 0, "a number > 0"),
     "detector.pos_thr": (lambda v: 0 < v < 1, "a number in (0,1)"),
     "detector.nms_iou": (lambda v: 0 < v < 1, "a number in (0,1)"),
     "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
     "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
+    "saliency.thresholds_per_channel": (lambda v: v >= 1, "an integer >= 1"),
     "gradcheck.points": (lambda v: v >= 1, "an integer >= 1"),
+    "sweep.beta": (lambda v: v >= 0, "a list of numbers >= 0"),
+    "sweep.eta": (lambda v: v >= 0, "a list of numbers >= 0"),
+    "sweep.epsilon": (lambda v: v > 0, "a list of numbers > 0"),
+    "sweep.gamma": (lambda v: v >= 0, "a list of numbers >= 0"),
+    "sweep.k": (lambda v: v >= 1, "a list of integers >= 1"),
+    "sweep.split": (_known_split, "a list of known split ids"),
 }
 
 
@@ -179,7 +206,8 @@ def validate_config(cfg: dict[str, object]) -> None:
             raise UsageError(f"{key} must have the type of its default "
                              f"{json.dumps(default)}, got {json.dumps(cfg[key])}")
     for key, (in_range, need) in RULES.items():
-        if not in_range(cfg[key]):
+        value = cfg[key]
+        if not all(map(in_range, value if isinstance(value, list) else [value])):
             raise UsageError(f"{key} must be {need}, got {json.dumps(cfg[key])}")
     dcfg = detector_config(cfg)
     side = dcfg.image_size
@@ -188,7 +216,8 @@ def validate_config(cfg: dict[str, object]) -> None:
     try:
         det.generate_anchors(dcfg.anchors)
         params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
-        det.forward(blank.image, provider(blank) if provider else None, params, dcfg)
+        det.forward(blank.image[None], provider(blank)[None] if provider else None,
+                    params, dcfg)
     except (T.TensorError, ValueError, ArithmeticError) as e:
         changed = [f"{k}={json.dumps(v)}" for k, v in cfg.items()
                    if k.split(".")[0] in ARCHITECTURE and v != DEFAULTS[k]]
@@ -197,7 +226,7 @@ def validate_config(cfg: dict[str, object]) -> None:
 
 
 def write_snapshot(cfg: dict[str, object], outdir: str) -> None:
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
+    with atomic_open(os.path.join(outdir, "config.json")) as fh:
         json.dump(cfg, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -343,13 +372,13 @@ def meta_run_config(cfg: dict[str, object], meta: dict) -> dict[str, object]:
 
 
 def write_metrics(path: str, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -472,19 +501,20 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
 
     full = full_saliency(run_cfg, scene)
     pooled = att.pool_saliency(full, side, side) if dcfg.use_bottom_up else None
-    out = det.forward(scene.image, pooled, params, dcfg)
+    out = det.forward(scene.image[None], None if pooled is None else pooled[None],
+                      params, dcfg)
 
     write_ppm(os.path.join(outdir, "image.ppm"), scene.image)
     write_ppm(os.path.join(outdir, "saliency.ppm"), full)
-    h = out.topdown.data
+    h = out.topdown.data[0]
     peak = h.max()
     h_vis = h / peak if peak > 0 else np.zeros_like(h)
     write_ppm(os.path.join(outdir, "topdown.ppm"),
               att.upsample_nearest(h_vis, dcfg.image_size, dcfg.image_size))
 
     anchors = det.generate_anchors(dcfg.anchors)
-    detections = det.detect(out, anchors, params, dcfg)
-    with open(os.path.join(outdir, "detections.json"), "w") as fh:
+    detections = det.detect(out.logits.data[0], out.offsets.data[0], anchors, params, dcfg)
+    with atomic_open(os.path.join(outdir, "detections.json")) as fh:
         for d in detections:
             fh.write(json.dumps(
                 {"image_id": scene_seed, "class": d.class_id,
@@ -665,7 +695,7 @@ def _elementary_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
         scalarized("conv2d",
                    lambda ts: T.conv2d(ts["x"], ts["k"], ts["b"],
                                        stride=1, padding=1),
-                   x=rng.standard_normal((2, 5, 5)),
+                   x=rng.standard_normal((2, 5, 5)).reshape(1, 2, 5, 5),
                    k=rng.standard_normal((3, 2, 3, 3)) * 0.5,
                    b=rng.standard_normal(3)),
     ]
@@ -687,14 +717,14 @@ def _micro_setup(rng: np.random.Generator):
     gt_labels = [1, 3]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
 
-    probe = det.forward(image, saliency, params, cfg)
+    probe = det.forward(image[None], saliency[None], params, cfg).single()
     mined = det.hard_negative_mining(det.background_ce(probe.logits.data),
                                      match, cfg.neg_pos_ratio)
     point = {name: t.data for name, t in params.tensors.items()}
 
     def outputs_of(ts):
         run = det.DetectorParams(dict(ts), class_ids)
-        return run, det.forward(image, saliency, run, cfg)
+        return run, det.forward(image[None], saliency[None], run, cfg).single()
 
     return cfg, anchors, gt_boxes, mined, point, outputs_of
 

@@ -35,15 +35,6 @@ class Box:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w} h={self.h}")
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.w / 2, self.cy - self.h / 2,
-                self.cx + self.w / 2, self.cy + self.h / 2)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area, in [0,1]."""
-    return float(iou_matrix(boxes_to_array([a]), boxes_to_array([b]))[0, 0])
-
 
 def boxes_to_array(boxes) -> np.ndarray:
     return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64) \
@@ -303,32 +294,40 @@ def init_detector_params(cfg: DetectorConfig, class_ids: list[int],
 
 @dataclass
 class DetectorOutputs:
-    logits: Tensor    # [N_anchors, 1 + n_classes]
-    offsets: Tensor   # [N_anchors, 4]
-    features: Tensor  # [N_anchors, feat_dim], pre-normalization
-    topdown: Tensor | None = None  # [H,W] top-down attention map, set by forward
+    """The detector's outputs for a stack of B scenes, or for one scene
+    after :meth:`single` (the losses read that form)."""
+
+    logits: Tensor    # [B, N_anchors, 1 + n_classes]
+    offsets: Tensor   # [B, N_anchors, 4]
+    features: Tensor  # [B, N_anchors, feat_dim], pre-normalization
+    topdown: Tensor | None = None  # [B,H,W] top-down attention maps, set by forward
+
+    def single(self) -> "DetectorOutputs":
+        """A stack of one as that scene's [N,*] outputs and [H,W] map,
+        reshaped on the active tape."""
+        if self.logits.data.shape[0] != 1:
+            raise T.ShapeError(f"single() needs a stack of one, got {self.logits.data.shape[0]}")
+        return DetectorOutputs(*(None if t is None else T.reshape(t, t.data.shape[1:])
+                                 for t in (self.logits, self.offsets, self.features,
+                                           self.topdown)))
 
 
-def _flatten_head(x: Tensor, per_anchor: int, num_aspects: int) -> Tensor:
-    """[A*K, H, W] conv output -> [H*W*A, K] in anchor order."""
-    _, h, w = x.data.shape
-    x = T.reshape(x, (num_aspects, per_anchor, h, w))
-    x = T.transpose(x, (2, 3, 0, 1))
-    return T.reshape(x, (h * w * num_aspects, per_anchor))
-
-
-def forward(image, saliency, params: DetectorParams,
+def forward(images, saliency, params: DetectorParams,
             cfg: DetectorConfig) -> DetectorOutputs:
-    """Run the detector on one image.
+    """Run the detector on a stack of B images, [B,3,H,W].
 
-    ``saliency`` is an [H,W] numpy map or None; it is ignored unless
-    cfg.use_bottom_up. The outputs carry the global-context block's
-    attention map as ``topdown``. Records on the active tape, if any.
+    ``saliency`` is a [B,h,w] stack of maps, one per image, or None; it is
+    ignored unless cfg.use_bottom_up. Every output is per scene: scene b's
+    outputs are bitwise those of a stack holding scene b alone. The outputs
+    carry the global-context block's attention maps as ``topdown``. Records
+    on the active tape, if any.
     """
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.data.shape != (3, cfg.image_size, cfg.image_size):
-        raise T.ShapeError(f"expected (3,{cfg.image_size},{cfg.image_size}) image, "
+    x = images if isinstance(images, Tensor) else Tensor(images)
+    side = cfg.image_size
+    if x.data.ndim != 4 or x.data.shape[1:] != (3, side, side):
+        raise T.ShapeError(f"expected a [B,3,{side},{side}] image stack, "
                            f"got {x.data.shape}")
+    b = x.data.shape[0]
     # center [0,1] pixels; zero-mean inputs decorrelate whole-channel bias
     # shifts in the first conv, which otherwise invite dead-ReLU collapse
     x = T.sub(T.scale(x, 2.0), Tensor(np.float64(1.0)))
@@ -347,24 +346,55 @@ def forward(image, saliency, params: DetectorParams,
             head_inputs.append(x)
 
     a, d = cfg.num_aspects, cfg.feat_dim
-    feats, offs = [], []
+    heads = []
     for s, xs in enumerate(head_inputs):
         expect = cfg.anchors.map_sizes[s]
-        if xs.data.shape[1:] != expect:
-            raise T.ShapeError(f"head {s} feature map {xs.data.shape[1:]} does not "
+        if xs.data.shape[2:] != expect:
+            raise T.ShapeError(f"head {s} feature map {xs.data.shape[2:]} does not "
                                f"match anchor layout {expect}")
-        f = T.conv2d(xs, t[f"head.{s}.feat.kernel"], t[f"head.{s}.feat.bias"], padding=1)
-        r = T.conv2d(xs, t[f"head.{s}.reg.kernel"], t[f"head.{s}.reg.bias"], padding=1)
-        feats.append(_flatten_head(f, d, a))
-        offs.append(_flatten_head(r, 4, a))
+        # the feature and regression convs share the head's input: one op
+        y = T.conv2d(xs, (t[f"head.{s}.feat.kernel"], t[f"head.{s}.reg.kernel"]),
+                     (t[f"head.{s}.feat.bias"], t[f"head.{s}.reg.bias"]), padding=1)
+        heads.append(T.reshape(y, (b, a * (d + 4), expect[0] * expect[1])))
 
-    features = T.concat(feats, axis=0)
-    offsets = T.concat(offs, axis=0)
-    fhat = T.l2_normalize(features, axis=1)
+    # one row per position of both heads' maps, in anchor order: scale-major,
+    # then row-major over cells; each row holds A*d feature then A*4 offset
+    # channels, aspect-major. Splitting the rows (not the channels) hands the
+    # head convs position-major gradients, the memory order that sets the
+    # summation order of their bias gradients in numpy
+    rows = T.transpose(T.concat(heads, axis=2), (0, 2, 1))
+    p = rows.data.shape[1]
+    rows = T.reshape(rows, (b * p, a * (d + 4)))
+    features = T.reshape(T.gather(rows, np.arange(a * d), axis=1), (b, p * a, d))
+    offsets = T.reshape(T.gather(rows, np.arange(a * d, a * (d + 4)), axis=1),
+                        (b, p * a, 4))
+    fhat = T.l2_normalize(features, axis=-1)
     what = T.l2_normalize(params.cls_rows, axis=1)
     logits = T.scale(T.matmul(fhat, T.transpose(what, (1, 0))), cfg.temperature)
     return DetectorOutputs(logits=logits, offsets=offsets, features=features,
                            topdown=topdown)
+
+
+# scenes per no-grad forward in evaluation, imprinting and the distillation
+# precompute; README ("Package layout") has the speed and memory figures
+INFERENCE_CHUNK = 4
+
+
+def forward_chunks(images, saliency_of, params: DetectorParams,
+                   cfg: DetectorConfig):
+    """Run the detector over a list of [3,H,W] images, INFERENCE_CHUNK at a
+    time, and yield each image's (logits, offsets, features) arrays in order.
+
+    ``saliency_of(i)`` gives image i's map (None, or a None result: no
+    bottom-up input); it is asked once per image, chunk by chunk, just
+    before that chunk's forward.
+    """
+    for start in range(0, len(images), INFERENCE_CHUNK):
+        idx = range(start, min(start + INFERENCE_CHUNK, len(images)))
+        maps = [saliency_of(i) for i in idx] if saliency_of else [None]
+        out = forward(np.stack([images[i] for i in idx]),
+                      None if maps[0] is None else np.stack(maps), params, cfg)
+        yield from zip(out.logits.data, out.offsets.data, out.features.data)
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +507,18 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
     return kept
 
 
-def detect(outputs: DetectorOutputs, anchors: np.ndarray, params: DetectorParams,
-           cfg: DetectorConfig) -> list[Detection]:
-    """Decode one image's outputs into per-class NMS-filtered detections.
+def detect(logits: np.ndarray, offsets: np.ndarray, anchors: np.ndarray,
+           params: DetectorParams, cfg: DetectorConfig) -> list[Detection]:
+    """Decode one image's [N, 1+C] logits and [N,4] offsets into per-class
+    NMS-filtered detections.
 
     Decoded boxes are clipped to the unit square; anchors whose clipped box
     has no area never reach NMS.
     """
-    logits = outputs.logits.data
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     probs = e / e.sum(axis=1, keepdims=True)
-    decoded = decode_all(outputs.offsets.data, anchors)
+    decoded = decode_all(offsets, anchors)
 
     half_w, half_h = decoded[:, 2] / 2, decoded[:, 3] / 2
     x0 = np.maximum(0.0, decoded[:, 0] - half_w)
@@ -575,12 +605,11 @@ def evaluate_detector(params: DetectorParams, cfg: DetectorConfig, scenes,
     benchmark's annotation gaps are a training-time condition only.
     """
     anchors = generate_anchors(cfg.anchors)
-    all_dets, all_gts = [], []
-    for scene in scenes:
-        sal = saliency_provider(scene) if saliency_provider else None
-        outputs = forward(scene.image, sal, params, cfg)
-        all_dets.append(detect(outputs, anchors, params, cfg))
-        all_gts.append([(o.class_id, o.box) for o in scene.objects])
+    saliency_of = (lambda i: saliency_provider(scenes[i])) if saliency_provider else None
+    outputs = forward_chunks([s.image for s in scenes], saliency_of, params, cfg)
+    all_dets = [detect(logits, offsets, anchors, params, cfg)
+                for logits, offsets, _ in outputs]
+    all_gts = [[(o.class_id, o.box) for o in scene.objects] for scene in scenes]
     per_class, map_all = evaluate_map(all_dets, all_gts, iou_thr)
     novel = set(novel_ids)
     base_aps = [ap for c, ap in per_class.items() if c not in novel]

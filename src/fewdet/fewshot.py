@@ -262,22 +262,28 @@ def init_novel_detector(base_params: DetectorParams, support: SupportSet,
     """
     params = base_params.copy()
     anchors = det.generate_anchors(cfg.anchors)
-    new_rows = [params.cls_rows.data]
-    for cid in sorted(support.novel_instances):
+    novel = sorted(support.novel_instances)
+    for cid in novel:
         if cid in params.class_ids:
             raise ValueError(f"class {cid} already present in the base detector")
+    # one forward per support scene that holds a novel instance
+    scene_pos = sorted({pos for cid in novel for pos, _ in support.novel_instances[cid]})
+    saliency_of = ((lambda i: saliency_provider(support.scenes[scene_pos[i]]))
+                   if saliency_provider else None)
+    outputs = det.forward_chunks([support.scenes[pos].image for pos in scene_pos],
+                                 saliency_of, base_params, cfg)
+    features_of = {pos: features for pos, (_, _, features) in zip(scene_pos, outputs)}
+    new_rows = [params.cls_rows.data]
+    for cid in novel:
         feats = []
-        for scene_pos, obj_idx in support.novel_instances[cid]:
-            scene = support.scenes[scene_pos]
-            box = scene.objects[obj_idx].box
-            sal = saliency_provider(scene) if saliency_provider else None
-            out = det.forward(scene.image, sal, base_params, cfg)
+        for pos, obj_idx in support.novel_instances[cid]:
+            box = support.scenes[pos].objects[obj_idx].box
             ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
             best = int(np.argmax(ious))
             if ious[best] == 0.0:
                 raise ImprintError(
                     f"support instance of class {cid} overlaps no anchor")
-            feats.append(out.features.data[best])
+            feats.append(features_of[pos][best])
         new_rows.append(imprint_row(feats)[None, :])
         params.class_ids.append(cid)
     params.tensors["cls.rows"] = Tensor(np.concatenate(new_rows, axis=0),
@@ -363,9 +369,10 @@ def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
                     params.zero_grads()
                     for idx in map(int, batch):
                         cache = caches[idx]
+                        sal = None if cache.saliency is None else cache.saliency[None]
                         with Tape() as tape:
-                            out = det.forward(scenes[idx].image, cache.saliency,
-                                              params, cfg)
+                            out = det.forward(scenes[idx].image[None], sal, params,
+                                              cfg).single()
                             mined = det.hard_negative_mining(
                                 det.background_ce(out.logits.data), cache.match,
                                 cfg.neg_pos_ratio)
@@ -423,10 +430,10 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
     scenes = support.scenes
     caches = _prepare(scenes, cfg, anchors, saliency_provider)
     if hp.gamma != 0.0:
-        for scene, cache in zip(scenes, caches):
-            out = det.forward(scene.image, cache.saliency, base_params, cfg)
-            cache.base_logits = out.logits.data
-            cache.base_offsets = out.offsets.data
+        outputs = det.forward_chunks([s.image for s in scenes],
+                                     lambda i: caches[i].saliency, base_params, cfg)
+        for cache, (logits, offsets, _) in zip(caches, outputs):
+            cache.base_logits, cache.base_offsets = logits, offsets
 
     def loss_fn(out, mined, cache):
         return novel_loss(out, mined, cache.gt_boxes, anchors, params, cfg, hp,
@@ -436,27 +443,3 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
                           loss_fn)
     return params, metrics
 
-
-def mean_positive_cosine(params: DetectorParams, cfg: DetectorConfig,
-                         scenes: list[Scene], saliency_provider=None) -> float:
-    """Mean cosine similarity between positive-anchor features and their class
-    rows, over all annotated objects in the given scenes."""
-    anchors = det.generate_anchors(cfg.anchors)
-    rows = params.cls_rows.data
-    rows_hat = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    total, count = 0.0, 0
-    for scene in scenes:
-        annotated = scene.annotated_objects()
-        if not annotated:
-            continue
-        match = det.match_anchors(anchors, [o.box for o in annotated],
-                                  [o.class_id for o in annotated], cfg.pos_thr)
-        sal = saliency_provider(scene) if saliency_provider else None
-        out = det.forward(scene.image, sal, params, cfg)
-        pos_idx = np.where(match.positive_class > 0)[0]
-        feats = out.features.data[pos_idx]
-        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-        for f, cid in zip(feats, match.positive_class[pos_idx]):
-            total += float(f @ rows_hat[params.row_of(int(cid))])
-            count += 1
-    return total / count if count else 0.0

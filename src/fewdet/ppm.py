@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write an image as 8-bit binary PPM.
@@ -20,7 +22,7 @@ def write_ppm(path, image: np.ndarray) -> None:
         raise ValueError("pixel values must lie in [0,1]")
     h, w = image.shape[1:]
     data = np.rint(image * 255.0).astype(np.uint8).transpose(1, 2, 0)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import Box, iou
+from .atomic import atomic_open
+from .detector import Box, boxes_to_array, iou_matrix
 from .ppm import write_ppm
 
 
@@ -174,6 +175,7 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
 
     n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     objects: list[SceneObject] = []
+    placed = np.zeros((0, 4))  # the objects' boxes, as an array
     for _ in range(n_objects):
         class_id = int(rng.integers(1, NUM_CLASSES + 1))
         shape_index, family = shape_of(class_id)
@@ -186,7 +188,7 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
             if mask is None:
                 continue
             box = _tight_box(mask, size)
-            if all(iou(box, o.box) <= cfg.overlap_cap for o in objects):
+            if np.all(iou_matrix(boxes_to_array([box]), placed) <= cfg.overlap_cap):
                 break
         else:
             raise GenerationError(
@@ -194,6 +196,7 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
                 f"after {cfg.max_place_attempts} attempts")
         image[:, mask] = color[:, None]
         objects.append(SceneObject(class_id=class_id, box=box, mask=mask))
+        placed = np.concatenate([placed, boxes_to_array([box])])
 
     return Scene(image=image, objects=objects, annotated=[True] * len(objects))
 
@@ -247,5 +250,5 @@ def dump_scene(scene: Scene, directory, name: str) -> None:
          "box": [o.box.cx, o.box.cy, o.box.w, o.box.h],
          "annotated": bool(a)}
         for o, a in zip(scene.objects, scene.annotated)]}
-    with open(f"{directory}/{name}.json", "w") as fh:
+    with atomic_open(f"{directory}/{name}.json") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)

@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
+
 Array = np.ndarray
 
 
@@ -50,7 +52,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -59,7 +61,7 @@ class Tensor:
     @classmethod
     def _wrap(cls, arr: Array, requires_grad: bool = False) -> "Tensor":
         # Fast path for op outputs: takes ownership of a fresh array.
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("operation produced non-finite values")
         t = cls.__new__(cls)
         t.data = arr
@@ -170,12 +172,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient back down to the shape numpy broadcast it up from."""
+    """Sum a gradient back down to the shape numpy broadcast it up from.
+
+    Leading axes of length one are reshaped away rather than summed, so a
+    stack of one passes its gradient through unchanged, signed zeros too.
+    """
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        lead = tuple(i for i in range(extra) if g.shape[i] != 1)
+        g = (g.sum(axis=lead) if lead else g).reshape(g.shape[extra:])
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -325,7 +332,9 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
         raise ShapeError("gather supports axis 0 or 1")
 
     def bwd(g):
-        gz = np.zeros_like(a.data)
+        # row-major even when a is a strided view: a gradient's memory order
+        # sets the summation order of numpy reductions downstream
+        gz = np.zeros(a.data.shape)
         if axis == 0:
             np.add.at(gz, idx, g)
         else:
@@ -350,16 +359,22 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-d operands")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast as in
+    np.matmul, so a stack of operands is one product per stacked matrix."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError("matmul expects operands of at least 2 dimensions")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
+    try:
+        out = ad @ bd
+    except ValueError:
+        raise ShapeError(f"matmul stacks do not broadcast: {ad.shape} @ {bd.shape}") from None
 
     def bwd(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
-    return _record("matmul", (a, b), ad @ bd, bwd)
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
+    return _record("matmul", (a, b), out, bwd)
 
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
@@ -379,16 +394,17 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax_spatial(logits: Tensor) -> Tensor:
-    """Softmax over every cell of a 2-d map; output sums to 1 over H*W."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_spatial expects a 2-d map, got shape {logits.data.shape}")
+    """Softmax over every cell of each 2-d map in a [...,H,W] stack; each
+    map of the output sums to 1 over its H*W cells."""
+    if logits.data.ndim < 2:
+        raise ShapeError(f"softmax_spatial expects [...,H,W] maps, got shape {logits.data.shape}")
 
     x = logits.data
-    e = np.exp(x - x.max())
-    p = e / e.sum()
+    e = np.exp(x - x.max(axis=(-2, -1), keepdims=True))
+    p = e / e.sum(axis=(-2, -1), keepdims=True)
 
     def bwd(g):
-        return (p * (g - np.sum(g * p)),)
+        return (p * (g - np.sum(g * p, axis=(-2, -1), keepdims=True)),)
     return _record("softmax_spatial", (logits,), p, bwd)
 
 
@@ -417,23 +433,24 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps_ln: float = 1e-5) -> Tensor:
-    """Normalize a vector to zero mean / unit variance (population), then affine."""
-    if x.data.ndim != 1:
-        raise ShapeError("layer_norm expects a 1-d vector")
-    if gain.data.shape != x.data.shape or bias.data.shape != x.data.shape:
-        raise ShapeError("layer_norm gain/bias must match input shape")
+    """Normalize each vector along the last axis to zero mean / unit
+    variance (population), then apply the per-feature affine gain, bias."""
+    n = x.data.shape[-1:]
+    if x.data.ndim < 1 or gain.data.shape != n or bias.data.shape != n:
+        raise ShapeError("layer_norm gain/bias must match the input's last axis")
 
-    m = x.data.mean()
-    s = 1.0 / np.sqrt(x.data.var() + eps_ln)
+    m = x.data.mean(axis=-1, keepdims=True)
+    s = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps_ln)
     xhat = (x.data - m) * s
     out = gain.data * xhat + bias.data
 
     def bwd(g):
         dxhat = g * gain.data
-        dx = s * (dxhat - dxhat.mean() - xhat * (dxhat * xhat).mean()) \
+        dx = s * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) \
             if x.requires_grad else None
-        dgain = g * xhat if gain.requires_grad else None
-        dbias = g.copy() if bias.requires_grad else None
+        dgain = _unbroadcast(g * xhat, n) if gain.requires_grad else None
+        dbias = _unbroadcast(g.copy(), n) if bias.requires_grad else None
         return (dx, dgain, dbias)
 
     return _record("layer_norm", (x, gain, bias), out, bwd)
@@ -444,61 +461,96 @@ def _conv_out_size(h: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, int, int]:
-    c, h, w = xd.shape
+    """[B,C,H,W] -> [B, C*kh*kw, Ho*Wo] patch columns, zero padded: one copy
+    out of a strided window view of the padded stack."""
+    b, c, h, w = xd.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
-    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad))) if pad else xd
-    cols = np.empty((c, kh, kw, ho, wo), dtype=np.float64)
+    if pad:
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = xd
+    else:
+        xp = xd
+    sb, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, c, kh, kw, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False)
+    return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
+
+
+def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int,
+            pad: int, ho: int, wo: int) -> Array:
+    """Scatter-add [B, C*kh*kw, Ho*Wo] column gradients back onto [B,C,H,W]."""
+    b, c, h, w = shape
+    gcols = gcols.reshape(b, c, kh, kw, ho, wo)
+    gxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * kh * kw, ho * wo), ho, wo
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
+           bias: Tensor | Sequence[Tensor] | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution (cross-correlation) over a [C,H,W] image, zero padded.
+    """2-d convolution (cross-correlation) over a [B,C,H,W] stack, zero padded.
 
     kernel is [C_out, C_in, kH, kW]; bias, when given, is [C_out]. Output
-    spatial extents follow floor((H + 2p - kH)/stride) + 1.
+    spatial extents follow floor((H + 2p - kH)/stride) + 1. The stack has one
+    im2col and one stacked ``kernel @ cols`` product, which np.matmul runs
+    per sample, so a sample's bits do not depend on the stack around it.
+
+    kernel and bias may also be sequences: convolutions of one input that
+    share its im2col, with output channels stacked in order. Each kernel
+    keeps its own product, and the input gradient adds the kernels' own from
+    last to first, as the tape adds those of separate convolutions: values
+    and gradients are bitwise those of the separate convolutions.
     """
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d expects [C,H,W] input and [Co,Ci,kh,kw] kernel")
-    cout, cin, kh, kw = kernel.data.shape
-    c, h, w = x.data.shape
+    kernels = (kernel,) if isinstance(kernel, Tensor) else tuple(kernel)
+    biases = () if bias is None else (bias,) if isinstance(bias, Tensor) else tuple(bias)
+    if x.data.ndim != 4 or not kernels or any(k.data.ndim != 4 for k in kernels):
+        raise ShapeError("conv2d expects [B,C,H,W] input and [Co,Ci,kh,kw] kernels")
+    if biases and len(biases) != len(kernels):
+        raise ShapeError(f"{len(kernels)} kernels but {len(biases)} biases")
+    _, cin, kh, kw = kernels[0].data.shape
+    if any(k.data.shape[1:] != (cin, kh, kw) for k in kernels):
+        raise ShapeError("stacked kernels must share input channels and size")
+    b, c, h, w = x.data.shape
     if cin != c:
         raise ShapeError(f"kernel expects {cin} input channels, image has {c}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    if bias is not None and bias.data.shape != (cout,):
-        raise ShapeError(f"bias must have shape ({cout},), got {bias.data.shape}")
+    for k, bs in zip(kernels, biases):
+        if bs.data.shape != (k.data.shape[0],):
+            raise ShapeError(f"bias must have shape ({k.data.shape[0]},), got {bs.data.shape}")
 
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (kmat @ cols).reshape(cout, ho, wo)
-    if bias is not None:
-        out = out + bias.data[:, None, None]
+    kmats = [k.data.reshape(k.data.shape[0], cin * kh * kw) for k in kernels]
+    outs = [kmat @ cols for kmat in kmats]
+    for o, bs in zip(outs, biases):
+        o += bs.data[:, None]
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    cout = out.shape[1]
 
     def bwd(g):
-        gm = g.reshape(cout, ho * wo)
-        gk = (gm @ cols.T).reshape(kernel.data.shape) if kernel.requires_grad else None
-        gb = g.sum(axis=(1, 2)) if (bias is not None and bias.requires_grad) else None
+        gm = g.reshape(b, cout, ho * wo)
+        starts = np.cumsum([0] + [kmat.shape[0] for kmat in kmats])
+        spans = list(zip(starts[:-1], starts[1:]))
+        gks = [_unbroadcast(gm[:, lo:hi] @ np.swapaxes(cols, 1, 2), kmat.shape)
+               .reshape(k.data.shape) if k.requires_grad else None
+               for (lo, hi), kmat, k in zip(spans, kmats, kernels)]
+        gbs = [_unbroadcast(g[:, lo:hi].sum(axis=(2, 3)), bs.data.shape)
+               if bs.requires_grad else None for (lo, hi), bs in zip(spans, biases)]
         gx = None
         if x.requires_grad:
-            gcols = (kmat.T @ gm).reshape(cin, kh, kw, ho, wo)
-            gxp = np.zeros((cin, h + 2 * padding, w + 2 * padding))
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
-            gx = gxp[:, padding:padding + h, padding:padding + w]
-        if bias is None:
-            return (gx, gk)
-        return (gx, gk, gb)
+            for (lo, hi), kmat in zip(reversed(spans), reversed(kmats)):
+                gk_x = _col2im(kmat.T @ gm[:, lo:hi], x.data.shape, kh, kw, stride, padding, ho, wo)
+                gx = gk_x if gx is None else gx + gk_x
+        return (gx, *gks, *gbs)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    return _record("conv2d", inputs, out, bwd)
+    return _record("conv2d", (x, *kernels, *biases), out.reshape(b, cout, ho, wo), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +677,7 @@ def save_arrays(path, arrays: dict[str, Tensor | Array], meta: dict | None = Non
         doc["arrays"][name] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
     if meta is not None:
         doc["meta"] = meta
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, allow_nan=False, separators=(",", ":"))
 
 

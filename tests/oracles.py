@@ -278,3 +278,156 @@ def match_detections_per_pair(detections, gts, iou_thr):
             hits.append((score, hit))
         out[c] = (hits, sum(len(g) for g in gts_c))
     return out
+
+
+def corners(box):
+    """(x0, y0, x1, y1) of a center-form Box."""
+    return (box.cx - box.w / 2, box.cy - box.h / 2,
+            box.cx + box.w / 2, box.cy + box.h / 2)
+
+
+def iou(a, b):
+    """Scalar IoU of two center-form Boxes, one float operation at a time in
+    the order the package's iou_matrix takes them (areas as w * h)."""
+    ax0, ay0, ax1, ay1 = corners(a)
+    bx0, by0, bx1, by1 = corners(b)
+    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union if inter > 0 else 0.0
+
+
+def generate_scene_per_pair(seed, cfg=None):
+    """synthdata.generate_scene with its placement test written out as one
+    scalar IoU per (candidate, placed object) pair."""
+    from fewdet import synthdata as sd
+
+    cfg = cfg or sd.GenConfig()
+    rng = np.random.default_rng(seed)
+    size = cfg.image_size
+    image = sd._background(rng, size)
+    n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    objects = []
+    for _ in range(n_objects):
+        class_id = int(rng.integers(1, sd.NUM_CLASSES + 1))
+        shape_index, family = sd.shape_of(class_id)
+        palette = sd._PALETTES[family]
+        color = np.array(palette[int(rng.integers(len(palette)))])
+        color = np.clip(color + rng.uniform(-0.04, 0.04, size=3), 0.45, 1.0)
+        for _ in range(cfg.max_place_attempts):
+            mask = sd._rasterize(shape_index, rng, cfg)
+            if mask is None:
+                continue
+            box = sd._tight_box(mask, size)
+            if all(iou(box, o.box) <= cfg.overlap_cap for o in objects):
+                break
+        else:
+            raise sd.GenerationError("placement failed")
+        image[:, mask] = color[:, None]
+        objects.append(sd.SceneObject(class_id=class_id, box=box, mask=mask))
+    return sd.Scene(image=image, objects=objects, annotated=[True] * len(objects))
+
+
+def forward_one(image, saliency, params, cfg):
+    """The detector's outputs for one [3,H,W] image (and [h,w] map or None),
+    as a stack of one run alone: ([N,1+C] logits, [N,4] offsets, [N,d]
+    features, [H,W] top-down map) arrays."""
+    from fewdet import detector as det
+
+    out = det.forward(image[None], None if saliency is None else saliency[None],
+                      params, cfg)
+    return (out.logits.data[0], out.offsets.data[0], out.features.data[0],
+            out.topdown.data[0])
+
+
+def evaluate_detector_per_scene(params, cfg, scenes, saliency_provider=None,
+                                novel_ids=(), iou_thr=0.5):
+    """detector.evaluate_detector as a loop of one forward per scene."""
+    from fewdet import detector as det
+
+    anchors = det.generate_anchors(cfg.anchors)
+    all_dets, all_gts = [], []
+    for scene in scenes:
+        sal = saliency_provider(scene) if saliency_provider else None
+        logits, offsets, _, _ = forward_one(scene.image, sal, params, cfg)
+        all_dets.append(det.detect(logits, offsets, anchors, params, cfg))
+        all_gts.append([(o.class_id, o.box) for o in scene.objects])
+    per_class, map_all = det.evaluate_map(all_dets, all_gts, iou_thr)
+    novel = set(novel_ids)
+    base_aps = [ap for c, ap in per_class.items() if c not in novel]
+    novel_aps = [ap for c, ap in per_class.items() if c in novel]
+    return {
+        "per_class_ap": {int(c): float(ap) for c, ap in sorted(per_class.items())},
+        "map_all": float(map_all),
+        "map_base": float(np.mean(base_aps)) if base_aps else 0.0,
+        "map_novel": float(np.mean(novel_aps)) if novel_aps else 0.0,
+    }
+
+
+def mean_positive_cosine(params, cfg, scenes, saliency_provider=None):
+    """Mean cosine similarity between positive-anchor features and their class
+    rows, over all annotated objects in the given scenes."""
+    from fewdet import detector as det
+
+    anchors = det.generate_anchors(cfg.anchors)
+    rows = params.cls_rows.data
+    rows_hat = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    total, count = 0.0, 0
+    for scene in scenes:
+        annotated = scene.annotated_objects()
+        if not annotated:
+            continue
+        match = det.match_anchors(anchors, [o.box for o in annotated],
+                                  [o.class_id for o in annotated], cfg.pos_thr)
+        sal = saliency_provider(scene) if saliency_provider else None
+        features = forward_one(scene.image, sal, params, cfg)[2]
+        pos_idx = np.where(match.positive_class > 0)[0]
+        feats = features[pos_idx]
+        feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+        for f, cid in zip(feats, match.positive_class[pos_idx]):
+            total += float(f @ rows_hat[params.row_of(int(cid))])
+            count += 1
+    return total / count if count else 0.0
+
+
+def forward_separate_heads(image, saliency, params, cfg):
+    """The detector's forward for one scene with each head's feature and
+    regression convs run as two convs and flattened one by one: logits,
+    offsets and features as [N,*] tensors on the active tape."""
+    from fewdet import attention as att
+    from fewdet import tensor as T
+    from fewdet.tensor import Tensor
+
+    t = params.tensors
+    x = T.sub(T.scale(Tensor(image[None]), 2.0), Tensor(np.float64(1.0)))
+    head_inputs = []
+    for i in range(4):
+        x = T.relu(T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
+                            stride=2, padding=1))
+        if i == 1:
+            x, _ = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
+                                t["gc.ln_bias"], t["gc.w_v2"])
+            if cfg.use_bottom_up and saliency is not None:
+                x = att.fuse_bottom_up(x, saliency[None], cfg.epsilon)
+        if i >= 2:
+            head_inputs.append(x)
+
+    a = cfg.num_aspects
+
+    def flatten(y, per_anchor):
+        _, _, h, w = y.data.shape
+        y = T.transpose(T.reshape(y, (a, per_anchor, h, w)), (2, 3, 0, 1))
+        return T.reshape(y, (h * w * a, per_anchor))
+
+    feats, offs = [], []
+    for s, xs in enumerate(head_inputs):
+        f = T.conv2d(xs, t[f"head.{s}.feat.kernel"], t[f"head.{s}.feat.bias"], padding=1)
+        r = T.conv2d(xs, t[f"head.{s}.reg.kernel"], t[f"head.{s}.reg.bias"], padding=1)
+        feats.append(flatten(f, cfg.feat_dim))
+        offs.append(flatten(r, 4))
+    features, offsets = T.concat(feats, axis=0), T.concat(offs, axis=0)
+    fhat = T.l2_normalize(features, axis=1)
+    what = T.l2_normalize(params.cls_rows, axis=1)
+    logits = T.scale(T.matmul(fhat, T.transpose(what, (1, 0))), cfg.temperature)
+    return logits, offsets, features

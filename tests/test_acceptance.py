@@ -83,7 +83,7 @@ class TestTopdownNormalization:
         for _ in range(100):
             c = int(rng.integers(1, 9))
             h, w = int(rng.integers(1, 11)), int(rng.integers(1, 11))
-            feats = Tensor(rng.standard_normal((c, h, w)) * rng.uniform(0.05, 30))
+            feats = Tensor((rng.standard_normal((c, h, w)) * rng.uniform(0.05, 30))[None])
             w_k = Tensor(rng.standard_normal((1, c, 1, 1)))
             total = A.topdown_map(feats, w_k).data.sum()
             assert abs(total - 1.0) <= 1e-12
@@ -99,7 +99,7 @@ class TestResidualIdentity:
             # everything except w_v2 randomized: the residual must still win
             p["ln_gain"].data = rng.uniform(0.5, 2.0, p["ln_gain"].data.shape)
             p["ln_bias"].data = rng.standard_normal(p["ln_bias"].data.shape)
-            feats = Tensor(rng.standard_normal((c, 5, 3)) * rng.uniform(0.1, 10))
+            feats = Tensor((rng.standard_normal((c, 5, 3)) * rng.uniform(0.1, 10))[None])
             out = A.gc_block(feats, **p)[0]
             assert np.array_equal(out.data, feats.data)
 
@@ -109,26 +109,26 @@ class TestFusionNeutrality:
     def test_eps_e_zero_saliency_passes_features_through_bitwise(self):
         rng = _rng(43)
         for _ in range(10):
-            z = Tensor(rng.standard_normal((6, 8, 8)) * rng.uniform(0.1, 40))
-            fused = A.fuse_bottom_up(z, np.zeros((8, 8)), epsilon=math.e)
+            z = Tensor((rng.standard_normal((6, 8, 8)) * rng.uniform(0.1, 40))[None])
+            fused = A.fuse_bottom_up(z, np.zeros((1, 8, 8)), epsilon=math.e)
             assert np.array_equal(fused.data, z.data)
 
     def test_eps_e_constant_saliency_is_equally_neutral(self):
         # constant maps normalize to zero, so any flat input is a no-op
         rng = _rng(44)
-        z = Tensor(rng.standard_normal((4, 8, 8)))
-        fused = A.fuse_bottom_up(z, np.full((32, 32), 0.7), epsilon=math.e)
+        z = Tensor(rng.standard_normal((4, 8, 8))[None])
+        fused = A.fuse_bottom_up(z, np.full((1, 32, 32), 0.7), epsilon=math.e)
         assert np.array_equal(fused.data, z.data)
 
     def test_eps_one_zeroes_features_at_zero_saliency_pixels(self):
         rng = _rng(45)
         for _ in range(10):
-            z = Tensor(rng.standard_normal((5, 4, 4)))
+            z = Tensor(rng.standard_normal((5, 4, 4))[None])
             s = rng.uniform(0.3, 1.0, (4, 4))
             s[2, 1] = 0.0
-            fused = A.fuse_bottom_up(z, s, epsilon=1.0)
-            assert np.all(fused.data[:, 2, 1] == 0.0)
-            assert np.all(fused.data[:, 0, 0] != 0.0)
+            fused = A.fuse_bottom_up(z, s[None], epsilon=1.0)
+            assert np.all(fused.data[0, :, 2, 1] == 0.0)
+            assert np.all(fused.data[0, :, 0, 0] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def _random_instance(rng):
                 for _ in range(n_gt)]
     gt_labels = [int(rng.integers(1, 4)) for _ in range(n_gt)]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
-    out = det.forward(image, saliency, params, cfg)
+    out = det.forward(image[None], saliency[None], params, cfg).single()
     mined = det.hard_negative_mining(det.background_ce(out.logits.data), match,
                                      cfg.neg_pos_ratio)
     return cfg, anchors, gt_boxes, mined, params, out
@@ -231,7 +231,7 @@ class TestOracleEquivalence:
             p["ln_gain"].data = rng.uniform(0.5, 2.0, p["ln_gain"].data.shape)
             p["ln_bias"].data = rng.standard_normal(p["ln_bias"].data.shape) * 0.1
             feats = rng.standard_normal((c, h, w))
-            got = A.gc_block(Tensor(feats), **p)[0].data
+            got = A.gc_block(Tensor(feats[None]), **p)[0].data[0]
             want = oracles.gc_block_loops(
                 feats, p["w_k"].data[0, :, 0, 0], p["w_v1"].data[:, :, 0, 0],
                 p["ln_gain"].data, p["ln_bias"].data, p["w_v2"].data[:, :, 0, 0])
@@ -341,9 +341,9 @@ def matrix():
             "map_novel_td": r_td["map_novel"],
             "map_base_distilled": r_bu["map_base"],
             "map_base_plain": r_g0["map_base"],
-            "cos_beta2": fs.mean_positive_cosine(novel_bu, cfg_bu, bench.test,
+            "cos_beta2": oracles.mean_positive_cosine(novel_bu, cfg_bu, bench.test,
                                                  saliency_provider=_oracle),
-            "cos_beta0": fs.mean_positive_cosine(novel_b0, cfg_bu, bench.test,
+            "cos_beta0": oracles.mean_positive_cosine(novel_b0, cfg_bu, bench.test,
                                                  saliency_provider=_oracle),
         })
     return {"rows": rows, "cfg": cfg_bu, "elapsed": time.monotonic() - t0}
@@ -380,9 +380,10 @@ class TestMatrixImprinting:
                 for scene_pos, obj_idx in support.novel_instances[cid]:
                     scene = support.scenes[scene_pos]
                     box = scene.objects[obj_idx].box
-                    out = det.forward(scene.image, _oracle(scene), base, cfg)
+                    features = oracles.forward_one(scene.image, _oracle(scene), base,
+                                                   cfg)[2]
                     ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
-                    feat = out.features.data[int(np.argmax(ious))]
+                    feat = features[int(np.argmax(ious))]
                     feats.append(feat / np.linalg.norm(feat))
                 assert len(feats) == 2
                 own_row = rows_hat[novel.row_of(cid)]

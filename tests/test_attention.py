@@ -21,30 +21,30 @@ class TestTopdownMap:
 
     def test_single_cell_is_one(self):
         rng = np.random.default_rng(0)
-        f = Tensor(rng.standard_normal((5, 1, 1)))
+        f = Tensor(rng.standard_normal((5, 1, 1))[None])
         wk = Tensor(rng.standard_normal((1, 5, 1, 1)))
-        np.testing.assert_allclose(A.topdown_map(f, wk).data, [[1.0]], atol=0)
+        np.testing.assert_allclose(A.topdown_map(f, wk).data, [[[1.0]]], atol=0)
 
     def test_zero_kernel_gives_uniform(self):
         rng = np.random.default_rng(1)
-        f = Tensor(rng.standard_normal((3, 4, 5)))
+        f = Tensor(rng.standard_normal((3, 4, 5))[None])
         wk = Tensor(np.zeros((1, 3, 1, 1)))
         np.testing.assert_allclose(A.topdown_map(f, wk).data,
-                                   np.full((4, 5), 1 / 20), atol=1e-15)
+                                   np.full((1, 4, 5), 1 / 20), atol=1e-15)
 
     def test_hand_case(self):
         """Identity 1x1 kernel on log-valued features reproduces the 2x2 table."""
-        f = Tensor(np.log(np.array([[[1.0, 3.0], [2.0, 2.0]]])))
+        f = Tensor(np.log(np.array([[[[1.0, 3.0], [2.0, 2.0]]]])))
         wk = Tensor(np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(A.topdown_map(f, wk).data,
-                                   [[0.125, 0.375], [0.25, 0.25]], atol=1e-15)
+                                   [[[0.125, 0.375], [0.25, 0.25]]], atol=1e-15)
 
     def test_sums_to_one_100_random(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             c = int(rng.integers(1, 6))
             h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            f = Tensor(rng.standard_normal((c, h, w)) * rng.uniform(0.1, 20))
+            f = Tensor((rng.standard_normal((c, h, w)) * rng.uniform(0.1, 20))[None])
             wk = Tensor(rng.standard_normal((1, c, 1, 1)))
             assert abs(A.topdown_map(f, wk).data.sum() - 1.0) <= 1e-12
 
@@ -56,31 +56,31 @@ class TestGlobalContext:
         f = rng.standard_normal((4, 3, 3))
         h = np.zeros((3, 3))
         h[1, 2] = 1.0
-        out = A.global_context(Tensor(f), Tensor(h))
-        np.testing.assert_allclose(out.data, f[:, 1, 2], atol=0)
+        out = A.global_context(Tensor(f[None]), Tensor(h[None]))
+        np.testing.assert_allclose(out.data, f[None, :, 1, 2], atol=0)
 
     def test_uniform_is_spatial_mean(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((2, 4, 4))
         h = np.full((4, 4), 1 / 16)
-        out = A.global_context(Tensor(f), Tensor(h))
-        np.testing.assert_allclose(out.data, f.mean(axis=(1, 2)), atol=1e-15)
+        out = A.global_context(Tensor(f[None]), Tensor(h[None]))
+        np.testing.assert_allclose(out.data, f.mean(axis=(1, 2))[None], atol=1e-15)
 
     def test_hand_case(self):
-        f = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        h = Tensor(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        np.testing.assert_allclose(A.global_context(f, h).data, [3.0], atol=1e-15)
+        f = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        h = Tensor(np.array([[[0.1, 0.2], [0.3, 0.4]]]))
+        np.testing.assert_allclose(A.global_context(f, h).data, [[3.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(T.ShapeError):
-            A.global_context(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 2))))
+            A.global_context(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 2, 2))))
 
 
 class TestGcBlock:
 
     def test_zero_wv2_is_identity_bitwise(self):
         rng = np.random.default_rng(5)
-        f = Tensor(rng.standard_normal((8, 4, 4)))
+        f = Tensor(rng.standard_normal((8, 4, 4))[None])
         p = A.init_gc_params(rng, 8)  # w_v2 zero by construction
         out = A.gc_block(f, **p)[0]
         assert np.array_equal(out.data, f.data)
@@ -88,7 +88,7 @@ class TestGcBlock:
     def test_dead_bottleneck_is_identity(self):
         """A large negative ln_bias kills the ReLU, so even nonzero w_v2 adds 0."""
         rng = np.random.default_rng(6)
-        f = Tensor(rng.standard_normal((8, 3, 3)))
+        f = Tensor(rng.standard_normal((8, 3, 3))[None])
         p = random_gc_params(rng, 8)
         p["ln_bias"].data = np.full(p["ln_bias"].data.shape, -50.0)
         out = A.gc_block(f, **p)[0]
@@ -100,7 +100,7 @@ class TestGcBlock:
             c = 2
             f = rng.standard_normal((c, 2, 2))
             p = random_gc_params(rng, c, ratio=2)
-            got = A.gc_block(Tensor(f), **p)[0].data
+            got = A.gc_block(Tensor(f[None]), **p)[0].data[0]
             want = gc_block_loops(
                 f, p["w_k"].data.reshape(c), p["w_v1"].data.reshape(-1, c),
                 p["ln_gain"].data, p["ln_bias"].data, p["w_v2"].data.reshape(c, -1))
@@ -116,7 +116,7 @@ class TestGcBlock:
             return T.sum_all(T.square(z))
 
         for _ in range(3):
-            point = {"y": rng.standard_normal((4, 3, 3)),
+            point = {"y": rng.standard_normal((4, 3, 3))[None],
                      "w_k": rng.standard_normal((1, 4, 1, 1)),
                      "w_v1": rng.standard_normal((1, 4, 1, 1)),
                      "ln_gain": rng.standard_normal(1) + 1.5,
@@ -155,48 +155,49 @@ class TestFuseBottomUp:
     def test_neutral_gate_is_bitwise_identity(self):
         """Zero saliency with eps = e multiplies by ln(e) = 1 exactly."""
         rng = np.random.default_rng(10)
-        z = Tensor(rng.standard_normal((6, 4, 4)))
-        out = A.fuse_bottom_up(z, np.zeros((16, 16)), epsilon=np.e)
+        z = Tensor(rng.standard_normal((6, 4, 4))[None])
+        out = A.fuse_bottom_up(z, np.zeros((1, 16, 16)), epsilon=np.e)
         assert np.array_equal(out.data, z.data)
 
     def test_full_saliency_scales_by_frozen_constant(self):
         rng = np.random.default_rng(11)
-        z = Tensor(rng.standard_normal((3, 4, 4)))
-        s = np.zeros((4, 4))
-        s[1:3, 1:3] = 1.0  # non-constant so renormalization keeps the ones
+        z = Tensor(rng.standard_normal((3, 4, 4))[None])
+        s = np.zeros((1, 4, 4))
+        s[0, 1:3, 1:3] = 1.0  # non-constant so renormalization keeps the ones
         out = A.fuse_bottom_up(z, s, epsilon=np.e)
-        np.testing.assert_allclose(out.data[:, 1:3, 1:3],
-                                   z.data[:, 1:3, 1:3] * 1.3132616875182228,
+        np.testing.assert_allclose(out.data[..., 1:3, 1:3],
+                                   z.data[..., 1:3, 1:3] * 1.3132616875182228,
                                    rtol=0, atol=0)
 
     def test_epsilon_one_zeroes_dark_pixels(self):
         rng = np.random.default_rng(12)
-        z = Tensor(rng.standard_normal((5, 2, 2)))
-        s = np.array([[0.0, 1.0], [0.5, 0.25]])
+        z = Tensor(rng.standard_normal((5, 2, 2))[None])
+        s = np.array([[[0.0, 1.0], [0.5, 0.25]]])
         out = A.fuse_bottom_up(z, s, epsilon=1.0)
-        assert np.all(out.data[:, 0, 0] == 0.0)
+        assert np.all(out.data[0, :, 0, 0] == 0.0)
 
     def test_gradient_reaches_z_only(self):
         rng = np.random.default_rng(13)
-        z = Tensor(rng.standard_normal((2, 2, 2)), requires_grad=True)
+        z = Tensor(rng.standard_normal((2, 2, 2))[None], requires_grad=True)
         s = rng.uniform(0, 1, size=(2, 2))
         with Tape() as tape:
-            out = T.sum_all(A.fuse_bottom_up(z, s, epsilon=np.e))
+            out = T.sum_all(A.fuse_bottom_up(z, s[None], epsilon=np.e))
         backward(tape, out)
         gate = np.log(np.e + A.pool_saliency(s, 2, 2))
-        np.testing.assert_allclose(z.grad, np.broadcast_to(gate, (2, 2, 2)), atol=1e-15)
+        np.testing.assert_allclose(z.grad, np.broadcast_to(gate, (1, 2, 2, 2)),
+                                   atol=1e-15)
 
     def test_grad_check(self):
         rng = np.random.default_rng(14)
-        s = rng.uniform(0, 1, size=(4, 4))
+        s = rng.uniform(0, 1, size=(4, 4))[None]
         report = grad_check(
             lambda L: T.sum_all(T.square(A.fuse_bottom_up(L["z"], s, epsilon=np.e))),
-            {"z": rng.standard_normal((3, 4, 4))})
+            {"z": rng.standard_normal((3, 4, 4))[None]})
         assert max(report.values()) < 1e-4
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            A.fuse_bottom_up(Tensor(np.zeros((1, 2, 2))), np.zeros((2, 2)), epsilon=0.0)
+            A.fuse_bottom_up(Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 2, 2)), epsilon=0.0)
 
 
 class TestUpsample:

@@ -1,12 +1,17 @@
 """The benchmark's tracer wraps fewdet functions by name and rebinds names
 brought in with ``from ... import``; renaming a traced function or dropping
 such an import breaks only the benchmark. This runs the benchmark
-self-test's static groups (manifest and bindings), in a subprocess because
-the tracer rebinds module attributes while it is installed."""
+self-test's static groups (manifest and bindings), and traces a short
+training run and an evaluation for the call counts the self-test needs, in
+subprocesses because the tracer rebinds module attributes while it is
+installed."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,3 +30,66 @@ def test_benchmark_manifest_and_bindings_hold():
     proc = subprocess.run([sys.executable, "-c", CHECK], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+TRACED_COUNTS = f"""
+import dataclasses, json, sys
+sys.path.insert(0, {str(ROOT / "bench")!r})
+sys.path.insert(0, {str(ROOT / "src")!r})
+from fewdet import cli
+from fewdet import detector as det
+from fewdet import fewshot as fs
+from fewdet import synthdata as sd
+import spec
+from tracer import Phase, Tracer
+
+cfg = dict(cli.DEFAULTS)
+dcfg = cli.detector_config(cfg)
+split = sd.make_split(1)
+bench = sd.build_benchmark(0, split, sizes=(1, 1, det.INFERENCE_CHUNK + 1))
+provider = cli.saliency_provider(cfg, dcfg)
+tracer = Tracer()
+train, evaluation = Phase(), Phase()
+with tracer.recording(train):
+    params, _ = fs.train_base(
+        bench.base_train, dcfg,
+        dataclasses.replace(cli.train_config(cfg, "base"), epochs=1),
+        sorted(split.base), seed=0, saliency_provider=provider)
+with tracer.recording(evaluation):
+    det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
+                          novel_ids=split.novel)
+
+def calls(phase, name):
+    span = phase.spans.get(name)
+    return span.calls if span else 0
+
+print(json.dumps({{
+    "unrecorded_step_ops": [op for op in spec.STEP_OPS
+                            if calls(train, "tensor." + op) == 0],
+    "chunk": det.INFERENCE_CHUNK,
+    "eval_forward": calls(evaluation, "detector.forward"),
+    "eval_bms": calls(evaluation, "saliency.bms_saliency"),
+}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def traced_counts():
+    proc = subprocess.run([sys.executable, "-c", TRACED_COUNTS], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_training_step_records_every_step_op(traced_counts):
+    """bench/selftest.py requires every tape op in spec.STEP_OPS to read
+    above zero on the train_base workload."""
+    assert traced_counts["unrecorded_step_ops"] == []
+
+
+def test_evaluation_runs_one_forward_per_chunk_and_bms_per_scene(traced_counts):
+    """Evaluating chunk + 1 scenes runs two forwards, and BMS once per
+    scene: the benchmark's eval workload reads saliency.bms_saliency.calls
+    as one per item."""
+    assert traced_counts["eval_forward"] == 2
+    assert traced_counts["eval_bms"] == traced_counts["chunk"] + 1

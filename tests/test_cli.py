@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestExitCodes:
         ("detector.backbone_channels", "[8,16]"), ("gradcheck.points", "0"),
         ("detector.top_k", "0"), ("detector.use_bottom_up", "1"),
         ("anchors.map_sizes", "[[8,8]]"), ("saliency.mode", "[]"),
+        ("detector.temperature", "0"), ("detector.temperature", "-10.0"),
+        ("data.base_train", "0"), ("data.novel_pool", "0"), ("data.test", "0"),
+        ("base.lr", "0"), ("novel.lr", "-0.002"),
+        ("base.momentum", "1"), ("novel.momentum", "-0.1"),
+        ("saliency.thresholds_per_channel", "0"), ("data.split", "4"),
+        ("sweep.k", "[2,0]"), ("sweep.epsilon", "[0.0]"), ("sweep.beta", "[-1.0]"),
+        ("sweep.eta", "[-0.4]"), ("sweep.gamma", "[0.5,-0.5]"), ("sweep.split", "[1,9]"),
     ])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
                                                 value):
@@ -346,6 +354,17 @@ class TestSweep:
     ARGS = [*TINY, "--set", "base.epochs=0", "--set", "novel.epochs=0",
             "--set", "sweep.k=[1]"]
 
+    def test_bad_grid_fails_before_any_training(self, tmp_path, capsys):
+        """At the default recipe a first cell trains a base detector for
+        minutes; a bad grid value must end the run before that."""
+        t0 = time.monotonic()
+        rc = run(["sweep", "--out", str(tmp_path), "--set", "sweep.k=[0]"])
+        assert rc == 1
+        assert time.monotonic() - t0 < 30
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "sweep.k" in err[0], err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_single_cell_then_resume(self, tmp_path, capsys):
         out = tmp_path / "s"
         rc = run(["sweep", "--out", str(out), *self.ARGS,
@@ -400,3 +419,56 @@ class TestOutputRoot:
         assert rc == 0
         assert (tmp_path / "gradcheck" / "report.json").exists()
         capsys.readouterr()
+
+
+class TestAtomicWrites:
+    """A write that dies part way leaves the previous file as it was and no
+    temp file beside it."""
+
+    SCENE = sd.generate_scene(0)
+
+    WRITERS = {
+        "save_arrays": lambda d, rev: T.save_arrays(
+            d / "a.ckpt.json", {"w": np.full(3, float(rev))}, meta={"rev": rev}),
+        "write_snapshot": lambda d, rev: cli.write_snapshot({"rev": rev}, str(d)),
+        "write_report": lambda d, rev: cli.write_report(str(d / "report.json"),
+                                                        {"rev": rev}),
+        "write_metrics": lambda d, rev: cli.write_metrics(
+            str(d / "metrics.jsonl"), [{"rev": rev}, {"rev": rev + 1}]),
+        # one image, so only the JSON sidecar changes between revisions
+        "dump_scene": lambda d, rev: sd.dump_scene(sd.Scene(
+            TestAtomicWrites.SCENE.image, TestAtomicWrites.SCENE.objects,
+            [rev == 0] * len(TestAtomicWrites.SCENE.objects)), str(d), "s"),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch, writer):
+        write = self.WRITERS[writer]
+        write(tmp_path, 0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_dumps = json.dumps
+        calls = []
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(real_dumps(obj, **kwargs)[:7])
+            raise RuntimeError("killed mid-write")
+
+        def torn_dumps(obj, **kwargs):
+            calls.append(obj)
+            if len(calls) > 1:  # the first row is written, the second dies
+                raise RuntimeError("killed mid-write")
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        monkeypatch.setattr(json, "dumps", torn_dumps)
+        with pytest.raises(RuntimeError):
+            write(tmp_path, 1)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli.write_report(str(path), {"rev": "a much longer first revision"})
+        cli.write_report(str(path), {"rev": 2})
+        assert json.loads(path.read_text()) == {"rev": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -1,6 +1,7 @@
 """Tests for anchors, matching, losses, NMS, and mAP evaluation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewdet import cli
 from fewdet import detector as D
+from fewdet import synthdata as sd
 from fewdet import tensor as T
 from fewdet.attention import topdown_map
 from fewdet.detector import (AnchorConfig, Box, DetectorConfig, DetectorOutputs,
                              MatchResult)
 from fewdet.tensor import Tensor, grad_check
-from oracles import (brute_force_matcher, brute_force_nms, decode_box,
-                     detect_per_anchor, eleven_point_ap, encode_box, iou_corners,
-                     match_detections_per_pair)
+from oracles import (brute_force_matcher, brute_force_nms, corners, decode_box,
+                     detect_per_anchor, eleven_point_ap, encode_box,
+                     evaluate_detector_per_scene, forward_one, forward_separate_heads,
+                     iou, iou_corners, match_detections_per_pair)
 
 
 def tiny_config(**overrides):
@@ -24,6 +28,11 @@ def tiny_config(**overrides):
                 anchors=AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
     base.update(overrides)
     return DetectorConfig(**base)
+
+
+def iou1(a: Box, b: Box) -> float:
+    """The package's IoU of one pair of boxes."""
+    return float(D.iou_matrix(D.boxes_to_array([a]), D.boxes_to_array([b]))[0, 0])
 
 
 def random_box(rng) -> Box:
@@ -35,24 +44,24 @@ class TestBoxAndIou:
 
     def test_identical_boxes(self):
         b = Box(0.5, 0.5, 0.2, 0.3)
-        assert D.iou(b, b) == 1.0
+        assert iou1(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert D.iou(Box(0.2, 0.2, 0.1, 0.1), Box(0.8, 0.8, 0.1, 0.1)) == 0.0
+        assert iou1(Box(0.2, 0.2, 0.1, 0.1), Box(0.8, 0.8, 0.1, 0.1)) == 0.0
 
     def test_corner_case_one_seventh(self):
         """Unit-overlap 2x2 squares: intersection 1, union 7."""
         a = Box(cx=1.0, cy=1.0, w=2.0, h=2.0)  # corners (0,0)-(2,2)
         b = Box(cx=2.0, cy=2.0, w=2.0, h=2.0)  # corners (1,1)-(3,3)
-        np.testing.assert_allclose(D.iou(a, b), 1 / 7, atol=1e-15)
+        np.testing.assert_allclose(iou1(a, b), 1 / 7, atol=1e-15)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
-            v = D.iou(a, b)
+            v = iou1(a, b)
             assert 0.0 <= v <= 1.0
-            assert v == D.iou(b, a)
+            assert v == iou1(b, a)
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -61,7 +70,7 @@ class TestBoxAndIou:
         m = D.iou_matrix(D.boxes_to_array(boxes_a), D.boxes_to_array(boxes_b))
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                np.testing.assert_allclose(m[i, j], D.iou(a, b), atol=1e-12)
+                assert m[i, j] == iou(a, b)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +170,8 @@ class TestMatching:
         a1 = Box(0.5, 0.5, 0.2 / math.sqrt(0.7), 0.2 / math.sqrt(0.7))  # IoU 0.7
         a2 = Box(0.5, 0.5, 0.2 / math.sqrt(0.6), 0.2 / math.sqrt(0.6))  # IoU 0.6
         anchors = D.boxes_to_array([a1, a2])
-        np.testing.assert_allclose(D.iou(a1, gt), 0.7, atol=1e-12)
-        np.testing.assert_allclose(D.iou(a2, gt), 0.6, atol=1e-12)
+        np.testing.assert_allclose(iou1(a1, gt), 0.7, atol=1e-12)
+        np.testing.assert_allclose(iou1(a2, gt), 0.6, atol=1e-12)
         match = D.match_anchors(anchors, [gt], [5], pos_thr=0.5)
         np.testing.assert_array_equal(match.positive_class, [5, 5])
         np.testing.assert_array_equal(match.matched_gt, [0, 0])
@@ -334,14 +343,18 @@ class TestForward:
         self.cfg = tiny_config()
         self.rng = np.random.default_rng(8)
         self.params = D.init_detector_params(self.cfg, [1, 2, 3], self.rng)
-        self.image = self.rng.uniform(0, 1, size=(3, 16, 16))
+        self.image = self.rng.uniform(0, 1, size=(3, 16, 16))[None]
 
     def test_output_shapes(self):
         out = D.forward(self.image, None, self.params, self.cfg)
         n = len(D.generate_anchors(self.cfg.anchors))
-        assert out.logits.shape == (n, 4)
-        assert out.offsets.shape == (n, 4)
-        assert out.features.shape == (n, 6)
+        assert out.logits.shape == (1, n, 4)
+        assert out.offsets.shape == (1, n, 4)
+        assert out.features.shape == (1, n, 6)
+        assert out.topdown.shape == (1, 4, 4)
+        single = out.single()
+        assert (single.logits.shape, single.offsets.shape, single.features.shape,
+                single.topdown.shape) == ((n, 4), (n, 4), (n, 6), (4, 4))
 
     def test_deterministic(self):
         a = D.forward(self.image, None, self.params, self.cfg)
@@ -350,11 +363,11 @@ class TestForward:
 
     def test_cosine_bound_reached_for_aligned_row(self):
         out = D.forward(self.image, None, self.params, self.cfg)
-        f0 = out.features.data[0]
+        f0 = out.features.data[0, 0]
         self.params.cls_rows.data = self.params.cls_rows.data.copy()
         self.params.cls_rows.data[1] = f0  # align class-1 row with anchor 0
         out2 = D.forward(self.image, None, self.params, self.cfg)
-        np.testing.assert_allclose(out2.logits.data[0, 1],
+        np.testing.assert_allclose(out2.logits.data[0, 0, 1],
                                    self.cfg.temperature, atol=1e-12)
         assert np.all(out2.logits.data <= self.cfg.temperature + 1e-12)
 
@@ -364,8 +377,8 @@ class TestForward:
         scaled.cls_rows.data[2] *= 7.5
         out2 = D.forward(self.image, None, scaled, self.cfg)
         np.testing.assert_allclose(out2.logits.data, out.logits.data, atol=1e-12)
-        assert np.array_equal(out.logits.data.argmax(axis=1),
-                              out2.logits.data.argmax(axis=1))
+        assert np.array_equal(out.logits.data.argmax(axis=2),
+                              out2.logits.data.argmax(axis=2))
 
     def test_zero_classifier_row_raises(self):
         bad = self.params.copy()
@@ -374,8 +387,8 @@ class TestForward:
             D.forward(self.image, None, bad, self.cfg)
 
     def test_saliency_changes_features_only_when_enabled(self):
-        sal = np.zeros((16, 16))
-        sal[4:10, 4:10] = 1.0
+        sal = np.zeros((1, 16, 16))
+        sal[0, 4:10, 4:10] = 1.0
         on = D.forward(self.image, sal, self.params, self.cfg)
         off_cfg = dataclasses.replace(self.cfg, use_bottom_up=False)
         off = D.forward(self.image, sal, self.params, off_cfg)
@@ -385,7 +398,9 @@ class TestForward:
 
     def test_wrong_image_shape(self):
         with pytest.raises(T.ShapeError):
-            D.forward(np.zeros((3, 8, 8)), None, self.params, self.cfg)
+            D.forward(np.zeros((1, 3, 8, 8)), None, self.params, self.cfg)
+        with pytest.raises(T.ShapeError):
+            D.forward(np.zeros((3, 16, 16)), None, self.params, self.cfg)
 
     def test_topdown_is_the_stage2_attention_map(self):
         """forward returns the map the global-context block pooled with:
@@ -397,9 +412,78 @@ class TestForward:
             x = T.relu(T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
                                 stride=2, padding=1))
         want = topdown_map(x, t["gc.w_k"]).data
-        assert out.topdown.shape == (4, 4)
+        assert out.topdown.shape == (1, 4, 4)
         assert out.topdown.data.tobytes() == want.tobytes()
         assert abs(out.topdown.data.sum() - 1.0) <= 1e-12
+
+
+class TestStackedForward:
+    """A stack is its scenes run alone: every output of scene b in a stack of
+    B is bitwise that scene's output as a stack of one."""
+
+    @staticmethod
+    def setup_scenes(n):
+        scenes = [sd.generate_scene(seed) for seed in range(n)]
+        provider = cli.saliency_provider(dict(cli.DEFAULTS), CFG)
+        return scenes, [provider(s) for s in scenes]
+
+    @pytest.mark.parametrize("with_saliency", [True, False])
+    def test_stacks_of_one_to_five_match_single_scenes(self, with_saliency):
+        scenes, maps = self.setup_scenes(5)
+        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], np.random.default_rng(3))
+        alone = [forward_one(s.image, m if with_saliency else None, params, CFG)
+                 for s, m in zip(scenes, maps)]
+        for n in range(1, 6):
+            out = D.forward(np.stack([s.image for s in scenes[:n]]),
+                            np.stack(maps[:n]) if with_saliency else None, params, CFG)
+            got = (out.logits.data, out.offsets.data, out.features.data, out.topdown.data)
+            for b in range(n):
+                for stacked, single in zip(got, alone[b]):
+                    assert stacked[b].tobytes() == single.tobytes()
+
+    def test_fused_heads_match_separate_convs(self):
+        """Values and every parameter gradient of a training-style loss are
+        bitwise those of running each head's feature and regression convs
+        separately, as two ops flattened one by one."""
+        scenes, maps = self.setup_scenes(1)
+        rng = np.random.default_rng(5)
+        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], rng)
+        n = len(D.generate_anchors(CFG.anchors))
+        weights = [Tensor(rng.standard_normal(shape))
+                   for shape in ((n, 7), (n, 4), (n, CFG.feat_dim))]
+        runs = []
+        for fused in (True, False):
+            params.zero_grads()
+            with T.Tape() as tape:
+                if fused:
+                    out = D.forward(scenes[0].image[None], maps[0][None], params,
+                                    CFG).single()
+                    outs = (out.logits, out.offsets, out.features)
+                else:
+                    outs = forward_separate_heads(scenes[0].image, maps[0], params, CFG)
+                loss = T.sum_all(T.concat(
+                    [T.reshape(T.sum_all(T.mul(o, w)), (1,)) for o, w in zip(outs, weights)],
+                    axis=0))
+            T.backward(tape, loss)
+            runs.append([o.data.tobytes() for o in outs]
+                        + [params.tensors[k].grad.tobytes() for k in sorted(params.tensors)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [D.INFERENCE_CHUNK - 1, D.INFERENCE_CHUNK,
+                                   D.INFERENCE_CHUNK + 1])
+    def test_evaluate_detector_matches_per_scene_loop(self, n):
+        scenes, _ = self.setup_scenes(n)
+        provider = cli.saliency_provider(dict(cli.DEFAULTS), CFG)
+        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], np.random.default_rng(4))
+        got = D.evaluate_detector(params, CFG, scenes, saliency_provider=provider,
+                                  novel_ids=(1, 4))
+        want = evaluate_detector_per_scene(params, CFG, scenes,
+                                           saliency_provider=provider, novel_ids=(1, 4))
+        assert json.dumps(got).encode() == json.dumps(want).encode()
+        assert len(got["per_class_ap"]) > 0
+
+
+CFG = cli.detector_config(dict(cli.DEFAULTS))
 
 
 class TestNms:
@@ -475,7 +559,8 @@ class TestDetect:
         for _ in range(8):
             out = self.outputs(rng, anchors, len(class_ids))
             got = [(d.class_id, d.score, (d.box.cx, d.box.cy, d.box.w, d.box.h))
-                   for d in D.detect(out, anchors, params, cfg)]
+                   for d in D.detect(out.logits.data, out.offsets.data, anchors,
+                                     params, cfg)]
             want = detect_per_anchor(out.logits.data, out.offsets.data,
                                      anchors, class_ids, cfg.nms_iou,
                                      score_thr, top_k)
@@ -586,7 +671,7 @@ class TestCheckpointRoundTrip:
                       meta={"class_ids": params.class_ids})
         arrays, meta = T.load_arrays(path)
         loaded = D.DetectorParams.from_arrays(arrays, meta["class_ids"])
-        image = rng.uniform(0, 1, size=(3, 16, 16))
+        image = rng.uniform(0, 1, size=(3, 16, 16))[None]
         a = D.forward(image, None, params, cfg)
         b = D.forward(image, None, loaded, cfg)
         assert np.array_equal(a.logits.data, b.logits.data)
@@ -609,5 +694,5 @@ class TestProperties:
     def test_iou_corner_pairs_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_box(rng), random_box(rng)
-        want = iou_corners(a.corners(), b.corners())
-        np.testing.assert_allclose(D.iou(a, b), want, atol=1e-12)
+        want = iou_corners(corners(a), corners(b))
+        np.testing.assert_allclose(iou1(a, b), want, atol=1e-12)

@@ -334,7 +334,7 @@ class TestNovelLoss:
         scene = toy_scene(rng, cfg, 1)
         match = det.match_anchors(anchors, [scene.objects[0].box], [1],
                                   cfg.pos_thr)
-        out = det.forward(scene.image, None, params, cfg)
+        out = det.forward(scene.image[None], None, params, cfg).single()
         mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                          match, cfg.neg_pos_ratio)
         gt = [scene.objects[0].box]
@@ -364,9 +364,9 @@ class TestNovelLoss:
         scene = toy_scene(rng, cfg, 1)
         match = det.match_anchors(anchors, [scene.objects[0].box], [1],
                                   cfg.pos_thr)
-        base_out = det.forward(scene.image, None, base, cfg)
+        base_out = det.forward(scene.image[None], None, base, cfg).single()
         with Tape() as tape:
-            out = det.forward(scene.image, None, params, cfg)
+            out = det.forward(scene.image[None], None, params, cfg).single()
             mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                              match, cfg.neg_pos_ratio)
             total, _ = fs.novel_loss(out, mined, [scene.objects[0].box],
@@ -444,9 +444,9 @@ class TestInitNovelDetector:
         novel = fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
 
         anchors = det.generate_anchors(cfg.anchors)
-        out = det.forward(scene.image, None, base, cfg)
+        out = det.forward(scene.image[None], None, base, cfg)
         ious = det.iou_matrix(anchors, det.boxes_to_array([scene.objects[0].box]))[:, 0]
-        f = out.features.data[int(np.argmax(ious))]
+        f = out.features.data[0, int(np.argmax(ious))]
         expected = f / np.linalg.norm(f)
         assert np.array_equal(novel.cls_rows.data[-1], expected)
 
@@ -654,7 +654,7 @@ class TestTraining:
                 boxes, match = caches[int(idx)]
                 params.zero_grads()
                 with Tape() as tape:
-                    out = det.forward(scene.image, None, params, cfg)
+                    out = det.forward(scene.image[None], None, params, cfg).single()
                     mined = det.hard_negative_mining(
                         det.background_ce(out.logits.data), match,
                         cfg.neg_pos_ratio)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fewdet import synthdata as SD
-from fewdet.detector import iou
 from fewdet.ppm import read_ppm
 from fewdet.synthdata import GenConfig, generate_scene
+from oracles import corners, generate_scene_per_pair, iou
 
 
 class TestSceneGeneration:
@@ -52,7 +52,7 @@ class TestSceneGeneration:
     def test_boxes_inside_image(self):
         for seed in range(30):
             for o in generate_scene(seed).objects:
-                x0, y0, x1, y1 = o.box.corners()
+                x0, y0, x1, y1 = corners(o.box)
                 assert 0.0 <= x0 < x1 <= 1.0
                 assert 0.0 <= y0 < y1 <= 1.0
 
@@ -62,6 +62,17 @@ class TestSceneGeneration:
             for i in range(len(objs)):
                 for j in range(i + 1, len(objs)):
                     assert iou(objs[i].box, objs[j].box) <= 0.3 + 1e-12
+
+    def test_placement_matches_per_pair_oracle(self):
+        """One iou_matrix row per candidate places the same objects, to the
+        byte, as one scalar IoU per (candidate, placed object) pair."""
+        for seed in range(200):
+            got, want = generate_scene(seed), generate_scene_per_pair(seed)
+            assert got.image.tobytes() == want.image.tobytes()
+            assert [(o.class_id, o.box) for o in got.objects] == \
+                [(o.class_id, o.box) for o in want.objects]
+            assert all(a.mask.tobytes() == b.mask.tobytes()
+                       for a, b in zip(got.objects, want.objects))
 
     def test_empty_scene_requires_allow_empty(self):
         with pytest.raises(SD.GenerationError):

@@ -51,20 +51,20 @@ class TestForwardOracles:
 
     def test_conv2d_single_window(self):
         """2x2 kernel on a 2x2 image collapses to one dot product: 2*3 + 1 = 7."""
-        x = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        x = Tensor(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
         k = Tensor(np.array([[[[2.0, 0.0], [0.0, 1.0]]]]))
         b = Tensor(np.array([4.0]))
-        np.testing.assert_allclose(T.conv2d(x, k).data, [[[3.0]]])
-        np.testing.assert_allclose(T.conv2d(x, k, b).data, [[[7.0]]])
+        np.testing.assert_allclose(T.conv2d(x, k).data, [[[[3.0]]]])
+        np.testing.assert_allclose(T.conv2d(x, k, b).data, [[[[7.0]]]])
 
     def test_conv2d_output_size_formula(self):
         rng = np.random.default_rng(0)
         for h, kk, s, p in [(7, 3, 2, 1), (5, 1, 1, 0), (8, 3, 3, 0), (4, 4, 1, 2)]:
-            x = Tensor(rng.standard_normal((2, h, h)))
+            x = Tensor(rng.standard_normal((2, h, h))[None])
             k = Tensor(rng.standard_normal((3, 2, kk, kk)))
             out = T.conv2d(x, k, stride=s, padding=p)
             expect = (h + 2 * p - kk) // s + 1
-            assert out.shape == (3, expect, expect)
+            assert out.shape == (1, 3, expect, expect)
 
     def test_conv2d_matches_naive(self):
         rng = np.random.default_rng(7)
@@ -72,16 +72,53 @@ class TestForwardOracles:
             x = rng.standard_normal((3, 6, 5))
             k = rng.standard_normal((4, 3, 3, 3))
             b = rng.standard_normal(4)
-            got = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
-            np.testing.assert_allclose(got.data, naive_conv2d(x, k, b, stride, padding),
+            got = T.conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride=stride,
+                           padding=padding)
+            np.testing.assert_allclose(got.data[0], naive_conv2d(x, k, b, stride, padding),
                                        rtol=0, atol=1e-12)
 
     def test_conv2d_shape_errors(self):
-        x = Tensor(np.zeros((2, 4, 4)))
+        x = Tensor(np.zeros((1, 2, 4, 4)))
         with pytest.raises(T.ShapeError):
             T.conv2d(x, Tensor(np.zeros((1, 3, 2, 2))))  # channel mismatch
         with pytest.raises(T.ShapeError):
             T.conv2d(x, Tensor(np.zeros((1, 2, 5, 5))))  # kernel larger than input
+
+    def test_conv2d_stack_is_per_sample(self):
+        """Each sample of a stack convolves exactly as it does alone."""
+        rng = np.random.default_rng(70)
+        for stride, padding in [(1, 0), (1, 1), (2, 1), (2, 0)]:
+            x = rng.standard_normal((5, 3, 7, 6))
+            k, b = Tensor(rng.standard_normal((4, 3, 3, 3))), Tensor(rng.standard_normal(4))
+            got = T.conv2d(Tensor(x), k, b, stride=stride, padding=padding).data
+            for i in range(5):
+                alone = T.conv2d(Tensor(x[i:i + 1]), k, b, stride=stride, padding=padding)
+                assert got[i].tobytes() == alone.data[0].tobytes()
+
+    def test_conv2d_kernel_sequence_equals_separate_convs(self):
+        """Two kernels over one input give the separate convs' outputs
+        stacked by channel and, to the bit, their summed gradients."""
+        rng = np.random.default_rng(71)
+        xv = rng.standard_normal((1, 3, 6, 6))
+        kv = [rng.standard_normal((4, 3, 3, 3)), rng.standard_normal((2, 3, 3, 3))]
+        bv = [rng.standard_normal(4), rng.standard_normal(2)]
+        w = rng.standard_normal((1, 6, 6, 6))
+        runs = []
+        for fused in (False, True):
+            x = Tensor(xv, requires_grad=True)
+            ks = [Tensor(v, requires_grad=True) for v in kv]
+            bs = [Tensor(v, requires_grad=True) for v in bv]
+            with Tape() as tape:
+                if fused:
+                    y = T.conv2d(x, ks, bs, padding=1)
+                else:
+                    y = T.concat([T.conv2d(x, k, b, padding=1) for k, b in zip(ks, bs)],
+                                 axis=1)
+                loss = T.sum_all(T.mul(y, Tensor(w)))
+            backward(tape, loss)
+            runs.append([y.data, x.grad] + [t.grad for t in ks + bs])
+        for sep, fus in zip(*runs):
+            assert sep.tobytes() == fus.tobytes()
 
     def test_softmax_spatial_log_logits(self):
         """exp undoes log, so softmax of ln([[1,3],[2,2]]) is the values over 8."""
@@ -207,7 +244,7 @@ class TestBackward:
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(8)
-        xv = rng.standard_normal((2, 5, 5))
+        xv = rng.standard_normal((2, 5, 5))[None]
         kv = rng.standard_normal((3, 2, 3, 3))
         grads = []
         for _ in range(2):
@@ -303,12 +340,53 @@ class TestGradCheck:
     def test_conv2d(self):
         rng = np.random.default_rng(20)
         for trial in range(10):
-            pt = {"x": rng.standard_normal((2, 5, 5)),
+            pt = {"x": rng.standard_normal((2, 5, 5))[None],
                   "k": rng.standard_normal((3, 2, 3, 3)),
                   "b": rng.standard_normal(3)}
             stride = 1 + trial % 2
             self.check(lambda L: T.mean_all(
                 T.conv2d(L["x"], L["k"], L["b"], stride=stride, padding=1)), pt)
+
+    def test_conv2d_stack(self):
+        rng = np.random.default_rng(22)
+        for trial in range(8):
+            stride, padding = 1 + trial % 2, (trial // 2) % 2
+            pt = {"x": rng.standard_normal((2, 2, 5, 5)),
+                  "k": rng.standard_normal((3, 2, 3, 3)),
+                  "b": rng.standard_normal(3)}
+            self.check(lambda L: T.mean_all(T.square(
+                T.conv2d(L["x"], L["k"], L["b"], stride=stride, padding=padding))), pt)
+
+    def test_conv2d_kernel_sequence(self):
+        rng = np.random.default_rng(23)
+        for trial in range(4):
+            pt = {"x": rng.standard_normal((2, 2, 4, 4)),
+                  "k1": rng.standard_normal((3, 2, 3, 3)), "b1": rng.standard_normal(3),
+                  "k2": rng.standard_normal((2, 2, 3, 3)), "b2": rng.standard_normal(2)}
+            self.check(lambda L: T.mean_all(T.square(T.conv2d(
+                L["x"], (L["k1"], L["k2"]), (L["b1"], L["b2"]), padding=1))), pt)
+
+    def test_softmax_spatial_stack(self):
+        rng = np.random.default_rng(24)
+        for trial in range(10):
+            pt = {"x": rng.standard_normal((2, 3, 4)), "w": rng.standard_normal((2, 3, 4))}
+            self.check(lambda L: T.sum_all(T.mul(T.softmax_spatial(L["x"]), L["w"])), pt)
+
+    def test_layer_norm_stack(self):
+        rng = np.random.default_rng(25)
+        for trial in range(10):
+            pt = {"x": rng.standard_normal((2, 6)), "g": rng.standard_normal(6),
+                  "b": rng.standard_normal(6), "w": rng.standard_normal((2, 6))}
+            self.check(lambda L: T.sum_all(T.mul(
+                T.layer_norm(L["x"], L["g"], L["b"]), L["w"])), pt)
+
+    def test_matmul_stack(self):
+        rng = np.random.default_rng(26)
+        for trial in range(10):
+            pt = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((2, 4, 2)),
+                  "c": rng.standard_normal((2, 3, 4)), "d": rng.standard_normal((4, 5))}
+            self.check(lambda L: T.add(T.sum_all(T.square(T.matmul(L["a"], L["b"]))),
+                                       T.sum_all(T.square(T.matmul(L["c"], L["d"])))), pt)
 
     def test_reductions_and_shaping(self):
         rng = np.random.default_rng(21)
@@ -431,8 +509,8 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     def test_conv_shape_always_matches_formula(self, h_extra, k, stride, padding):
         h = k + h_extra
-        x = Tensor(np.zeros((1, h, h)))
+        x = Tensor(np.zeros((1, 1, h, h)))
         kt = Tensor(np.zeros((1, 1, k, k)))
         out = T.conv2d(x, kt, stride=stride, padding=padding)
         expect = (h + 2 * padding - k) // stride + 1
-        assert out.shape == (1, expect, expect)
+        assert out.shape == (1, 1, expect, expect)
