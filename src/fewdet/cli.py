@@ -153,6 +153,14 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _finite(value) -> bool:
+    """Whether every number in a config value is finite: the snapshot is
+    strict JSON, which has no NaN or infinity."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 # the key groups a checkpoint stores and a detector is built from
 ARCHITECTURE = ("detector", "anchors", "saliency")
 
@@ -168,6 +176,8 @@ def _known_split(v) -> bool:
 # key -> (range test, what the key must be); a list key's test applies to
 # every item, so a sweep grid is checked before its first cell trains
 RULES = {
+    "seed": (lambda v: v >= 0, "an integer >= 0"),
+    "render.scene_seed": (lambda v: v >= 0, "an integer >= 0"),
     "data.split": (_known_split, "a known split id"),
     "data.base_train": (lambda v: v >= 1, "an integer >= 1"),
     "data.novel_pool": (lambda v: v >= 1, "an integer >= 1"),
@@ -180,12 +190,29 @@ RULES = {
     "novel.lr": (lambda v: v > 0, "a number > 0"),
     "base.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
     "novel.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
+    "base.weight_decay": (lambda v: v >= 0, "a number >= 0"),
+    "novel.weight_decay": (lambda v: v >= 0, "a number >= 0"),
+    "base.clip_norm": (lambda v: v >= 0, "a number >= 0"),
+    "novel.clip_norm": (lambda v: v >= 0, "a number >= 0"),
+    "base.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
+    "novel.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
+    "novel.k": (lambda v: v >= 1, "an integer >= 1"),
+    "novel.base_multiplier": (lambda v: v >= 0, "an integer >= 0"),
+    "novel.alpha": (lambda v: v >= 0, "a number >= 0"),
+    "novel.beta": (lambda v: v >= 0, "a number >= 0"),
+    "novel.eta": (lambda v: v >= 0, "a number >= 0"),
+    "novel.gamma": (lambda v: v >= 0, "a number >= 0"),
+    "detector.bottleneck_ratio": (lambda v: v >= 1, "an integer >= 1"),
+    "detector.neg_pos_ratio": (lambda v: v >= 0, "an integer >= 0"),
+    "detector.alpha": (lambda v: v >= 0, "a number >= 0"),
     "detector.temperature": (lambda v: v > 0, "a number > 0"),
     "detector.pos_thr": (lambda v: 0 < v < 1, "a number in (0,1)"),
     "detector.nms_iou": (lambda v: 0 < v < 1, "a number in (0,1)"),
     "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
     "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
     "saliency.thresholds_per_channel": (lambda v: v >= 1, "an integer >= 1"),
+    "saliency.blur_radius": (lambda v: v >= 0, "an integer >= 0"),
+    "saliency.opening_radius": (lambda v: v >= 0, "an integer >= 0"),
     "gradcheck.points": (lambda v: v >= 1, "an integer >= 1"),
     "sweep.beta": (lambda v: v >= 0, "a list of numbers >= 0"),
     "sweep.eta": (lambda v: v >= 0, "a list of numbers >= 0"),
@@ -193,27 +220,30 @@ RULES = {
     "sweep.gamma": (lambda v: v >= 0, "a list of numbers >= 0"),
     "sweep.k": (lambda v: v >= 1, "a list of integers >= 1"),
     "sweep.split": (_known_split, "a list of known split ids"),
+    "sweep.seeds": (lambda v: v >= 0, "a list of integers >= 0"),
 }
 
 
 def validate_config(cfg: dict[str, object]) -> None:
     """Reject values the pipeline cannot run with, naming the key: a value
-    whose JSON type differs from its default's, one outside its key's rule,
-    or architecture settings whose detector cannot be built and run once on
-    a blank scene."""
+    whose JSON type differs from its default's, a NaN or infinity, one
+    outside its key's rule, or architecture settings whose detector cannot
+    be built and run once on a blank scene."""
     for key, default in DEFAULTS.items():
         if not _fits(cfg[key], default):
             raise UsageError(f"{key} must have the type of its default "
                              f"{json.dumps(default)}, got {json.dumps(cfg[key])}")
+        if not _finite(cfg[key]):
+            raise UsageError(f"{key} must be finite, got {json.dumps(cfg[key])}")
     for key, (in_range, need) in RULES.items():
         value = cfg[key]
         if not all(map(in_range, value if isinstance(value, list) else [value])):
             raise UsageError(f"{key} must be {need}, got {json.dumps(cfg[key])}")
-    dcfg = detector_config(cfg)
-    side = dcfg.image_size
-    blank = sd.Scene(image=np.zeros((3, side, side)), objects=[], annotated=[])
-    provider = saliency_provider(cfg, dcfg)
     try:
+        dcfg = detector_config(cfg)
+        side = dcfg.image_size
+        blank = sd.Scene(image=np.zeros((3, side, side)), objects=[], annotated=[])
+        provider = saliency_provider(cfg, dcfg)
         det.generate_anchors(dcfg.anchors)
         params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
         det.forward(blank.image[None], provider(blank)[None] if provider else None,

@@ -365,8 +365,8 @@ def forward(images, saliency, params: DetectorParams,
     rows = T.transpose(T.concat(heads, axis=2), (0, 2, 1))
     p = rows.data.shape[1]
     rows = T.reshape(rows, (b * p, a * (d + 4)))
-    features = T.reshape(T.gather(rows, np.arange(a * d), axis=1), (b, p * a, d))
-    offsets = T.reshape(T.gather(rows, np.arange(a * d, a * (d + 4)), axis=1),
+    features = T.reshape(T.gather(rows, range(a * d), axis=1), (b, p * a, d))
+    offsets = T.reshape(T.gather(rows, range(a * d, a * (d + 4)), axis=1),
                         (b, p * a, 4))
     fhat = T.l2_normalize(features, axis=-1)
     what = T.l2_normalize(params.cls_rows, axis=1)

@@ -119,7 +119,7 @@ def distillation_loss(outputs: DetectorOutputs, base_logits: np.ndarray,
         raise T.ShapeError("novel and base outputs describe different anchor sets")
     if outputs.logits.data.shape[1] < r_base:
         raise T.ShapeError("novel detector has fewer classifier columns than base")
-    cols = np.arange(r_base, dtype=np.int64)
+    cols = range(r_base)
     l_logit = T.mean_all(T.square(T.sub(T.gather(outputs.logits, cols, axis=1),
                                         Tensor(base_logits))))
     l_reg = T.mean_all(T.square(T.sub(outputs.offsets, Tensor(base_offsets))))
@@ -425,10 +425,13 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
     The frozen base detector's outputs are computed once per support scene
     (they cannot change) and fed to the distillation term as constants.
     """
-    params = init_novel_detector(base_params, support, cfg, saliency_provider)
     anchors = det.generate_anchors(cfg.anchors)
     scenes = support.scenes
     caches = _prepare(scenes, cfg, anchors, saliency_provider)
+    # imprinting reads the maps just computed: one provider call per scene
+    cached = {id(s): c.saliency for s, c in zip(scenes, caches)}
+    params = init_novel_detector(base_params, support, cfg,
+                                 (lambda s: cached[id(s)]) if saliency_provider else None)
     if hp.gamma != 0.0:
         outputs = det.forward_chunks([s.image for s in scenes],
                                      lambda i: caches[i].saliency, base_params, cfg)

@@ -12,6 +12,7 @@ gradients; with no active tape they are plain numpy computations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Callable, Iterable, Sequence
@@ -326,21 +327,37 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Select rows (axis 0) or columns (axis 1); backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Select rows (axis 0) or columns (axis 1); backward scatter-adds.
+
+    Indices given as a ``range`` of step 1 inside the axis are a slice: the
+    forward copies it and the backward adds into it, bitwise what
+    ``np.take`` and ``np.add.at`` give, as each position then receives one
+    addition onto +0.0.
+    """
     if axis not in (0, 1):
         raise ShapeError("gather supports axis 0 or 1")
+    size = a.data.shape[axis] if axis < a.data.ndim else 0
+    if isinstance(indices, range) and indices.step == 1 \
+            and 0 <= indices.start < indices.stop <= size:
+        key = (slice(None),) * axis + (slice(indices.start, indices.stop),)
+        out = a.data[key].copy()
+    else:
+        key = None
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.take(a.data, idx, axis=axis)
 
     def bwd(g):
         # row-major even when a is a strided view: a gradient's memory order
         # sets the summation order of numpy reductions downstream
         gz = np.zeros(a.data.shape)
-        if axis == 0:
+        if key is not None:
+            gz[key] += g
+        elif axis == 0:
             np.add.at(gz, idx, g)
         else:
             np.add.at(gz, (slice(None), idx), g)
         return (gz,)
-    return _record("gather", (a,), np.take(a.data, idx, axis=axis), bwd)
+    return _record("gather", (a,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +495,35 @@ def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, 
     return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
+@functools.lru_cache(maxsize=64)
+def _col2im_index(shape: tuple[int, ...], kh: int, kw: int, stride: int, pad: int,
+                  ho: int, wo: int) -> Array:
+    """Flat position in the padded [B,C,H+2p,W+2p] stack of every entry of
+    [B, C*kh*kw, Ho*Wo] columns, in the columns' (b, c, i, j, r, q) order.
+    Cached per geometry and read-only, as every call shares it."""
+    b, c, h, w = shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(ho)[:, None]
+    cols = np.arange(kw)[:, None, None] + stride * np.arange(wo)
+    planes = np.arange(b * c)[:, None, None, None, None] * (hp * wp)
+    idx = (planes + rows * wp + cols).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
 def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int,
             pad: int, ho: int, wo: int) -> Array:
-    """Scatter-add [B, C*kh*kw, Ho*Wo] column gradients back onto [B,C,H,W]."""
+    """Scatter-add [B, C*kh*kw, Ho*Wo] column gradients back onto [B,C,H,W].
+
+    One ``np.bincount`` over a cached scatter index: it starts every pixel
+    at +0.0 and adds the columns in their (i, j) order, so each pixel's
+    gradient is the same sum in the same order as kh*kw slice-adds give.
+    """
     b, c, h, w = shape
-    gcols = gcols.reshape(b, c, kh, kw, ho, wo)
-    gxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-    return gxp[:, :, pad:pad + h, pad:pad + w]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    idx = _col2im_index(tuple(shape), kh, kw, stride, pad, ho, wo)
+    gxp = np.bincount(idx, weights=gcols.reshape(-1), minlength=b * c * hp * wp)
+    return gxp.reshape(b, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],

@@ -431,3 +431,16 @@ def forward_separate_heads(image, saliency, params, cfg):
     what = T.l2_normalize(params.cls_rows, axis=1)
     logits = T.scale(T.matmul(fhat, T.transpose(what, (1, 0))), cfg.temperature)
     return logits, offsets, features
+
+
+def col2im_slices(gcols, shape, kh, kw, stride, pad, ho, wo):
+    """conv2d's column scatter as kh*kw strided slice-adds onto a zeroed
+    padded stack, kernel offset (i, j) in row-major order; the same
+    signature as ``fewdet.tensor._col2im``."""
+    b, c, h, w = shape
+    gcols = gcols.reshape(b, c, kh, kw, ho, wo)
+    gxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + w]

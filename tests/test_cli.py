@@ -1,11 +1,16 @@
 """Command-line pipeline tests: config resolution, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewdet import cli
 from fewdet import detector as det
@@ -109,6 +114,14 @@ class TestExitCodes:
         ("saliency.thresholds_per_channel", "0"), ("data.split", "4"),
         ("sweep.k", "[2,0]"), ("sweep.epsilon", "[0.0]"), ("sweep.beta", "[-1.0]"),
         ("sweep.eta", "[-0.4]"), ("sweep.gamma", "[0.5,-0.5]"), ("sweep.split", "[1,9]"),
+        ("seed", "-1"), ("render.scene_seed", "-2"), ("sweep.seeds", "[7,-8]"),
+        ("saliency.blur_radius", "-1"), ("saliency.opening_radius", "-1"),
+        ("detector.bottleneck_ratio", "0"), ("detector.neg_pos_ratio", "-1"),
+        ("detector.alpha", "-1.0"), ("base.clip_norm", "-1.0"),
+        ("novel.weight_decay", "-0.1"), ("base.lr_decay_epochs", "[-1]"),
+        ("novel.k", "0"), ("novel.base_multiplier", "-1"), ("novel.gamma", "-0.5"),
+        ("detector.image_size", "-1"), ("novel.lr_decay", "Infinity"),
+        ("base.weight_decay", "NaN"), ("anchors.scales", "[NaN,0.42]"),
     ])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
                                                 value):
@@ -118,6 +131,50 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
         assert not (tmp_path / "base.ckpt.json").exists()
+
+
+def _like(default):
+    """Values of the JSON type of ``default``, out of its key's range as
+    often as not; integers stay small, so a valid one still runs quickly."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2, 3)
+    if isinstance(default, float):
+        return st.floats()  # NaN and the infinities included
+    if isinstance(default, str):
+        return st.text(max_size=4)
+    return st.lists(_like(default[0]), max_size=3)
+
+
+# a value of some other JSON type, an empty or a mistyped list among them
+_OTHER = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-2, 3),
+                   st.floats(), st.just({}), st.lists(st.sampled_from([None, "x", 1.5]),
+                                                      max_size=2))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_key_exits_zero_or_one_error_line(self, data):
+        """One key of a valid config file, mutated: train-base either runs
+        or stops with exit 1 and one ``error:`` line naming the key, never
+        a traceback."""
+        key = data.draw(st.sampled_from(sorted(cli.DEFAULTS)), label="key")
+        value = data.draw(st.one_of(_like(cli.DEFAULTS[key]), _OTHER), label="value")
+        cfg = dict(cli.DEFAULTS, **{"seed": 3, "data.base_train": 2, "data.novel_pool": 1,
+                                    "data.test": 2, "base.epochs": 0})
+        cfg[key] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "config.in.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run(["train-base", "--out", out, "--config", path])
+        lines = err.getvalue().splitlines()
+        assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+                           and key in lines[0]), (rc, lines)
 
 
 class TestTrainBase:

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fewdet import attention as att
 from fewdet import cli
 from fewdet import detector as det
 from fewdet import fewshot as fs
@@ -11,6 +13,7 @@ from fewdet import tensor as T
 from fewdet.detector import AnchorConfig, Box, DetectorConfig, DetectorOutputs
 from fewdet.synthdata import Scene, SceneObject
 from fewdet.tensor import Tape, Tensor, backward, grad_check
+from oracles import col2im_slices
 
 TOL = 1e-12
 
@@ -624,6 +627,31 @@ class TestTraining:
             with pytest.raises(fs.DivergenceError, match="epoch"):
                 fs.train_base(scenes, cfg, tc, [1, 2], seed=7)
 
+    def test_default_architecture_steps_match_slice_loop_col2im(self, monkeypatch):
+        """Three base steps of the default architecture end on the same
+        parameter bytes with the slice-loop col2im: a change to conv2d's
+        scatter order fails here, without a benchmark run."""
+        dcfg = cli.detector_config(cli.DEFAULTS)
+        split = sd.make_split(int(cli.DEFAULTS["data.split"]))
+        scenes = sd.build_benchmark(2, split, sizes=(3, 1, 1)).base_train
+        maps = {id(s): cli.saliency_provider(cli.DEFAULTS, dcfg)(s) for s in scenes}
+        tc = dataclasses.replace(cli.train_config(cli.DEFAULTS, "base"), epochs=1)
+
+        def three_steps():
+            params, _ = fs.train_base(scenes, dcfg, tc, sorted(split.base), seed=2,
+                                      saliency_provider=lambda s: maps[id(s)])
+            return params
+
+        new = three_steps()
+        monkeypatch.setattr(T, "_col2im", col2im_slices)
+        old = three_steps()
+        init = det.init_detector_params(dcfg, sorted(split.base),
+                                        np.random.default_rng(np.random.SeedSequence([2, 1])))
+        assert not np.array_equal(new.tensors["backbone.1.kernel"].data,
+                                  init.tensors["backbone.1.kernel"].data)
+        for name, t in new.tensors.items():
+            assert t.data.tobytes() == old.tensors[name].data.tobytes(), name
+
     def test_novel_zero_weights_is_plain_finetune_bitwise(self):
         rng = np.random.default_rng(22)
         cfg = tiny_config()
@@ -705,6 +733,35 @@ class TestTraining:
                                     fs.Hyperparams(alpha=0.0), seed=12)
         assert all(m["loss_bbox"] > 0.0 for m in with_box)
         assert all(m["loss_bbox"] == 0.0 for m in without)
+
+
+class TestSaliencyCalls:
+    def test_train_novel_asks_the_provider_once_per_support_scene(self):
+        """Imprinting reads the maps the training caches hold, so a scene
+        with a novel instance is not asked for twice; the imprinted rows
+        are those a direct init_novel_detector call gives."""
+        rng = np.random.default_rng(31)
+        cfg = tiny_config()
+        base = det.init_detector_params(cfg, [1, 2], rng)
+        support = fs.SupportSet(
+            scenes=[toy_scene(rng, cfg, 3), toy_scene(rng, cfg, 1),
+                    toy_scene(rng, cfg, 4), toy_scene(rng, cfg, 3)],
+            novel_instances={3: [(0, 0), (3, 0)], 4: [(2, 0)]},
+            base_instances={1: [(1, 0)]}, k=1)
+        side = cfg.image_size // 4
+        calls = []
+
+        def provider(scene):
+            calls.append(scene)
+            return att.pool_saliency(scene.image.mean(axis=0), side, side)
+
+        params, _ = fs.train_novel(base, support, cfg, fs.TrainConfig(epochs=0),
+                                   fs.Hyperparams(), seed=5, saliency_provider=provider)
+        assert len(calls) == len(support.scenes)
+        assert {id(s) for s in calls} == {id(s) for s in support.scenes}
+        direct = fs.init_novel_detector(base, support, cfg, provider)
+        for name, t in direct.tensors.items():
+            assert params.tensors[name].data.tobytes() == t.data.tobytes(), name
 
 
 class TestSaliencyProvider:

@@ -1,5 +1,6 @@
 """Tests for the autodiff core: forward oracles, backward vs finite differences."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fewdet import tensor as T
 from fewdet.tensor import Tape, Tensor, backward, grad_check
+from oracles import col2im_slices
 
 
 def naive_conv2d(x, k, bias=None, stride=1, padding=0):
@@ -204,6 +206,100 @@ class TestForwardOracles:
     def test_l2_normalize_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             T.l2_normalize(Tensor(np.zeros(3)))
+
+
+def mixed_grads(rng, shape):
+    """Normal draws scaled by 1e-300..1e300, with +0.0 and -0.0 sprinkled in."""
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+    g[rng.random(shape) < 0.2] = 0.0
+    g[rng.random(shape) < 0.2] = -0.0
+    return g
+
+
+class TestScatterOracles:
+    """conv2d's col2im and gather's backward against the plain scatter loops
+    they replace, to the byte: the order of their additions sets the bits of
+    every gradient upstream."""
+
+    @pytest.mark.parametrize("stride,pad", itertools.product((1, 2, 3), (0, 1, 2)))
+    def test_col2im_matches_slice_loop(self, stride, pad):
+        rng = np.random.default_rng(90 + 3 * stride + pad)
+        h, w = 7, 5
+        for (kh, kw), b in itertools.product(((1, 1), (3, 3), (4, 4)), (1, 3)):
+            ho, wo = T._conv_out_size(h, kh, stride, pad), T._conv_out_size(w, kw, stride, pad)
+            for _ in range(3):
+                g = mixed_grads(rng, (b, 2 * kh * kw, ho * wo))
+                got = T._col2im(g, (b, 2, h, w), kh, kw, stride, pad, ho, wo)
+                want = col2im_slices(g, (b, 2, h, w), kh, kw, stride, pad, ho, wo)
+                assert got.tobytes() == want.tobytes(), (kh, kw, b)
+                assert got.strides == want.strides
+
+    def test_col2im_index_is_shared_and_read_only(self):
+        args = ((2, 3, 6, 5), 3, 3, 2, 1, 3, 3)
+        idx = T._col2im_index(*args)
+        assert idx is T._col2im_index(*args)
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_conv2d_gradients_match_slice_loop(self, monkeypatch, sequence):
+        """x, kernel and bias gradients equal those of the slice-loop
+        col2im, for one kernel and for a kernel sequence."""
+        rng = np.random.default_rng(95 + sequence)
+        cases = [(rng.standard_normal((b, 3, 9, 6)), stride, padding)
+                 for b, stride, padding in [(1, 1, 1), (3, 2, 1), (2, 1, 0), (1, 3, 2)]]
+        shapes = [(4, 3, 3, 3), (2, 3, 3, 3)] if sequence else [(5, 3, 3, 3)]
+        kv = [rng.standard_normal(s) for s in shapes]
+        bv = [rng.standard_normal(s[0]) for s in shapes]
+
+        def grads():
+            out = []
+            for xv, stride, padding in cases:
+                x = Tensor(xv, requires_grad=True)
+                ks = [Tensor(v, requires_grad=True) for v in kv]
+                bs = [Tensor(v, requires_grad=True) for v in bv]
+                with Tape() as tape:
+                    y = T.conv2d(x, ks if sequence else ks[0], bs if sequence else bs[0],
+                                 stride=stride, padding=padding)
+                    w = Tensor(mixed_grads(np.random.default_rng(7), y.data.shape))
+                    loss = T.sum_all(T.mul(y, w))
+                backward(tape, loss)
+                out += [x.grad] + [t.grad for t in ks + bs]
+            return out
+
+        new = grads()
+        monkeypatch.setattr(T, "_col2im", col2im_slices)
+        old = grads()
+        for got, want in zip(new, old):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_gather_backward_matches_add_at(self, axis):
+        """Ranges (the slice path), index arrays, permutations and repeated
+        indices scatter bitwise as np.add.at does, into a row-major gradient
+        even for a column-major input; the forward is np.take's C-contiguous
+        copy."""
+        rng = np.random.default_rng(97 + axis)
+        av = rng.standard_normal((6, 5))
+        n = av.shape[axis]
+        cases = [range(n), range(1, n - 1), range(2, 3), range(n - 1, -1, -1),
+                 range(0, n, 2), range(-2, 0), np.arange(n), np.array([2]),
+                 rng.permutation(n), np.array([3, 1, 3, 0, 3]), np.array([n - 1, n - 1]),
+                 np.array([0, 1, 2, 2]), np.array([-2, -1])]
+        for data, idx in itertools.product((av, np.asfortranarray(av)), cases):
+            a = Tensor(data, requires_grad=True)
+            with Tape() as tape:
+                y = T.gather(a, idx, axis=axis)
+                g = mixed_grads(rng, y.data.shape)
+                loss = T.sum_all(T.mul(y, Tensor(g)))
+            backward(tape, loss)
+            want = np.zeros(av.shape)
+            arr = np.asarray(idx)
+            np.add.at(want, arr if axis == 0 else (slice(None), arr), g)
+            assert a.grad.tobytes() == want.tobytes(), idx
+            assert a.grad.flags.c_contiguous
+            assert y.data.tobytes() == np.take(av, arr, axis=axis).tobytes()
+            assert y.data.flags.c_contiguous
 
 
 class TestBackward:
