@@ -242,7 +242,7 @@ def validate_config(cfg: dict[str, object]) -> None:
     try:
         dcfg = detector_config(cfg)
         side = dcfg.image_size
-        blank = sd.Scene(image=np.zeros((3, side, side)), objects=[], annotated=[])
+        blank = sd.Scene.empty(np.zeros((3, side, side)))
         provider = saliency_provider(cfg, dcfg)
         det.generate_anchors(dcfg.anchors)
         params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
@@ -543,14 +543,13 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
               att.upsample_nearest(h_vis, dcfg.image_size, dcfg.image_size))
 
     anchors = det.generate_anchors(dcfg.anchors)
-    detections = det.detect(out.logits.data[0], out.offsets.data[0], anchors, params, dcfg)
+    labels, scores, boxes = det.detect(out.logits.data[0], out.offsets.data[0], anchors,
+                                       params, dcfg)
     with atomic_open(os.path.join(outdir, "detections.json")) as fh:
-        for d in detections:
-            fh.write(json.dumps(
-                {"image_id": scene_seed, "class": d.class_id,
-                 "score": d.score,
-                 "box": [d.box.cx, d.box.cy, d.box.w, d.box.h]}) + "\n")
-    print(f"rendered scene {scene_seed} with {len(detections)} detections to {outdir}")
+        for label, score, box in zip(labels.tolist(), scores.tolist(), boxes.tolist()):
+            fh.write(json.dumps({"image_id": scene_seed, "class": label,
+                                 "score": score, "box": box}) + "\n")
+    print(f"rendered scene {scene_seed} with {len(labels)} detections to {outdir}")
     return 0
 
 
@@ -743,7 +742,7 @@ def _micro_setup(rng: np.random.Generator):
     image = rng.uniform(0.0, 1.0, (3, 16, 16))
     saliency = rng.uniform(0.0, 1.0, (4, 4))
     anchors = det.generate_anchors(cfg.anchors)
-    gt_boxes = [det.Box(0.45, 0.5, 0.5, 0.55), det.Box(0.8, 0.75, 0.3, 0.4)]
+    gt_boxes = np.array([[0.45, 0.5, 0.5, 0.55], [0.8, 0.75, 0.3, 0.4]])
     gt_labels = [1, 3]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
 
@@ -871,9 +870,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    # weights can be finite and still overflow float64 in use; numpy's
+    # floating-point warnings are raised instead, to end in one error line
+    ckpt = getattr(args, "ckpt", None) or getattr(args, "base_ckpt", None)
     try:
-        cfg = resolve_config(args.config, args.set)
-        return args.func(cfg, args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = resolve_config(args.config, args.set)
+            return args.func(cfg, args)
+    except (FloatingPointError, T.NonFiniteError) as e:
+        source = f"checkpoint {ckpt}: its weights overflow" if ckpt else \
+            f"{args.command}: numeric overflow"
+        print(f"error: {source} ({e})", file=sys.stderr)
+        return 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

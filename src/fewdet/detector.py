@@ -22,25 +22,6 @@ from .tensor import Tensor
 BACKGROUND = 0  # class id and classifier row reserved for background
 
 
-@dataclass(frozen=True)
-class Box:
-    """An axis-aligned box in normalized image coordinates, center form."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box sides must be positive, got w={self.w} h={self.h}")
-
-
-def boxes_to_array(boxes) -> np.ndarray:
-    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64) \
-        if boxes else np.zeros((0, 4))
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of two [*,4] center-form box arrays -> [len(a), len(b)]."""
     if a.size == 0 or b.size == 0:
@@ -113,9 +94,10 @@ class MatchResult:
             raise ValueError("an anchor cannot be both positive and hard negative")
 
 
-def match_anchors(anchors: np.ndarray, gt_boxes: list[Box], gt_labels,
+def match_anchors(anchors: np.ndarray, gt_boxes: np.ndarray, gt_labels,
                   pos_thr: float = 0.5) -> MatchResult:
-    """Assign anchors to ground truth; hard negatives are filled later.
+    """Assign anchors to [G,4] center-form ground-truth boxes with [G] class
+    labels; hard negatives are filled later. Every box side must be positive.
 
     Two passes: first every gt box claims its best-IoU still-unclaimed anchor
     (in gt order; IoU ties go to the lowest anchor index), which guarantees
@@ -124,20 +106,26 @@ def match_anchors(anchors: np.ndarray, gt_boxes: list[Box], gt_labels,
     index).
     """
     n = len(anchors)
+    boxes = np.asarray(gt_boxes, dtype=np.float64)
     labels = np.asarray(gt_labels, dtype=np.int64)
+    if boxes.shape != (len(labels), 4):
+        raise ValueError(f"{len(labels)} gt labels need a [{len(labels)},4] box "
+                         f"array, got shape {list(boxes.shape)}")
+    if np.any(boxes[:, 2:] <= 0):
+        raise ValueError("gt box sides must be positive")
     if labels.size and labels.min() < 1:
         raise ValueError("gt labels must be >= 1 (0 is background)")
     positive = np.zeros(n, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
     result = MatchResult(positive, matched, np.zeros(n, dtype=bool))
-    if not gt_boxes:
+    if not len(boxes):
         return result
-    if len(gt_boxes) > n:
+    if len(boxes) > n:
         raise ValueError("more ground-truth boxes than anchors")
 
-    m = iou_matrix(anchors, boxes_to_array(gt_boxes))  # [N, G]
+    m = iou_matrix(anchors, boxes)  # [N, G]
     claimed = np.zeros(n, dtype=bool)
-    for g in range(len(gt_boxes)):
+    for g in range(len(boxes)):
         col = np.where(claimed, -1.0, m[:, g])
         best = int(np.argmax(col))  # argmax takes the lowest index on ties
         positive[best] = labels[g]
@@ -430,16 +418,16 @@ def hard_negative_mining(cls_losses: np.ndarray, match: MatchResult,
     return out
 
 
-def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
+def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: np.ndarray,
               anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
               alpha: float | None = None) -> tuple[Tensor, dict[str, float]]:
-    """Detection loss: (cross-entropy + alpha * smooth-L1) / max(N, 1).
+    """The detection loss: (cross-entropy + alpha * smooth-L1) / max(N, 1).
 
     Classification covers positives (their class row) and mined hard
     negatives (the background row); regression covers positives only,
-    against offsets encoded from their matched ground truth. ``alpha``
-    defaults to cfg.alpha, the base stage's weight; the novel stage passes
-    its own.
+    against offsets encoded from their matched rows of the [G,4] ground
+    truth. ``alpha`` defaults to cfg.alpha, the base stage's weight; the
+    novel stage passes its own.
     """
     alpha = cfg.alpha if alpha is None else alpha
     pos_idx = np.where(match.positive_class > 0)[0]
@@ -455,8 +443,7 @@ def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
     l_cls = T.sum_all(T.softmax_cross_entropy(T.gather(outputs.logits, sel), rows))
 
     if pos_idx.size:
-        targets = encode_all(boxes_to_array(gt_boxes)[match.matched_gt[pos_idx]],
-                             anchors[pos_idx])
+        targets = encode_all(gt_boxes[match.matched_gt[pos_idx]], anchors[pos_idx])
         l_bbox = T.sum_all(T.smooth_l1(T.gather(outputs.offsets, pos_idx),
                                        Tensor(targets)))
         total = T.scale(T.add(l_cls, T.scale(l_bbox, alpha)), 1.0 / n)
@@ -471,13 +458,6 @@ def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
 # ---------------------------------------------------------------------------
 # decoding, NMS, evaluation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Detection:
-    class_id: int
-    score: float
-    box: Box
-
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
         score_thr: float = 0.0, top_k: int | None = None) -> list[int]:
@@ -508,9 +488,12 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
 
 
 def detect(logits: np.ndarray, offsets: np.ndarray, anchors: np.ndarray,
-           params: DetectorParams, cfg: DetectorConfig) -> list[Detection]:
+           params: DetectorParams, cfg: DetectorConfig
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode one image's [N, 1+C] logits and [N,4] offsets into per-class
-    NMS-filtered detections.
+    NMS-filtered detections: (class ids [K], scores [K], center-form boxes
+    [K,4]), class by class in classifier-row order, score order within a
+    class.
 
     Decoded boxes are clipped to the unit square; anchors whose clipped box
     has no area never reach NMS.
@@ -529,13 +512,14 @@ def detect(logits: np.ndarray, offsets: np.ndarray, anchors: np.ndarray,
     valid = (clipped[:, 2] > 0) & (clipped[:, 3] > 0)
     boxes, probs = clipped[valid], probs[valid]
 
-    detections: list[Detection] = []
-    for col, cid in enumerate(params.class_ids, start=1):
-        scores = probs[:, col]
-        for i in nms(boxes, scores, cfg.nms_iou, cfg.score_thr, cfg.top_k):
-            detections.append(Detection(class_id=cid, score=float(scores[i]),
-                                        box=Box(*boxes[i].tolist())))
-    return detections
+    kept, cols = [], []
+    for col in range(1, 1 + len(params.class_ids)):
+        keep = nms(boxes, probs[:, col], cfg.nms_iou, cfg.score_thr, cfg.top_k)
+        kept += keep
+        cols += [col] * len(keep)
+    kept, cols = np.array(kept, dtype=np.int64), np.array(cols, dtype=np.int64)
+    labels = np.array([BACKGROUND] + params.class_ids, dtype=np.int64)[cols]
+    return labels, probs[kept, cols], boxes[kept]
 
 
 def eleven_point_ap(scored_hits: list[tuple[float, bool]], n_gt: int) -> float:
@@ -555,43 +539,51 @@ def eleven_point_ap(scored_hits: list[tuple[float, bool]], n_gt: int) -> float:
     return ap / 11.0
 
 
-def evaluate_map(detections_per_image: list[list[Detection]],
-                 gt_per_image: list[list[tuple[int, Box]]],
+def evaluate_map(detections_per_image, gt_per_image,
                  iou_thr: float = 0.5) -> tuple[dict[int, float], float]:
     """Per-class 11-point AP and mAP over the classes present in ground truth.
 
-    Detections are matched greedily in descending score order; each ground
-    truth can satisfy only one detection, and a detection whose best-IoU gt
-    is already taken counts as a false positive.
+    Per image, detections are :func:`detect`'s (labels [K], scores [K],
+    boxes [K,4]) and ground truth is (labels [M], boxes [M,4]). Each class's
+    detections are matched greedily in descending score order, ties to the
+    earlier image, then the earlier detection; each ground truth can satisfy
+    only one detection, and a detection whose best-IoU gt of its class is
+    already taken counts as a false positive.
     """
-    classes = sorted({c for gts in gt_per_image for c, _ in gts})
+    if not gt_per_image:
+        return {}, 0.0
+    det_labels, scores, best, best_iou, gt_labels = [], [], [], [], []
+    n_gt = 0
+    for (d_labels, d_scores, d_boxes), (g_labels, g_boxes) in zip(
+            detections_per_image, gt_per_image):
+        # IoU with each gt of the detection's own class, 0 with the others;
+        # the first strict maximum above 0 wins, all zeros match nothing
+        overlaps = np.where(d_labels[:, None] == g_labels,
+                            iou_matrix(d_boxes, g_boxes), 0.0)
+        top = overlaps.max(axis=1, initial=0.0)
+        first = overlaps.argmax(axis=1) if len(g_labels) else 0
+        det_labels.append(d_labels)
+        scores.append(d_scores)
+        best.append(np.where(top > 0, n_gt + first, -1))
+        best_iou.append(top)
+        gt_labels.append(g_labels)
+        n_gt += len(g_labels)
+    det_labels, scores, best, best_iou, gt_labels = map(
+        np.concatenate, (det_labels, scores, best, best_iou, gt_labels))
+
+    taken = np.zeros(n_gt, dtype=bool)
     per_class: dict[int, float] = {}
-    for c in classes:
-        gts = [[box for cid, box in gts_i if cid == c] for gts_i in gt_per_image]
-        n_gt = sum(len(g) for g in gts)
-        matched = [np.zeros(len(g), dtype=bool) for g in gts]
-        dets = [[d for d in dets_i if d.class_id == c]
-                for dets_i in detections_per_image]
-        # row r of overlaps[img_i]: IoU of that image's r-th class-c detection
-        # with each of its class-c ground truths
-        overlaps = [iou_matrix(boxes_to_array([d.box for d in dets_i]),
-                               boxes_to_array(gts_i))
-                    for dets_i, gts_i in zip(dets, gts)]
-        ranked = sorted(((d.score, img_i, r)
-                         for img_i, dets_i in enumerate(dets)
-                         for r, d in enumerate(dets_i)),
-                        key=lambda t: (-t[0], t[1], t[2]))
+    for c in sorted(set(gt_labels.tolist())):
+        mine = np.flatnonzero(det_labels == c)
         scored_hits = []
-        for score, img_i, r in ranked:
-            row = overlaps[img_i][r]
-            # the first strict maximum above 0 wins; all zeros match nothing
-            best = int(np.argmax(row)) if row.size and row.max() > 0 else -1
-            hit = (best >= 0 and row[best] >= iou_thr
-                   and not matched[img_i][best])
+        for i in mine[np.argsort(-scores[mine], kind="stable")].tolist():
+            g = best[i]
+            hit = g >= 0 and best_iou[i] >= iou_thr and not taken[g]
             if hit:
-                matched[img_i][best] = True
-            scored_hits.append((score, hit))
-        per_class[c] = eleven_point_ap(scored_hits, n_gt)
+                taken[g] = True
+            scored_hits.append((scores[i], hit))
+        per_class[c] = eleven_point_ap(scored_hits,
+                                       int(np.count_nonzero(gt_labels == c)))
     mean_ap = float(np.mean(list(per_class.values()))) if per_class else 0.0
     return per_class, mean_ap
 
@@ -609,7 +601,7 @@ def evaluate_detector(params: DetectorParams, cfg: DetectorConfig, scenes,
     outputs = forward_chunks([s.image for s in scenes], saliency_of, params, cfg)
     all_dets = [detect(logits, offsets, anchors, params, cfg)
                 for logits, offsets, _ in outputs]
-    all_gts = [[(o.class_id, o.box) for o in scene.objects] for scene in scenes]
+    all_gts = [(scene.labels, scene.boxes) for scene in scenes]
     per_class, map_all = evaluate_map(all_dets, all_gts, iou_thr)
     novel = set(novel_ids)
     base_aps = [ap for c, ap in per_class.items() if c not in novel]

@@ -8,6 +8,7 @@ Everything is deterministic given (data, config, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,7 @@ from . import tensor as T
 # pool_saliency and bms_saliency are unused here; bench/selftest.py checks
 # that its tracer rebinds these two ``from ... import`` bindings
 from .attention import pool_saliency  # noqa: F401
-from .detector import (Box, DetectorConfig, DetectorOutputs, DetectorParams,
-                       MatchResult)
+from .detector import DetectorConfig, DetectorOutputs, DetectorParams, MatchResult
 from .saliency import bms_saliency  # noqa: F401
 from .synthdata import Scene, SplitSpec, class_instance_index
 from .tensor import Tape, Tensor, backward
@@ -126,7 +126,7 @@ def distillation_loss(outputs: DetectorOutputs, base_logits: np.ndarray,
     return T.add(l_logit, l_reg)
 
 
-def novel_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: list[Box],
+def novel_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: np.ndarray,
                anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
                hp: Hyperparams, base_logits: np.ndarray | None = None,
                base_offsets: np.ndarray | None = None
@@ -213,10 +213,12 @@ def sample_support_set(pool: list[Scene], split: SplitSpec, k: int, seed: int,
 
     scene_order = sorted(visible)
     position = {s_i: pos for pos, s_i in enumerate(scene_order)}
-    scenes = [Scene(image=pool[s_i].image, objects=pool[s_i].objects,
-                    annotated=[o_i in visible[s_i]
-                               for o_i in range(len(pool[s_i].objects))])
-              for s_i in scene_order]
+    scenes = []
+    for s_i in scene_order:
+        annotated = np.zeros(len(pool[s_i].labels), dtype=bool)
+        annotated[sorted(visible[s_i])] = True
+        # the pool scene's image, box, label and mask arrays, shared
+        scenes.append(dataclasses.replace(pool[s_i], annotated=annotated))
 
     def remap(refs):
         return [(position[s_i], o_i) for s_i, o_i in refs]
@@ -273,12 +275,14 @@ def init_novel_detector(base_params: DetectorParams, support: SupportSet,
     outputs = det.forward_chunks([support.scenes[pos].image for pos in scene_pos],
                                  saliency_of, base_params, cfg)
     features_of = {pos: features for pos, (_, _, features) in zip(scene_pos, outputs)}
+    # column o: every anchor's IoU with the scene's object o
+    ious_of = {pos: det.iou_matrix(anchors, support.scenes[pos].boxes)
+               for pos in scene_pos}
     new_rows = [params.cls_rows.data]
     for cid in novel:
         feats = []
         for pos, obj_idx in support.novel_instances[cid]:
-            box = support.scenes[pos].objects[obj_idx].box
-            ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
+            ious = ious_of[pos][:, obj_idx]
             best = int(np.argmax(ious))
             if ious[best] == 0.0:
                 raise ImprintError(
@@ -309,7 +313,7 @@ def _metric_row(stage: str, epoch: int, sums: dict[str, float], count: int,
 @dataclass
 class _SceneCache:
     saliency: np.ndarray | None
-    gt_boxes: list[Box]
+    gt_boxes: np.ndarray  # [G,4], the scene's annotated boxes
     match: MatchResult
     base_logits: np.ndarray | None = None
     base_offsets: np.ndarray | None = None
@@ -319,29 +323,39 @@ def _prepare(scenes: list[Scene], cfg: DetectorConfig, anchors: np.ndarray,
              saliency_provider) -> list[_SceneCache]:
     caches = []
     for scene in scenes:
-        annotated = scene.annotated_objects()
-        boxes = [o.box for o in annotated]
-        labels = [o.class_id for o in annotated]
+        boxes = scene.boxes[scene.annotated]
         caches.append(_SceneCache(
             saliency=saliency_provider(scene) if saliency_provider else None,
             gt_boxes=boxes,
-            match=det.match_anchors(anchors, boxes, labels, cfg.pos_thr)))
+            match=det.match_anchors(anchors, boxes, scene.labels[scene.annotated],
+                                    cfg.pos_thr)))
     return caches
 
 
+def _joint_norm(arrays) -> float:
+    total = 0.0  # array by array, in order: training follows these bits
+    for a in arrays:
+        total += float((a ** 2).sum())
+    return math.sqrt(total)
+
+
 def _clip_gradients(params: DetectorParams, max_norm: float) -> None:
-    """Rescale all gradients so their joint L2 norm is at most max_norm.
+    """Rescale all gradients so their joint L2 norm is at most max_norm; 0
+    leaves them as they are. Non-finite gradients are a NonFiniteError.
 
     The first epochs produce violent steps that can push whole backbone
     stages into the dead half of the ReLU, from which no gradient returns;
     a norm cap keeps the early trajectory inside the recoverable region.
     """
-    total = 0.0
-    for t in params.tensors.values():
-        if t.grad is not None:
-            total += float((t.grad ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
+    grads = [t.grad for t in params.tensors.values() if t.grad is not None]
+    norm = _joint_norm(grads)
+    if math.isinf(norm):
+        # the squares overflow: take the norm of the gradients scaled down
+        peak = max(float(np.abs(g).max()) for g in grads)
+        norm = peak * _joint_norm([g / peak for g in grads])
+    if not math.isfinite(norm):
+        raise T.NonFiniteError("the gradients are not finite")
+    if 0 < max_norm < norm:
         scale = max_norm / norm
         for t in params.tensors.values():
             if t.grad is not None:
@@ -349,36 +363,46 @@ def _clip_gradients(params: DetectorParams, max_norm: float) -> None:
 
 
 def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
-    """Shared epoch loop: shuffle, batch, accumulate grads, step, log."""
+    """Shared epoch loop: shuffle, batch, accumulate grads, step, log.
+
+    A non-finite value is a DivergenceError, unless the failing scene's
+    step is non-finite from the starting parameters as well: then those
+    overflow on their own, and the NonFiniteError propagates.
+    """
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    initial = params.as_arrays()  # steps replace these arrays, never write into them
     velocity: dict[str, np.ndarray] = {}
     metrics = []
     lr = train_cfg.lr
-    for epoch in range(train_cfg.epochs):
-        if epoch in train_cfg.lr_decay_epochs:
-            lr *= train_cfg.lr_decay
-        perm = order_rng.permutation(len(scenes))
-        sums: dict[str, float] = {}
-        idx = -1
-        try:
-            # overflow is detected and raised as DivergenceError below, so
-            # numpy's own warnings on the way there are pure noise
-            with np.errstate(over="ignore", invalid="ignore"):
+
+    def scene_grads(idx):
+        """Add scene idx's gradients; returns its loss and the loss's parts."""
+        cache = caches[idx]
+        sal = None if cache.saliency is None else cache.saliency[None]
+        with Tape() as tape:
+            out = det.forward(scenes[idx].image[None], sal, params, cfg).single()
+            mined = det.hard_negative_mining(det.background_ce(out.logits.data),
+                                             cache.match, cfg.neg_pos_ratio)
+            loss, parts = loss_fn(out, mined, cache)
+        if loss.requires_grad:
+            backward(tape, loss)
+        return loss, parts
+
+    # a non-finite value is detected and raised as an error below, so numpy's
+    # own warnings or errors on the way there are pure noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(train_cfg.epochs):
+            if epoch in train_cfg.lr_decay_epochs:
+                lr *= train_cfg.lr_decay
+            perm = order_rng.permutation(len(scenes))
+            sums: dict[str, float] = {}
+            idx = -1
+            try:
                 for start in range(0, len(perm), train_cfg.batch_size):
                     batch = perm[start:start + train_cfg.batch_size]
                     params.zero_grads()
                     for idx in map(int, batch):
-                        cache = caches[idx]
-                        sal = None if cache.saliency is None else cache.saliency[None]
-                        with Tape() as tape:
-                            out = det.forward(scenes[idx].image[None], sal, params,
-                                              cfg).single()
-                            mined = det.hard_negative_mining(
-                                det.background_ce(out.logits.data), cache.match,
-                                cfg.neg_pos_ratio)
-                            loss, parts = loss_fn(out, mined, cache)
-                        if loss.requires_grad:
-                            backward(tape, loss)
+                        loss, parts = scene_grads(idx)
                         sums["loss_total"] = sums.get("loss_total", 0.0) + float(loss.data)
                         for key, value in parts.items():
                             sums[key] = sums.get(key, 0.0) + value
@@ -386,15 +410,22 @@ def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
                         for t in params.tensors.values():
                             if t.grad is not None:
                                 t.grad = t.grad / len(batch)
-                    if train_cfg.clip_norm > 0:
-                        _clip_gradients(params, train_cfg.clip_norm)
+                    _clip_gradients(params, train_cfg.clip_norm)
                     T.sgd_momentum_step(params.tensors, velocity, lr=lr,
                                         momentum=train_cfg.momentum,
                                         weight_decay=train_cfg.weight_decay)
-        except T.NonFiniteError as e:
-            raise DivergenceError(f"{stage} stage diverged at epoch {epoch} "
-                                  f"near scene {idx}: {e}") from e
-        metrics.append(_metric_row(stage, epoch, sums, len(perm), lr))
+            except T.NonFiniteError as e:
+                params.zero_grads()
+                for name, t in params.tensors.items():
+                    t.data = initial[name]
+                try:
+                    scene_grads(idx)
+                    _clip_gradients(params, 0.0)
+                except T.NonFiniteError:
+                    raise e  # no divergence: the starting parameters overflow
+                raise DivergenceError(f"{stage} stage diverged at epoch {epoch} "
+                                      f"near scene {idx}: {e}") from e
+            metrics.append(_metric_row(stage, epoch, sums, len(perm), lr))
     return metrics
 
 

@@ -118,16 +118,14 @@ def box_blur(m: np.ndarray) -> np.ndarray:
 
 
 def oracle_saliency(scene, blur_radius: int = 2) -> np.ndarray:
-    """Ground-truth saliency for synthetic scenes: the union of every object
-    mask (annotated or not), box-blurred blur_radius times, then min-max
+    """Ground-truth saliency for synthetic scenes: the union of the scene's
+    [M,H,W] object masks (annotated or not), box-blurred blur_radius times, then min-max
     normalized. Constant maps are returned unchanged, so an empty scene gives
     zeros and a full-frame object gives ones."""
-    h, w = scene.image.shape[1:]
-    union = np.zeros((h, w), dtype=np.float64)
-    for obj in scene.objects:
-        if obj.mask is None:
-            raise ValueError("scene object lacks an instance mask")
-        union = np.maximum(union, obj.mask.astype(np.float64))
+    masks = scene.masks
+    if masks is None or masks.ndim != 3 or masks.shape[1:] != scene.image.shape[1:]:
+        raise ValueError("scene lacks an [M,H,W] stack of instance masks")
+    union = masks.any(axis=0).astype(np.float64)
     for _ in range(blur_radius):
         union = box_blur(union)
     return minmax_or_zeros(union) if union.max() > union.min() else union

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .detector import Box, boxes_to_array, iou_matrix
+from .detector import iou_matrix
 from .ppm import write_ppm
 
 
@@ -71,20 +71,20 @@ def make_split(split_id: int) -> SplitSpec:
 
 
 @dataclass
-class SceneObject:
-    class_id: int
-    box: Box
-    mask: np.ndarray  # bool [H,W], box is its exact tight bound
-
-
-@dataclass
 class Scene:
-    image: np.ndarray  # float64 [3,S,S] in [0,1]
-    objects: list[SceneObject]
-    annotated: list[bool]
+    """One image and its M object instances, one array row per instance."""
 
-    def annotated_objects(self) -> list[SceneObject]:
-        return [o for o, a in zip(self.objects, self.annotated) if a]
+    image: np.ndarray      # float64 [3,S,S] in [0,1]
+    boxes: np.ndarray      # float64 [M,4] center form, each its mask's tight bound
+    labels: np.ndarray     # int64 [M] class ids
+    masks: np.ndarray      # bool [M,S,S]
+    annotated: np.ndarray  # bool [M]
+
+    @classmethod
+    def empty(cls, image: np.ndarray) -> "Scene":
+        """A scene of ``image`` with no objects."""
+        return cls(image, np.zeros((0, 4)), np.zeros(0, dtype=np.int64),
+                   np.zeros((0, *image.shape[1:]), dtype=bool), np.zeros(0, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,14 @@ class GenConfig:
     max_place_attempts: int = 100
 
 
-def _tight_box(mask: np.ndarray, size: int) -> Box:
+def _tight_box(mask: np.ndarray, size: int) -> np.ndarray:
+    """The mask's tight bounding box as a center-form [4] row."""
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     r0, r1 = rows[0], rows[-1]
     c0, c1 = cols[0], cols[-1]
-    return Box(cx=(c0 + c1 + 1) / (2 * size), cy=(r0 + r1 + 1) / (2 * size),
-               w=(c1 + 1 - c0) / size, h=(r1 + 1 - r0) / size)
+    return np.array([(c0 + c1 + 1) / (2 * size), (r0 + r1 + 1) / (2 * size),
+                     (c1 + 1 - c0) / size, (r1 + 1 - r0) / size])
 
 
 def _rasterize(shape_index: int, rng: np.random.Generator,
@@ -171,11 +172,11 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
     if cfg.max_objects == 0:
         if not cfg.allow_empty:
             raise GenerationError("max_objects=0 requires allow_empty")
-        return Scene(image=image, objects=[], annotated=[])
+        return Scene.empty(image)
 
     n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
-    objects: list[SceneObject] = []
-    placed = np.zeros((0, 4))  # the objects' boxes, as an array
+    labels, masks = [], []
+    boxes = np.zeros((0, 4))
     for _ in range(n_objects):
         class_id = int(rng.integers(1, NUM_CLASSES + 1))
         shape_index, family = shape_of(class_id)
@@ -187,18 +188,21 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
             mask = _rasterize(shape_index, rng, cfg)
             if mask is None:
                 continue
-            box = _tight_box(mask, size)
-            if np.all(iou_matrix(boxes_to_array([box]), placed) <= cfg.overlap_cap):
+            box = _tight_box(mask, size)[None]
+            if np.all(iou_matrix(box, boxes) <= cfg.overlap_cap):
                 break
         else:
             raise GenerationError(
-                f"could not place object {len(objects) + 1} of {n_objects} "
+                f"could not place object {len(labels) + 1} of {n_objects} "
                 f"after {cfg.max_place_attempts} attempts")
         image[:, mask] = color[:, None]
-        objects.append(SceneObject(class_id=class_id, box=box, mask=mask))
-        placed = np.concatenate([placed, boxes_to_array([box])])
+        labels.append(class_id)
+        masks.append(mask)
+        boxes = np.concatenate([boxes, box])
 
-    return Scene(image=image, objects=objects, annotated=[True] * len(objects))
+    return Scene(image=image, boxes=boxes, labels=np.array(labels, dtype=np.int64),
+                 masks=np.array(masks, dtype=bool).reshape(-1, size, size),
+                 annotated=np.ones(len(labels), dtype=bool))
 
 
 @dataclass
@@ -226,9 +230,8 @@ def build_benchmark(seed: int, split: SplitSpec,
         subsets.append([generate_scene(s, cfg) for s in subset_seq.spawn(count)])
     base_train, novel_pool, test = subsets
 
-    novel = set(split.novel)
     for scene in base_train:
-        scene.annotated = [o.class_id not in novel for o in scene.objects]
+        scene.annotated = ~np.isin(scene.labels, split.novel)
     return Benchmark(split=split, base_train=base_train,
                      novel_pool=novel_pool, test=test)
 
@@ -237,8 +240,8 @@ def class_instance_index(scenes: list[Scene]) -> dict[int, list[tuple[int, int]]
     """class id -> [(scene index, object index)] over all objects."""
     index: dict[int, list[tuple[int, int]]] = {}
     for s_i, scene in enumerate(scenes):
-        for o_i, obj in enumerate(scene.objects):
-            index.setdefault(obj.class_id, []).append((s_i, o_i))
+        for o_i, class_id in enumerate(scene.labels.tolist()):
+            index.setdefault(class_id, []).append((s_i, o_i))
     return index
 
 
@@ -246,9 +249,8 @@ def dump_scene(scene: Scene, directory, name: str) -> None:
     """Optional corpus export: <name>.ppm plus a JSON annotation sidecar."""
     write_ppm(f"{directory}/{name}.ppm", scene.image)
     doc = {"objects": [
-        {"class": o.class_id,
-         "box": [o.box.cx, o.box.cy, o.box.w, o.box.h],
-         "annotated": bool(a)}
-        for o, a in zip(scene.objects, scene.annotated)]}
+        {"class": label, "box": box, "annotated": annotated}
+        for label, box, annotated in zip(scene.labels.tolist(), scene.boxes.tolist(),
+                                         scene.annotated.tolist())]}
     with atomic_open(f"{directory}/{name}.json") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)

@@ -280,21 +280,16 @@ def match_detections_per_pair(detections, gts, iou_thr):
     return out
 
 
-def corners(box):
-    """(x0, y0, x1, y1) of a center-form Box."""
-    return (box.cx - box.w / 2, box.cy - box.h / 2,
-            box.cx + box.w / 2, box.cy + box.h / 2)
-
-
 def iou(a, b):
-    """Scalar IoU of two center-form Boxes, one float operation at a time in
-    the order the package's iou_matrix takes them (areas as w * h)."""
-    ax0, ay0, ax1, ay1 = corners(a)
-    bx0, by0, bx1, by1 = corners(b)
+    """Scalar IoU of two center-form (cx, cy, w, h) boxes, one float
+    operation at a time in the order the package's iou_matrix takes them
+    (areas as w * h)."""
+    ax0, ay0, ax1, ay1 = center_to_corners(a)
+    bx0, by0, bx1, by1 = center_to_corners(b)
     iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
     ih = max(0.0, min(ay1, by1) - max(ay0, by0))
     inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
+    union = a[2] * a[3] + b[2] * b[3] - inter
     return inter / union if inter > 0 else 0.0
 
 
@@ -308,7 +303,7 @@ def generate_scene_per_pair(seed, cfg=None):
     size = cfg.image_size
     image = sd._background(rng, size)
     n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
-    objects = []
+    labels, boxes, masks = [], [], []
     for _ in range(n_objects):
         class_id = int(rng.integers(1, sd.NUM_CLASSES + 1))
         shape_index, family = sd.shape_of(class_id)
@@ -319,14 +314,17 @@ def generate_scene_per_pair(seed, cfg=None):
             mask = sd._rasterize(shape_index, rng, cfg)
             if mask is None:
                 continue
-            box = sd._tight_box(mask, size)
-            if all(iou(box, o.box) <= cfg.overlap_cap for o in objects):
+            box = tuple(sd._tight_box(mask, size).tolist())
+            if all(iou(box, placed) <= cfg.overlap_cap for placed in boxes):
                 break
         else:
             raise sd.GenerationError("placement failed")
         image[:, mask] = color[:, None]
-        objects.append(sd.SceneObject(class_id=class_id, box=box, mask=mask))
-    return sd.Scene(image=image, objects=objects, annotated=[True] * len(objects))
+        labels.append(class_id)
+        boxes.append(box)
+        masks.append(mask)
+    return sd.Scene(image=image, boxes=np.array(boxes), labels=np.array(labels),
+                    masks=np.array(masks), annotated=np.ones(len(labels), dtype=bool))
 
 
 def forward_one(image, saliency, params, cfg):
@@ -352,7 +350,7 @@ def evaluate_detector_per_scene(params, cfg, scenes, saliency_provider=None,
         sal = saliency_provider(scene) if saliency_provider else None
         logits, offsets, _, _ = forward_one(scene.image, sal, params, cfg)
         all_dets.append(det.detect(logits, offsets, anchors, params, cfg))
-        all_gts.append([(o.class_id, o.box) for o in scene.objects])
+        all_gts.append((scene.labels, scene.boxes))
     per_class, map_all = det.evaluate_map(all_dets, all_gts, iou_thr)
     novel = set(novel_ids)
     base_aps = [ap for c, ap in per_class.items() if c not in novel]
@@ -375,11 +373,10 @@ def mean_positive_cosine(params, cfg, scenes, saliency_provider=None):
     rows_hat = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     total, count = 0.0, 0
     for scene in scenes:
-        annotated = scene.annotated_objects()
-        if not annotated:
+        if not scene.annotated.any():
             continue
-        match = det.match_anchors(anchors, [o.box for o in annotated],
-                                  [o.class_id for o in annotated], cfg.pos_thr)
+        match = det.match_anchors(anchors, scene.boxes[scene.annotated],
+                                  scene.labels[scene.annotated], cfg.pos_thr)
         sal = saliency_provider(scene) if saliency_provider else None
         features = forward_one(scene.image, sal, params, cfg)[2]
         pos_idx = np.where(match.positive_class > 0)[0]

@@ -147,9 +147,9 @@ def _random_instance(rng):
     saliency = rng.uniform(0.0, 1.0, (4, 4))
     anchors = det.generate_anchors(cfg.anchors)
     n_gt = int(rng.integers(1, 4))
-    gt_boxes = [det.Box(float(rng.uniform(0.25, 0.75)), float(rng.uniform(0.25, 0.75)),
-                        float(rng.uniform(0.15, 0.45)), float(rng.uniform(0.15, 0.45)))
-                for _ in range(n_gt)]
+    gt_boxes = np.array([[rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75),
+                          rng.uniform(0.15, 0.45), rng.uniform(0.15, 0.45)]
+                         for _ in range(n_gt)])
     gt_labels = [int(rng.integers(1, 4)) for _ in range(n_gt)]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
     out = det.forward(image[None], saliency[None], params, cfg).single()
@@ -379,10 +379,9 @@ class TestMatrixImprinting:
                 feats = []
                 for scene_pos, obj_idx in support.novel_instances[cid]:
                     scene = support.scenes[scene_pos]
-                    box = scene.objects[obj_idx].box
                     features = oracles.forward_one(scene.image, _oracle(scene), base,
                                                    cfg)[2]
-                    ious = det.iou_matrix(anchors, det.boxes_to_array([box]))[:, 0]
+                    ious = det.iou_matrix(anchors, scene.boxes[obj_idx:obj_idx + 1])[:, 0]
                     feat = features[int(np.argmax(ious))]
                     feats.append(feat / np.linalg.norm(feat))
                 assert len(feats) == 2

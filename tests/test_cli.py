@@ -1,11 +1,13 @@
 """Command-line pipeline tests: config resolution, artifacts, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +177,75 @@ class TestConfigFuzz:
         lines = err.getvalue().splitlines()
         assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: ")
                            and key in lines[0]), (rc, lines)
+
+
+# a finite value whose square, and often the value itself times an
+# activation, overflows float64
+_HUGE = st.floats(1e100, 1e308).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+class TestCheckpointFuzz:
+    EDITS = ("huge", "zero", "flip", "zero cls.rows", "meta")
+
+    @staticmethod
+    def mutate(data, arrays, meta):
+        """One array value or one metadata field of a checkpoint, changed."""
+        edit = data.draw(st.sampled_from(TestCheckpointFuzz.EDITS), label="edit")
+        if edit == "meta":
+            key = data.draw(st.sampled_from(sorted(meta)), label="meta key")
+            if key == "config":
+                sub = data.draw(st.sampled_from(sorted(meta["config"])),
+                                label="config key")
+                value = {**meta["config"],
+                         sub: data.draw(st.one_of(_like(cli.DEFAULTS[sub]), _OTHER),
+                                        label="value")}
+            else:
+                value = data.draw(st.one_of(_like(meta[key]), _OTHER), label="value")
+            return arrays, {**meta, key: value}
+        if edit == "zero cls.rows":
+            return {**arrays, "cls.rows": np.zeros_like(arrays["cls.rows"])}, meta
+        name = data.draw(st.sampled_from(sorted(arrays)), label="array")
+        a = arrays[name].copy()
+        i = data.draw(st.integers(0, a.size - 1), label="index")
+        if edit == "huge":
+            a.flat[i] = data.draw(_HUGE, label="value")
+        else:
+            a.flat[i] = 0.0 if edit == "zero" else -a.flat[i]
+        return {**arrays, name: a}, meta
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_exits_zero_or_one_error_line(self, base_run, data):
+        """eval and train-novel on a valid checkpoint with one value or one
+        metadata field changed: each run exits 0 with nothing on stderr, or
+        1 with one ``error:`` line; never a traceback or a numpy warning.
+        train-novel may also stop with exit 2 and one line saying that the
+        novel stage diverged: with gamma > 0, a regression weight of about
+        1e200 or more is usable as loaded, but the distillation term
+        overflows once a step moves a weight that feeds it."""
+        arrays, meta = self.mutate(data, *T.load_arrays(base_run / "base.ckpt.json"))
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "m.ckpt.json")
+            with open(path, "w") as fh:  # NaN and Infinity in meta included
+                json.dump({"format_version": T.CHECKPOINT_FORMAT_VERSION, "meta": meta,
+                           "arrays": {name: {"shape": list(a.shape),
+                                             "data": a.ravel().tolist()}
+                                      for name, a in arrays.items()}}, fh)
+            for args in (["eval", "--ckpt", path],
+                         ["train-novel", "--base-ckpt", path, "--set", "novel.k=1",
+                          "--set", "novel.epochs=1"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = run([args[0], "--out", out, *TINY, *args[1:]])
+                lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+                one_error = len(lines) == 1 and lines[0].startswith("error: ")
+                assert (rc == 0 and not lines) or (rc == 1 and one_error) or \
+                    (rc == 2 and one_error and args[0] == "train-novel"
+                     and lines[0].startswith("error: novel stage diverged")), \
+                    (args[0], rc, lines)
 
 
 class TestTrainBase:
@@ -493,9 +564,9 @@ class TestAtomicWrites:
         "write_metrics": lambda d, rev: cli.write_metrics(
             str(d / "metrics.jsonl"), [{"rev": rev}, {"rev": rev + 1}]),
         # one image, so only the JSON sidecar changes between revisions
-        "dump_scene": lambda d, rev: sd.dump_scene(sd.Scene(
-            TestAtomicWrites.SCENE.image, TestAtomicWrites.SCENE.objects,
-            [rev == 0] * len(TestAtomicWrites.SCENE.objects)), str(d), "s"),
+        "dump_scene": lambda d, rev: sd.dump_scene(dataclasses.replace(
+            TestAtomicWrites.SCENE,
+            annotated=np.full(len(TestAtomicWrites.SCENE.labels), rev == 0)), str(d), "s"),
     }
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
@@ -522,6 +593,32 @@ class TestAtomicWrites:
             write(tmp_path, 1)
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_contents_are_fsynced_before_the_replace(self, tmp_path, monkeypatch,
+                                                     writer):
+        """A power cut after the replace finds the whole new file on disk:
+        each temp file is flushed, then fsynced, then renamed over its target."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            st = os.stat(src)
+            events.append(("replace", st.st_ino, st.st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        self.WRITERS[writer](tmp_path, 0)
+        replaced = [e for e in events if e[0] == "replace"]
+        assert replaced
+        for event in replaced:
+            assert ("fsync", *event[1:]) in events[:events.index(event)], events
 
     def test_replaces_whole_file(self, tmp_path):
         path = tmp_path / "report.json"

@@ -14,10 +14,9 @@ from fewdet import detector as D
 from fewdet import synthdata as sd
 from fewdet import tensor as T
 from fewdet.attention import topdown_map
-from fewdet.detector import (AnchorConfig, Box, DetectorConfig, DetectorOutputs,
-                             MatchResult)
+from fewdet.detector import AnchorConfig, DetectorConfig, DetectorOutputs, MatchResult
 from fewdet.tensor import Tensor, grad_check
-from oracles import (brute_force_matcher, brute_force_nms, corners, decode_box,
+from oracles import (brute_force_matcher, brute_force_nms, center_to_corners, decode_box,
                      detect_per_anchor, eleven_point_ap, encode_box,
                      evaluate_detector_per_scene, forward_one, forward_separate_heads,
                      iou, iou_corners, match_detections_per_pair)
@@ -30,29 +29,30 @@ def tiny_config(**overrides):
     return DetectorConfig(**base)
 
 
-def iou1(a: Box, b: Box) -> float:
-    """The package's IoU of one pair of boxes."""
-    return float(D.iou_matrix(D.boxes_to_array([a]), D.boxes_to_array([b]))[0, 0])
+def iou1(a, b) -> float:
+    """The package's IoU of one pair of (cx, cy, w, h) boxes."""
+    return float(D.iou_matrix(np.array([a]), np.array([b]))[0, 0])
 
 
-def random_box(rng) -> Box:
-    return Box(cx=rng.uniform(0.2, 0.8), cy=rng.uniform(0.2, 0.8),
-               w=rng.uniform(0.05, 0.4), h=rng.uniform(0.05, 0.4))
+def random_box(rng) -> tuple[float, float, float, float]:
+    """A center-form (cx, cy, w, h) box inside the unit square."""
+    return (rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8),
+            rng.uniform(0.05, 0.4), rng.uniform(0.05, 0.4))
 
 
 class TestBoxAndIou:
 
     def test_identical_boxes(self):
-        b = Box(0.5, 0.5, 0.2, 0.3)
+        b = (0.5, 0.5, 0.2, 0.3)
         assert iou1(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou1(Box(0.2, 0.2, 0.1, 0.1), Box(0.8, 0.8, 0.1, 0.1)) == 0.0
+        assert iou1((0.2, 0.2, 0.1, 0.1), (0.8, 0.8, 0.1, 0.1)) == 0.0
 
     def test_corner_case_one_seventh(self):
         """Unit-overlap 2x2 squares: intersection 1, union 7."""
-        a = Box(cx=1.0, cy=1.0, w=2.0, h=2.0)  # corners (0,0)-(2,2)
-        b = Box(cx=2.0, cy=2.0, w=2.0, h=2.0)  # corners (1,1)-(3,3)
+        a = (1.0, 1.0, 2.0, 2.0)  # corners (0,0)-(2,2)
+        b = (2.0, 2.0, 2.0, 2.0)  # corners (1,1)-(3,3)
         np.testing.assert_allclose(iou1(a, b), 1 / 7, atol=1e-15)
 
     def test_symmetry_and_range(self):
@@ -67,14 +67,10 @@ class TestBoxAndIou:
         rng = np.random.default_rng(1)
         boxes_a = [random_box(rng) for _ in range(7)]
         boxes_b = [random_box(rng) for _ in range(5)]
-        m = D.iou_matrix(D.boxes_to_array(boxes_a), D.boxes_to_array(boxes_b))
+        m = D.iou_matrix(np.array(boxes_a), np.array(boxes_b))
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert m[i, j] == iou(a, b)
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError):
-            Box(0.5, 0.5, 0.0, 0.1)
 
 
 class TestAnchors:
@@ -112,18 +108,18 @@ class TestAnchors:
 
 
 def random_box_array(rng, n) -> np.ndarray:
-    return D.boxes_to_array([random_box(rng) for _ in range(n)])
+    return np.array([random_box(rng) for _ in range(n)])
 
 
 class TestEncodeDecode:
 
     def test_identity_encoding(self):
-        b = D.boxes_to_array([Box(0.4, 0.6, 0.2, 0.3)])
+        b = np.array([[0.4, 0.6, 0.2, 0.3]])
         np.testing.assert_allclose(D.encode_all(b, b), np.zeros((1, 4)), atol=1e-12)
 
     def test_hand_case(self):
-        anchor = D.boxes_to_array([Box(0.5, 0.5, 0.2, 0.2)])
-        gt = D.boxes_to_array([Box(0.52, 0.5, 0.4, 0.2)])
+        anchor = np.array([[0.5, 0.5, 0.2, 0.2]])
+        gt = np.array([[0.52, 0.5, 0.4, 0.2]])
         np.testing.assert_allclose(D.encode_all(gt, anchor),
                                    [[1.0, 0.0, math.log(2) / 0.2, 0.0]], atol=1e-12)
 
@@ -155,33 +151,45 @@ class TestMatching:
 
     def test_no_gt(self):
         anchors = D.generate_anchors(AnchorConfig())
-        match = D.match_anchors(anchors, [], [])
+        match = D.match_anchors(anchors, np.zeros((0, 4)), [])
         assert match.num_positives == 0
         assert not match.hard_negative.any()
 
+    @pytest.mark.parametrize("gt_boxes, gt_labels", [
+        ([[0.5, 0.5, 0.0, 0.1]], [1]),                        # zero width
+        ([[0.5, 0.5, 0.2, 0.1], [0.3, 0.3, 0.1, -0.1]], [1, 2]),  # negative height
+        ([[0.5, 0.5, 0.2, 0.1]], [1, 2]),                     # more labels than boxes
+        ([[0.5, 0.5, 0.2, 0.1], [0.3, 0.3, 0.1, 0.1]], [1]),  # more boxes than labels
+        ([0.5, 0.5, 0.2, 0.1], [1]),                          # not an [M,4] array
+    ], ids=["zero-width", "negative-height", "extra-label", "extra-box", "flat"])
+    def test_bad_ground_truth_rejected(self, gt_boxes, gt_labels):
+        """Ground truth enters the detector here: a box side <= 0, or labels
+        that do not pair one to one with [M,4] boxes, is an error."""
+        anchors = D.generate_anchors(AnchorConfig())
+        with pytest.raises(ValueError):
+            D.match_anchors(anchors, np.array(gt_boxes), gt_labels)
+
     def test_exact_anchor_is_sole_positive(self):
-        anchors = D.boxes_to_array([Box(0.2, 0.2, 0.2, 0.2), Box(0.8, 0.8, 0.2, 0.2)])
-        match = D.match_anchors(anchors, [Box(0.2, 0.2, 0.2, 0.2)], [3])
+        anchors = np.array([[0.2, 0.2, 0.2, 0.2], [0.8, 0.8, 0.2, 0.2]])
+        match = D.match_anchors(anchors, np.array([[0.2, 0.2, 0.2, 0.2]]), [3])
         np.testing.assert_array_equal(match.positive_class, [3, 0])
         np.testing.assert_array_equal(match.matched_gt, [0, -1])
 
     def test_both_overlapping_anchors_positive(self):
-        gt = Box(0.5, 0.5, 0.2, 0.2)
-        a1 = Box(0.5, 0.5, 0.2 / math.sqrt(0.7), 0.2 / math.sqrt(0.7))  # IoU 0.7
-        a2 = Box(0.5, 0.5, 0.2 / math.sqrt(0.6), 0.2 / math.sqrt(0.6))  # IoU 0.6
-        anchors = D.boxes_to_array([a1, a2])
+        gt = (0.5, 0.5, 0.2, 0.2)
+        a1 = (0.5, 0.5, 0.2 / math.sqrt(0.7), 0.2 / math.sqrt(0.7))  # IoU 0.7
+        a2 = (0.5, 0.5, 0.2 / math.sqrt(0.6), 0.2 / math.sqrt(0.6))  # IoU 0.6
+        anchors = np.array([a1, a2])
         np.testing.assert_allclose(iou1(a1, gt), 0.7, atol=1e-12)
         np.testing.assert_allclose(iou1(a2, gt), 0.6, atol=1e-12)
-        match = D.match_anchors(anchors, [gt], [5], pos_thr=0.5)
+        match = D.match_anchors(anchors, np.array([gt]), [5], pos_thr=0.5)
         np.testing.assert_array_equal(match.positive_class, [5, 5])
         np.testing.assert_array_equal(match.matched_gt, [0, 0])
 
     def test_forced_match_claims_distinct_anchors(self):
         """Two gts whose best anchor coincides still both get one."""
-        shared = Box(0.5, 0.5, 0.3, 0.3)
-        other = Box(0.52, 0.5, 0.3, 0.3)
-        anchors = D.boxes_to_array([shared, other])
-        gts = [Box(0.5, 0.5, 0.29, 0.29), Box(0.5, 0.5, 0.28, 0.28)]
+        anchors = np.array([[0.5, 0.5, 0.3, 0.3], [0.52, 0.5, 0.3, 0.3]])
+        gts = np.array([[0.5, 0.5, 0.29, 0.29], [0.5, 0.5, 0.28, 0.28]])
         match = D.match_anchors(anchors, gts, [1, 2], pos_thr=0.99)
         assert match.num_positives == 2
         assert set(match.matched_gt) == {0, 1}
@@ -194,10 +202,8 @@ class TestMatching:
             n_gt = int(rng.integers(1, 4))
             gts = [random_box(rng) for _ in range(n_gt)]
             labels = [int(rng.integers(1, 9)) for _ in range(n_gt)]
-            match = D.match_anchors(anchors, gts, labels, pos_thr=0.4)
-            want_pos, want_match = brute_force_matcher(
-                anchors.tolist(), [[b.cx, b.cy, b.w, b.h] for b in gts],
-                labels, 0.4)
+            match = D.match_anchors(anchors, np.array(gts), labels, pos_thr=0.4)
+            want_pos, want_match = brute_force_matcher(anchors.tolist(), gts, labels, 0.4)
             np.testing.assert_array_equal(match.positive_class, want_pos)
             np.testing.assert_array_equal(match.matched_gt, want_match)
 
@@ -205,7 +211,7 @@ class TestMatching:
         rng = np.random.default_rng(5)
         anchors = D.generate_anchors(AnchorConfig())
         for _ in range(20):
-            gts = [random_box(rng) for _ in range(4)]
+            gts = random_box_array(rng, 4)
             match = D.match_anchors(anchors, gts, [1, 2, 3, 4])
             assert match.num_positives >= 4
 
@@ -270,8 +276,7 @@ class TestBaseLoss:
     def setup_method(self):
         self.params = D.DetectorParams(
             {"cls.rows": Tensor(np.zeros((3, 3)))}, class_ids=[1, 2])
-        self.anchors = D.boxes_to_array(
-            [Box(0.3, 0.3, 0.2, 0.2), Box(0.7, 0.7, 0.2, 0.2)])
+        self.anchors = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.7, 0.2, 0.2]])
         self.cfg = tiny_config()
 
     def test_empty_is_zero(self):
@@ -279,37 +284,37 @@ class TestBaseLoss:
                             np.full(2, -1, dtype=np.int64),
                             np.zeros(2, dtype=bool))
         outputs = synthetic_outputs(np.zeros((2, 3)), np.zeros((2, 4)))
-        loss, parts = D.base_loss(outputs, match, [], self.anchors,
+        loss, parts = D.base_loss(outputs, match, np.zeros((0, 4)), self.anchors,
                                   self.params, self.cfg)
         assert loss.data == 0.0
         assert parts == {"loss_cls": 0.0, "loss_bbox": 0.0}
 
     def test_perfect_offsets_zero_bbox_term(self):
-        gt = Box(0.32, 0.3, 0.22, 0.2)
+        gt = np.array([[0.32, 0.3, 0.22, 0.2]])
         offsets = np.zeros((2, 4))
-        offsets[0] = D.encode_all(D.boxes_to_array([gt]), self.anchors[:1])[0]
+        offsets[0] = D.encode_all(gt, self.anchors[:1])[0]
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
         outputs = synthetic_outputs(np.zeros((2, 3)), offsets)
-        _, parts = D.base_loss(outputs, match, [gt], self.anchors,
+        _, parts = D.base_loss(outputs, match, gt, self.anchors,
                                self.params, self.cfg)
         assert parts["loss_bbox"] == 0.0
 
     def test_hand_summed_toy_case(self):
         """One positive (class row 1), one hard negative, alpha = 1."""
-        gt = Box(0.3, 0.3, 0.25, 0.2)
+        gt = np.array([[0.3, 0.3, 0.25, 0.2]])
         logits = np.array([[0.2, 1.1, -0.3], [0.9, -0.2, 0.4]])
         offsets = np.array([[0.5, -0.5, 0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
         outputs = synthetic_outputs(logits, offsets)
-        loss, parts = D.base_loss(outputs, match, [gt], self.anchors,
+        loss, parts = D.base_loss(outputs, match, gt, self.anchors,
                                   self.params, self.cfg)
 
         def ce(row, k):
             return math.log(sum(math.exp(v) for v in row)) - row[k]
 
-        target = D.encode_all(D.boxes_to_array([gt]), self.anchors[:1])[0]
+        target = D.encode_all(gt, self.anchors[:1])[0]
         diffs = offsets[0] - target
         sl1 = sum(0.5 * d * d if abs(d) < 1 else abs(d) - 0.5 for d in diffs)
         want = (ce(logits[0], 1) + ce(logits[1], 0) + sl1) / 1
@@ -319,7 +324,7 @@ class TestBaseLoss:
 
     def test_grad_check_on_loss_surface(self):
         rng = np.random.default_rng(7)
-        gt = Box(0.3, 0.3, 0.25, 0.2)
+        gt = np.array([[0.3, 0.3, 0.25, 0.2]])
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
 
@@ -327,7 +332,7 @@ class TestBaseLoss:
             outputs = DetectorOutputs(logits=leaves["logits"],
                                       offsets=leaves["offsets"],
                                       features=leaves["logits"])
-            loss, _ = D.base_loss(outputs, match, [gt], self.anchors,
+            loss, _ = D.base_loss(outputs, match, gt, self.anchors,
                                   self.params, self.cfg)
             return loss
 
@@ -558,9 +563,9 @@ class TestDetect:
         cfg = DetectorConfig(score_thr=score_thr, top_k=top_k)
         for _ in range(8):
             out = self.outputs(rng, anchors, len(class_ids))
-            got = [(d.class_id, d.score, (d.box.cx, d.box.cy, d.box.w, d.box.h))
-                   for d in D.detect(out.logits.data, out.offsets.data, anchors,
-                                     params, cfg)]
+            labels, scores, boxes = D.detect(out.logits.data, out.offsets.data,
+                                             anchors, params, cfg)
+            got = list(zip(labels.tolist(), scores.tolist(), boxes.tolist()))
             want = detect_per_anchor(out.logits.data, out.offsets.data,
                                      anchors, class_ids, cfg.nms_iou,
                                      score_thr, top_k)
@@ -569,48 +574,56 @@ class TestDetect:
                 [(c, s.hex(), [v.hex() for v in b]) for c, s, b in want]
 
 
+def image_dets(*dets):
+    """One image's (class, score, box) triples as detect's arrays."""
+    return (np.array([c for c, _, _ in dets], dtype=np.int64),
+            np.array([s for _, s, _ in dets], dtype=np.float64),
+            np.array([b for _, _, b in dets], dtype=np.float64).reshape(-1, 4))
+
+
+def image_gts(*gts):
+    """One image's (class, box) pairs as a scene's (labels, boxes) arrays."""
+    return (np.array([c for c, _ in gts], dtype=np.int64),
+            np.array([b for _, b in gts], dtype=np.float64).reshape(-1, 4))
+
+
 class TestEvaluateMap:
 
-    def det(self, cid, score, box):
-        return D.Detection(class_id=cid, score=score, box=box)
-
     def test_perfect_detections(self):
-        gt = [[(1, Box(0.3, 0.3, 0.2, 0.2)), (1, Box(0.7, 0.7, 0.2, 0.2))]]
-        dets = [[self.det(1, 0.9, Box(0.3, 0.3, 0.2, 0.2)),
-                 self.det(1, 0.8, Box(0.7, 0.7, 0.2, 0.2))]]
+        gt = [image_gts((1, (0.3, 0.3, 0.2, 0.2)), (1, (0.7, 0.7, 0.2, 0.2)))]
+        dets = [image_dets((1, 0.9, (0.3, 0.3, 0.2, 0.2)),
+                           (1, 0.8, (0.7, 0.7, 0.2, 0.2)))]
         per_class, mean_ap = D.evaluate_map(dets, gt)
         assert per_class[1] == 1.0 and mean_ap == 1.0
 
     def test_zero_detections(self):
-        gt = [[(1, Box(0.3, 0.3, 0.2, 0.2))]]
-        per_class, mean_ap = D.evaluate_map([[]], gt)
+        gt = [image_gts((1, (0.3, 0.3, 0.2, 0.2)))]
+        per_class, mean_ap = D.evaluate_map([image_dets()], gt)
         assert per_class[1] == 0.0 and mean_ap == 0.0
 
     def test_hand_computed_staircase(self):
         """Hits H,M,H,H,M at scores .9/.8/.7/.6/.5 over 3 gts -> 9.25/11."""
-        g = [Box(0.2, 0.2, 0.1, 0.1), Box(0.5, 0.5, 0.1, 0.1),
-             Box(0.8, 0.8, 0.1, 0.1)]
-        far = Box(0.2, 0.8, 0.05, 0.05)
-        gt = [[(1, b) for b in g]]
-        dets = [[self.det(1, 0.9, g[0]), self.det(1, 0.8, far),
-                 self.det(1, 0.7, g[1]), self.det(1, 0.6, g[2]),
-                 self.det(1, 0.5, far)]]
+        g = [(0.2, 0.2, 0.1, 0.1), (0.5, 0.5, 0.1, 0.1), (0.8, 0.8, 0.1, 0.1)]
+        far = (0.2, 0.8, 0.05, 0.05)
+        gt = [image_gts(*[(1, b) for b in g])]
+        dets = [image_dets((1, 0.9, g[0]), (1, 0.8, far), (1, 0.7, g[1]),
+                           (1, 0.6, g[2]), (1, 0.5, far))]
         per_class, _ = D.evaluate_map(dets, gt)
         want = (4 * 1.0 + 7 * 0.75) / 11
         assert abs(per_class[1] - want) < 1e-12
         assert abs(per_class[1] - eleven_point_ap([1, 0, 1, 1, 0], 3)) < 1e-15
 
     def test_duplicate_detection_is_false_positive(self):
-        box = Box(0.5, 0.5, 0.2, 0.2)
-        gt = [[(1, box)]]
-        dets = [[self.det(1, 0.9, box), self.det(1, 0.8, box)]]
+        box = (0.5, 0.5, 0.2, 0.2)
+        gt = [image_gts((1, box))]
+        dets = [image_dets((1, 0.9, box), (1, 0.8, box))]
         per_class, _ = D.evaluate_map(dets, gt)
         # recall 1 at precision 1 first, duplicate only hurts later precision
         assert per_class[1] == 1.0
 
     def test_map_is_mean_over_gt_classes(self):
-        gt = [[(1, Box(0.3, 0.3, 0.2, 0.2)), (2, Box(0.7, 0.7, 0.2, 0.2))]]
-        dets = [[self.det(1, 0.9, Box(0.3, 0.3, 0.2, 0.2))]]
+        gt = [image_gts((1, (0.3, 0.3, 0.2, 0.2)), (2, (0.7, 0.7, 0.2, 0.2)))]
+        dets = [image_dets((1, 0.9, (0.3, 0.3, 0.2, 0.2)))]
         per_class, mean_ap = D.evaluate_map(dets, gt)
         assert per_class[1] == 1.0 and per_class[2] == 0.0
         assert mean_ap == 0.5
@@ -618,11 +631,21 @@ class TestEvaluateMap:
     def test_iou_tie_goes_to_first_gt(self):
         """d1 overlaps gts a and b equally (IoU 0.6) and takes a, the first;
         d2 matches a exactly but finds it taken, so it is a false positive."""
-        a, b = Box(0.375, 0.5, 0.5, 0.5), Box(0.625, 0.5, 0.5, 0.5)
-        gt = [[(1, a), (1, b)]]
-        dets = [[self.det(1, 0.9, Box(0.5, 0.5, 0.5, 0.5)), self.det(1, 0.8, a)]]
+        a, b = (0.375, 0.5, 0.5, 0.5), (0.625, 0.5, 0.5, 0.5)
+        gt = [image_gts((1, a), (1, b))]
+        dets = [image_dets((1, 0.9, (0.5, 0.5, 0.5, 0.5)), (1, 0.8, a))]
         per_class, _ = D.evaluate_map(dets, gt)
         assert per_class[1] == eleven_point_ap([1, 0], 2)
+
+    def test_score_tie_goes_to_first_image_then_first_detection(self):
+        """Equal scores rank by image, then by position within the image:
+        the later detection of each tied pair finds its gt taken."""
+        box = (0.5, 0.5, 0.2, 0.2)
+        gt = [image_gts((1, box)), image_gts((1, box))]
+        dets = [image_dets((1, 0.5, box), (1, 0.5, (0.52, 0.5, 0.2, 0.2))),
+                image_dets((1, 0.5, (0.9, 0.9, 0.05, 0.05)), (1, 0.5, box))]
+        per_class, _ = D.evaluate_map(dets, gt)
+        assert per_class[1] == eleven_point_ap([1, 0, 0, 1], 2)
 
     def test_matches_per_pair_reference(self):
         """Random detections over random ground truth, with duplicated gts
@@ -638,23 +661,21 @@ class TestEvaluateMap:
                 d = [(int(rng.integers(1, 4)), float(np.round(rng.random(), 1)),
                       random_box(rng)) for _ in range(int(rng.integers(0, 8)))]
                 d += [(cid, float(rng.random()),
-                       Box(b.cx + 0.01 * rng.random(), b.cy, b.w, b.h))
+                       (b[0] + 0.01 * rng.random(), b[1], b[2], b[3]))
                       for cid, b in g]
-                d.append((1, 0.3, Box(0.02, 0.02, 0.01, 0.01)))
+                d.append((1, 0.3, (0.02, 0.02, 0.01, 0.01)))
                 dets.append(d)
-            per_class, _ = D.evaluate_map(
-                [[self.det(c, s, b) for c, s, b in d] for d in dets], gts)
-            want = match_detections_per_pair(
-                [[(c, s, (b.cx, b.cy, b.w, b.h)) for c, s, b in d] for d in dets],
-                [[(c, (b.cx, b.cy, b.w, b.h)) for c, b in g] for g in gts], 0.5)
+            per_class, _ = D.evaluate_map([image_dets(*d) for d in dets],
+                                          [image_gts(*g) for g in gts])
+            want = match_detections_per_pair(dets, gts, 0.5)
             assert set(per_class) == set(want)
             for c, (hits, n_gt) in want.items():
                 assert per_class[c] == D.eleven_point_ap(hits, n_gt)
 
     def test_detected_class_absent_from_gt_ignored(self):
-        gt = [[(1, Box(0.3, 0.3, 0.2, 0.2))]]
-        dets = [[self.det(1, 0.9, Box(0.3, 0.3, 0.2, 0.2)),
-                 self.det(7, 0.99, Box(0.5, 0.5, 0.2, 0.2))]]
+        gt = [image_gts((1, (0.3, 0.3, 0.2, 0.2)))]
+        dets = [image_dets((1, 0.9, (0.3, 0.3, 0.2, 0.2)),
+                           (7, 0.99, (0.5, 0.5, 0.2, 0.2)))]
         per_class, mean_ap = D.evaluate_map(dets, gt)
         assert set(per_class) == {1}
         assert mean_ap == 1.0
@@ -694,5 +715,5 @@ class TestProperties:
     def test_iou_corner_pairs_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_box(rng), random_box(rng)
-        want = iou_corners(corners(a), corners(b))
+        want = iou_corners(center_to_corners(a), center_to_corners(b))
         np.testing.assert_allclose(iou1(a, b), want, atol=1e-12)

@@ -10,8 +10,8 @@ from fewdet import detector as det
 from fewdet import fewshot as fs
 from fewdet import synthdata as sd
 from fewdet import tensor as T
-from fewdet.detector import AnchorConfig, Box, DetectorConfig, DetectorOutputs
-from fewdet.synthdata import Scene, SceneObject
+from fewdet.detector import AnchorConfig, DetectorConfig, DetectorOutputs
+from fewdet.synthdata import Scene
 from fewdet.tensor import Tape, Tensor, backward, grad_check
 from oracles import col2im_slices
 
@@ -32,11 +32,13 @@ def rows_params(rows: Tensor, class_ids) -> det.DetectorParams:
     return det.DetectorParams({"cls.rows": rows}, list(class_ids))
 
 
-def toy_scene(rng, cfg, class_id, box=None) -> Scene:
-    image = rng.uniform(0.05, 0.6, size=(3, cfg.image_size, cfg.image_size))
-    box = box or Box(0.5, 0.5, 0.4, 0.4)
-    return Scene(image=image, objects=[SceneObject(class_id, box, None)],
-                 annotated=[True])
+def toy_scene(rng, cfg, class_id, box=(0.5, 0.5, 0.4, 0.4)) -> Scene:
+    """One annotated object of the given class, drawn nowhere: the image is noise."""
+    size = cfg.image_size
+    image = rng.uniform(0.05, 0.6, size=(3, size, size))
+    return Scene(image=image, boxes=np.array([box], dtype=np.float64),
+                 labels=np.array([class_id]), masks=np.zeros((1, size, size), dtype=bool),
+                 annotated=np.ones(1, dtype=bool))
 
 
 def make_match(n, positives: dict[int, int], negatives=()) -> det.MatchResult:
@@ -305,7 +307,7 @@ class TestNovelLoss:
                                                     scales=(0.5,),
                                                     aspects=(1.0,)))
         params = rows_params(Tensor(np.eye(3)), [1, 2])
-        return out, make_match(2, {}), [], anchors, params
+        return out, make_match(2, {}), np.zeros((0, 4)), anchors, params
 
     def test_hand_weighted_combination(self, monkeypatch):
         # components (0.4, 0.2, -0.5, 0.3, 0.1), weights (1, 2, 0.4, 0.5)
@@ -335,12 +337,11 @@ class TestNovelLoss:
         anchors = det.generate_anchors(cfg.anchors)
         params = det.init_detector_params(cfg, [1, 2], rng)
         scene = toy_scene(rng, cfg, 1)
-        match = det.match_anchors(anchors, [scene.objects[0].box], [1],
-                                  cfg.pos_thr)
+        match = det.match_anchors(anchors, scene.boxes, [1], cfg.pos_thr)
         out = det.forward(scene.image[None], None, params, cfg).single()
         mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                          match, cfg.neg_pos_ratio)
-        gt = [scene.objects[0].box]
+        gt = scene.boxes
 
         base_total, base_parts = det.base_loss(out, mined, gt, anchors, params,
                                                cfg)
@@ -365,14 +366,13 @@ class TestNovelLoss:
         params = det.init_detector_params(cfg, [1, 2], rng)
         base = params.copy()
         scene = toy_scene(rng, cfg, 1)
-        match = det.match_anchors(anchors, [scene.objects[0].box], [1],
-                                  cfg.pos_thr)
+        match = det.match_anchors(anchors, scene.boxes, [1], cfg.pos_thr)
         base_out = det.forward(scene.image[None], None, base, cfg).single()
         with Tape() as tape:
             out = det.forward(scene.image[None], None, params, cfg).single()
             mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                              match, cfg.neg_pos_ratio)
-            total, _ = fs.novel_loss(out, mined, [scene.objects[0].box],
+            total, _ = fs.novel_loss(out, mined, scene.boxes,
                                      anchors, params, cfg, fs.Hyperparams(),
                                      base_out.logits.data,
                                      base_out.offsets.data)
@@ -448,7 +448,7 @@ class TestInitNovelDetector:
 
         anchors = det.generate_anchors(cfg.anchors)
         out = det.forward(scene.image[None], None, base, cfg)
-        ious = det.iou_matrix(anchors, det.boxes_to_array([scene.objects[0].box]))[:, 0]
+        ious = det.iou_matrix(anchors, scene.boxes)[:, 0]
         f = out.features.data[0, int(np.argmax(ious))]
         expected = f / np.linalg.norm(f)
         assert np.array_equal(novel.cls_rows.data[-1], expected)
@@ -485,7 +485,7 @@ class TestInitNovelDetector:
         rng = np.random.default_rng(18)
         cfg = tiny_config()
         base = self._base(rng, cfg)
-        scene = toy_scene(rng, cfg, 3, box=Box(5.0, 5.0, 0.05, 0.05))
+        scene = toy_scene(rng, cfg, 3, box=(5.0, 5.0, 0.05, 0.05))
         with pytest.raises(fs.ImprintError):
             fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
 
@@ -542,7 +542,7 @@ class TestSampleSupportSet:
                     for ref in refs}
         visible = {(s_i, o_i)
                    for s_i, scene in enumerate(support.scenes)
-                   for o_i, flag in enumerate(scene.annotated) if flag}
+                   for o_i in np.flatnonzero(scene.annotated).tolist()}
         assert visible == sampled
 
     def test_annotated_class_matches_reference(self, scene_pool):
@@ -551,7 +551,7 @@ class TestSampleSupportSet:
         for cid, refs in {**support.novel_instances,
                           **support.base_instances}.items():
             for s_i, o_i in refs:
-                assert support.scenes[s_i].objects[o_i].class_id == cid
+                assert support.scenes[s_i].labels[o_i] == cid
                 assert support.scenes[s_i].annotated[o_i]
 
     def test_same_seed_identical(self, scene_pool):
@@ -560,12 +560,26 @@ class TestSampleSupportSet:
         b = fs.sample_support_set(scene_pool, split, k=2, seed=8)
         assert a.novel_instances == b.novel_instances
         assert a.base_instances == b.base_instances
-        assert [s.annotated for s in a.scenes] == [s.annotated for s in b.scenes]
+        assert [s.annotated.tolist() for s in a.scenes] == \
+            [s.annotated.tolist() for s in b.scenes]
 
     def test_insufficient_instances_rejected(self, scene_pool):
         split = sd.make_split(1)
         with pytest.raises(fs.SupportError):
             fs.sample_support_set(scene_pool[:2], split, k=50, seed=9)
+
+    def test_support_scenes_share_pool_arrays(self, scene_pool):
+        """Only the annotated flags are new; the pool scene is not changed."""
+        split = sd.make_split(1)
+        before = [s.annotated.copy() for s in scene_pool]
+        support = fs.sample_support_set(scene_pool, split, k=1, seed=7)
+        by_image = {id(s.image): s for s in scene_pool}
+        for scene in support.scenes:
+            source = by_image[id(scene.image)]
+            for name in ("boxes", "labels", "masks"):
+                assert getattr(scene, name) is getattr(source, name)
+            assert scene.annotated is not source.annotated
+        assert all(np.array_equal(s.annotated, a) for s, a in zip(scene_pool, before))
 
     def test_k_must_be_positive(self, scene_pool):
         with pytest.raises(ValueError):
@@ -627,6 +641,40 @@ class TestTraining:
             with pytest.raises(fs.DivergenceError, match="epoch"):
                 fs.train_base(scenes, cfg, tc, [1, 2], seed=7)
 
+    def test_overflow_at_the_starting_parameters_is_no_divergence(self):
+        """A step that is non-finite from the very parameters training starts
+        at raises NonFiniteError, not DivergenceError: the input overflows,
+        training did not diverge."""
+        rng = np.random.default_rng(24)
+        cfg = tiny_config()
+        base = det.init_detector_params(cfg, [1, 2], rng)
+        for s in range(2):  # the box loss sums offsets of 1e308: inf
+            base.tensors[f"head.{s}.reg.bias"].data[:] = 1e308
+        support = fs.SupportSet(scenes=[toy_scene(rng, cfg, 3), toy_scene(rng, cfg, 1)],
+                                novel_instances={3: [(0, 0)]}, base_instances={}, k=1)
+        tc = fs.TrainConfig(epochs=1)
+        with pytest.raises(T.NonFiniteError):
+            fs.train_novel(base, support, cfg, tc, fs.Hyperparams(), seed=1)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_clip_rescales_gradients_whose_squares_overflow(self, scale):
+        params = det.DetectorParams({"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(1))},
+                                    [])
+        params.tensors["a"].grad = np.array([3.0, 0.0]) * scale
+        params.tensors["b"].grad = np.array([-4.0]) * scale
+        with np.errstate(over="ignore"):  # as in training, which detects overflow
+            fs._clip_gradients(params, 0.5)
+        np.testing.assert_allclose(params.tensors["a"].grad, [0.3, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(params.tensors["b"].grad, [-0.4], rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("max_norm", [0.0, 5.0])
+    def test_clip_rejects_non_finite_gradients(self, bad, max_norm):
+        params = det.DetectorParams({"a": Tensor(np.zeros(3))}, [])
+        params.tensors["a"].grad = np.array([1e200, bad, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NonFiniteError):
+            fs._clip_gradients(params, max_norm)
+
     def test_default_architecture_steps_match_slice_loop_col2im(self, monkeypatch):
         """Three base steps of the default architecture end on the same
         parameter bytes with the slice-loop col2im: a change to conv2d's
@@ -670,10 +718,9 @@ class TestTraining:
         params = fs.init_novel_detector(base, support, cfg)
         caches = []
         for scene in support.scenes:
-            ann = scene.annotated_objects()
-            boxes = [o.box for o in ann]
+            boxes = scene.boxes[scene.annotated]
             caches.append((boxes, det.match_anchors(
-                anchors, boxes, [o.class_id for o in ann], cfg.pos_thr)))
+                anchors, boxes, scene.labels[scene.annotated], cfg.pos_thr)))
         order = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         velocity = {}
         for _ in range(tc.epochs):

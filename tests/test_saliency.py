@@ -12,15 +12,11 @@ from fewdet.tensor import Tape
 from oracles import bms_saliency_per_map, flood_fill_surroundedness
 
 
-class FakeObject:
-    def __init__(self, mask):
-        self.mask = mask
-
-
 class FakeScene:
     def __init__(self, size, masks):
         self.image = np.zeros((3, size, size))
-        self.objects = [FakeObject(m) for m in masks]
+        self.masks = None if masks is None else np.array(masks, dtype=bool).reshape(
+            -1, size, size)
 
 
 class TestBooleanMaps:
@@ -210,7 +206,11 @@ class TestOracleSaliency:
 
     def test_missing_mask_rejected(self):
         with pytest.raises(ValueError):
-            S.oracle_saliency(FakeScene(8, [None]), 1)
+            S.oracle_saliency(FakeScene(8, None), 1)
+        wrong_size = FakeScene(8, [])
+        wrong_size.masks = np.ones((1, 4, 4), dtype=bool)
+        with pytest.raises(ValueError):
+            S.oracle_saliency(wrong_size, 1)
 
 
 class TestBoxBlur:

@@ -8,7 +8,7 @@ import pytest
 from fewdet import synthdata as SD
 from fewdet.ppm import read_ppm
 from fewdet.synthdata import GenConfig, generate_scene
-from oracles import corners, generate_scene_per_pair, iou
+from oracles import center_to_corners, generate_scene_per_pair, iou
 
 
 class TestSceneGeneration:
@@ -16,12 +16,8 @@ class TestSceneGeneration:
     def test_same_seed_bit_identical(self):
         a = generate_scene(123)
         b = generate_scene(123)
-        assert np.array_equal(a.image, b.image)
-        assert len(a.objects) == len(b.objects)
-        for oa, ob in zip(a.objects, b.objects):
-            assert oa.class_id == ob.class_id
-            assert oa.box == ob.box
-            assert np.array_equal(oa.mask, ob.mask)
+        for name in ("image", "boxes", "labels", "masks", "annotated"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(generate_scene(1).image, generate_scene(2).image)
@@ -35,33 +31,37 @@ class TestSceneGeneration:
     def test_object_count_bounds(self):
         for seed in range(40):
             s = generate_scene(seed)
-            assert 1 <= len(s.objects) <= 4
+            assert 1 <= len(s.labels) <= 4
+            assert s.boxes.shape == (len(s.labels), 4) and s.boxes.dtype == np.float64
+            assert s.labels.dtype == np.int64
+            assert s.masks.shape == (len(s.labels), 64, 64) and s.masks.dtype == bool
+            assert s.annotated.dtype == bool and s.annotated.all()
 
     def test_box_is_exact_tight_bound_of_mask(self):
         for seed in range(30):
             s = generate_scene(seed)
-            for o in s.objects:
-                rows = np.flatnonzero(o.mask.any(axis=1))
-                cols = np.flatnonzero(o.mask.any(axis=0))
-                size = o.mask.shape[0]
-                assert o.box.cx == (cols[0] + cols[-1] + 1) / (2 * size)
-                assert o.box.cy == (rows[0] + rows[-1] + 1) / (2 * size)
-                assert o.box.w == (cols[-1] + 1 - cols[0]) / size
-                assert o.box.h == (rows[-1] + 1 - rows[0]) / size
+            for (cx, cy, w, h), mask in zip(s.boxes.tolist(), s.masks):
+                rows = np.flatnonzero(mask.any(axis=1))
+                cols = np.flatnonzero(mask.any(axis=0))
+                size = mask.shape[0]
+                assert cx == (cols[0] + cols[-1] + 1) / (2 * size)
+                assert cy == (rows[0] + rows[-1] + 1) / (2 * size)
+                assert w == (cols[-1] + 1 - cols[0]) / size
+                assert h == (rows[-1] + 1 - rows[0]) / size
 
     def test_boxes_inside_image(self):
         for seed in range(30):
-            for o in generate_scene(seed).objects:
-                x0, y0, x1, y1 = corners(o.box)
+            for box in generate_scene(seed).boxes.tolist():
+                x0, y0, x1, y1 = center_to_corners(box)
                 assert 0.0 <= x0 < x1 <= 1.0
                 assert 0.0 <= y0 < y1 <= 1.0
 
     def test_pairwise_overlap_cap(self):
         for seed in range(50):
-            objs = generate_scene(seed).objects
-            for i in range(len(objs)):
-                for j in range(i + 1, len(objs)):
-                    assert iou(objs[i].box, objs[j].box) <= 0.3 + 1e-12
+            boxes = generate_scene(seed).boxes.tolist()
+            for i in range(len(boxes)):
+                for j in range(i + 1, len(boxes)):
+                    assert iou(boxes[i], boxes[j]) <= 0.3 + 1e-12
 
     def test_placement_matches_per_pair_oracle(self):
         """One iou_matrix row per candidate places the same objects, to the
@@ -69,31 +69,31 @@ class TestSceneGeneration:
         for seed in range(200):
             got, want = generate_scene(seed), generate_scene_per_pair(seed)
             assert got.image.tobytes() == want.image.tobytes()
-            assert [(o.class_id, o.box) for o in got.objects] == \
-                [(o.class_id, o.box) for o in want.objects]
-            assert all(a.mask.tobytes() == b.mask.tobytes()
-                       for a, b in zip(got.objects, want.objects))
+            assert got.labels.tolist() == want.labels.tolist()
+            assert got.boxes.tobytes() == want.boxes.tobytes()
+            assert got.masks.tobytes() == want.masks.tobytes()
 
     def test_empty_scene_requires_allow_empty(self):
         with pytest.raises(SD.GenerationError):
             generate_scene(0, GenConfig(max_objects=0))
         s = generate_scene(0, GenConfig(max_objects=0, allow_empty=True))
-        assert s.objects == [] and s.annotated == []
+        assert s.boxes.shape == (0, 4) and s.labels.shape == (0,)
+        assert s.masks.shape == (0, 64, 64) and s.annotated.shape == (0,)
 
     def test_class_frequencies_near_uniform(self):
         """Across 1000 scenes every class lands within 20% of the uniform share."""
         counts = np.zeros(SD.NUM_CLASSES)
         for seed in range(1000):
-            for o in generate_scene(seed).objects:
-                counts[o.class_id - 1] += 1
+            for class_id in generate_scene(seed).labels:
+                counts[class_id - 1] += 1
         mean = counts.mean()
         assert np.all(counts >= 0.8 * mean)
         assert np.all(counts <= 1.2 * mean)
 
     def test_masks_painted_into_image(self):
         s = generate_scene(11)
-        last = s.objects[-1]  # painted last, never occluded
-        pixels = s.image[:, last.mask]
+        last = s.masks[-1]  # painted last, never occluded
+        pixels = s.image[:, last]
         assert pixels.min() >= 0.45  # object palette floor, above background band
 
 
@@ -141,8 +141,9 @@ class TestBenchmark:
         novel = set(bm.split.novel)
         hidden = visible = 0
         for scene in bm.base_train:
-            for o, a in zip(scene.objects, scene.annotated):
-                if o.class_id in novel:
+            assert scene.annotated.dtype == bool
+            for class_id, a in zip(scene.labels.tolist(), scene.annotated.tolist()):
+                if class_id in novel:
                     hidden += not a
                     visible += a
                 else:
@@ -153,7 +154,7 @@ class TestBenchmark:
     def test_pool_and_test_fully_annotated(self):
         bm = SD.build_benchmark(3, SD.make_split(1), sizes=(5, 20, 20))
         for scene in bm.novel_pool + bm.test:
-            assert all(scene.annotated)
+            assert scene.annotated.all()
 
     def test_split_changes_novel_not_distribution(self):
         bm1 = SD.build_benchmark(9, SD.make_split(1), sizes=(5, 5, 5))
@@ -170,8 +171,8 @@ class TestBenchmark:
                                 sizes=(1, 1, SD.DEFAULT_SIZES[2]))
         counts = {c: 0 for c in range(1, 9)}
         for scene in bm.test:
-            for o in scene.objects:
-                counts[o.class_id] += 1
+            for class_id in scene.labels.tolist():
+                counts[class_id] += 1
         assert all(v >= 30 for v in counts.values()), counts
 
     def test_invalid_sizes_rejected(self):
@@ -182,10 +183,10 @@ class TestBenchmark:
         bm = SD.build_benchmark(4, SD.make_split(1), sizes=(5, 10, 5))
         index = SD.class_instance_index(bm.novel_pool)
         total = sum(len(v) for v in index.values())
-        assert total == sum(len(s.objects) for s in bm.novel_pool)
+        assert total == sum(len(s.labels) for s in bm.novel_pool)
         for cid, refs in index.items():
             for s_i, o_i in refs:
-                assert bm.novel_pool[s_i].objects[o_i].class_id == cid
+                assert bm.novel_pool[s_i].labels[o_i] == cid
 
 
 class TestDump:
@@ -198,7 +199,8 @@ class TestDump:
         # 8-bit quantization bound
         assert np.abs(img - scene.image).max() <= 0.5 / 255 + 1e-12
         doc = json.loads((tmp_path / "scene_021.json").read_text())
-        assert len(doc["objects"]) == len(scene.objects)
+        assert len(doc["objects"]) == len(scene.labels)
         first = doc["objects"][0]
-        assert first["class"] == scene.objects[0].class_id
+        assert first["class"] == scene.labels[0]
+        assert first["box"] == scene.boxes[0].tolist()
         assert first["annotated"] is True
