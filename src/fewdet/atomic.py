@@ -12,7 +12,8 @@ import secrets
 def atomic_open(path, mode: str = "w"):
     """Open a fresh temp file in ``path``'s directory for writing (mode "w"
     or "wb"). When the block ends cleanly the temp file is flushed and
-    fsynced to disk, then replaces ``path`` with one ``os.replace``; when it
+    fsynced to disk, then replaces ``path`` with one ``os.replace``, and the
+    directory is fsynced so that the rename is on disk too; when the block
     raises, the temp file is deleted and ``path`` is left as it was."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
@@ -23,7 +24,17 @@ def atomic_open(path, mode: str = "w"):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fsync_directory(directory)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def fsync_directory(directory: str) -> None:
+    """Flush a directory's entries (a file created or renamed in it) to disk."""
+    fd = os.open(directory or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

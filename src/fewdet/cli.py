@@ -28,7 +28,7 @@ from . import fewshot as fs
 from . import saliency as sal
 from . import synthdata as sd
 from . import tensor as T
-from .atomic import atomic_open
+from .atomic import atomic_open, fsync_directory
 from .ppm import write_ppm
 
 
@@ -389,6 +389,12 @@ def load_checkpoint(path: str) -> tuple[det.DetectorParams, dict]:
     extra = sorted(set(arrays) - set(reference.tensors))
     if extra:
         raise UsageError(f"checkpoint {path} has unexpected parameter {extra[0]!r}")
+    rows = arrays["cls.rows"]
+    with np.errstate(over="ignore"):  # an overflowing row is not a zero one
+        zero = np.flatnonzero(np.sqrt(np.sum(rows * rows, axis=1)) < T.MIN_L2_NORM)
+    if zero.size:
+        raise UsageError(f"checkpoint {path}: parameter 'cls.rows' row {zero[0]} has "
+                         "zero norm, which the cosine classifier cannot normalize")
     return det.DetectorParams.from_arrays(arrays, class_ids), meta
 
 
@@ -597,6 +603,8 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
         if fresh:
             writer.writerow(columns)
             fh.flush()
+            os.fsync(fh.fileno())
+            fsync_directory(outdir)
         grid = itertools.product(
             cfg["sweep.split"], cfg["sweep.seeds"], cfg["sweep.epsilon"],
             cfg["sweep.beta"], cfg["sweep.eta"], cfg["sweep.gamma"], cfg["sweep.k"])
@@ -608,6 +616,7 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
                              base_cache)
             writer.writerow(key + row)
             fh.flush()
+            os.fsync(fh.fileno())  # a finished cell survives a power cut
             print(",".join(key + row), flush=True)
     print(f"sweep table: {csv_path}")
     return 0

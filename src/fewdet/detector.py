@@ -472,6 +472,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thr: float,
     idx = np.where(keep_mask)[0]
     if idx.size == 0 or (top_k is not None and top_k < 1):
         return []
+    if idx.size == 1:  # most per-class calls in evaluation: nothing to rank
+        return [int(idx[0])]
     order = idx[np.argsort(-scores[idx], kind="stable")]
     ranked = boxes[order]
     overlaps = iou_matrix(ranked, ranked) > iou_thr

@@ -14,10 +14,6 @@ from scipy import ndimage
 
 # 4-connectivity: shared edges only, no diagonals
 _CROSS = ndimage.generate_binary_structure(2, 1)
-# the same cross in the middle plane of a 3x3x3 structure: labelling an
-# [N,H,W] stack with it never connects two maps
-_STACK_CROSS = np.zeros((3, 3, 3), dtype=bool)
-_STACK_CROSS[1] = _CROSS
 
 
 @dataclass
@@ -26,13 +22,35 @@ class BmsConfig:
     opening_radius: int = 1  # 0 disables the opening entirely
 
 
-def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
-    """Threshold each channel at t_k = k/(T+1), k=1..T; emit map and complement.
+# Every boolean map of an image lives on one row-major [H+2, N*(W+1)+1]
+# canvas: the N maps sit side by side, framed by a True ring made of the top
+# row, the bottom row and one column before each map and after the last. The
+# ring is one 4-connected component, and every component that touches an
+# image border joins it, so one 2-D labelling finds the surrounded regions of
+# all the maps at once.
 
-    Thresholding is strict (value > t_k), so pixels exactly at a threshold
-    fall into the complement. Returns a [3*T*2, H, W] boolean stack,
-    channel-major, then threshold, map before complement.
-    """
+def _ringed_canvas(n: int, h: int, w: int) -> np.ndarray:
+    """A canvas for n [h,w] maps whose ring is True and whose map cells are
+    left for the caller to write."""
+    canvas = np.empty((h + 2, n * (w + 1) + 1), dtype=bool)
+    canvas[[0, -1]] = True
+    canvas[:, ::w + 1] = True
+    return canvas
+
+
+def _maps(canvas: np.ndarray, w: int) -> np.ndarray:
+    """The [H,N,W] view of the map cells of a canvas of [H,W] maps (or of an
+    array of the canvas's shape)."""
+    h, n = canvas.shape[0] - 2, (canvas.shape[1] - 1) // (w + 1)
+    return canvas[1:-1, 1:].reshape(h, n, w + 1)[:, :, :w]
+
+
+def _boolean_canvas(image: np.ndarray, config: BmsConfig) -> np.ndarray:
+    """The ringed canvas of an image's 3*T*2 boolean maps; see boolean_maps.
+
+    The thresholds are written straight into the canvas's map cells: building
+    the [N,H,W] stack first and copying it in would cost a transposing bool
+    copy of every map."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")
@@ -41,9 +59,47 @@ def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     t = config.thresholds_per_channel
     if t < 1:
         raise ValueError("thresholds_per_channel must be >= 1")
+    _, h, w = image.shape
+    canvas = _ringed_canvas(3 * t * 2, h, w)
+    pairs = _maps(canvas, w).reshape(h, 3, t, 2, w)
     thresholds = np.arange(1, t + 1) / (t + 1)
-    above = image[:, None] > thresholds[None, :, None, None]  # [3,T,H,W]
-    return np.stack([above, ~above], axis=2).reshape(-1, *image.shape[1:])
+    np.greater(image.transpose(1, 0, 2)[:, :, None], thresholds[:, None],
+               out=pairs[:, :, :, 0])
+    np.logical_not(pairs[:, :, :, 0], out=pairs[:, :, :, 1])
+    return canvas
+
+
+def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
+    """Threshold each channel at t_k = k/(T+1), k=1..T; emit map and complement.
+
+    Thresholding is strict (value > t_k), so pixels exactly at a threshold
+    fall into the complement. Returns a [3*T*2, H, W] boolean stack,
+    channel-major, then threshold, map before complement: a view of the
+    maps' ringed canvas.
+    """
+    canvas = _boolean_canvas(image, config)
+    return _maps(canvas, np.shape(image)[-1]).transpose(1, 0, 2)
+
+
+def _surround(canvas: np.ndarray, opening_radius: int) -> np.ndarray:
+    """Overwrite a ringed canvas with its maps' surrounded regions: drop the
+    4-connected components that touch a map's border, then apply a
+    cross-shaped opening of the given radius. Returns the canvas."""
+    # scipy numbers components in raster order: the ring holds the first
+    # pixel, so it is component 1 and every surrounded component is above it
+    np.greater(ndimage.label(canvas, structure=_CROSS)[0], 1, out=canvas)
+    # the cross opening: r erosions, then r dilations, cells off the canvas
+    # counting as False. The ring is False now; after r erosions every True
+    # cell lies more than r cells from it, so r dilations leave it False and
+    # no map leaks into its neighbour
+    before = np.empty_like(canvas)
+    for op in [np.logical_and] * opening_radius + [np.logical_or] * opening_radius:
+        np.copyto(before, canvas)
+        for out, neighbour in ((canvas[1:], before[:-1]), (canvas[:-1], before[1:]),
+                               (canvas[:, 1:], before[:, :-1]),
+                               (canvas[:, :-1], before[:, 1:])):
+            op(out, neighbour, out=out)
+    return canvas
 
 
 def surroundedness(bmap: np.ndarray, opening_radius: int = 1) -> np.ndarray:
@@ -51,45 +107,17 @@ def surroundedness(bmap: np.ndarray, opening_radius: int = 1) -> np.ndarray:
     border, then apply a cross-shaped morphological opening of the configured
     radius.
 
-    Takes one [H,W] map or an [N,H,W] stack of maps. A stack is labelled in
-    one pass with a structure that connects pixels within a map only, so
-    every map is processed independently of the others.
+    Takes one [H,W] map or an [N,H,W] stack of maps. The maps are laid out on
+    one ringed canvas and labelled in one pass; each map is processed
+    independently of the others.
     """
     bmap = np.asarray(bmap, dtype=bool)
     stack = bmap[None] if bmap.ndim == 2 else bmap
-    labels, n = ndimage.label(stack, structure=_STACK_CROSS)
-    touching = np.zeros(n + 1, dtype=bool)
-    touching[0] = True  # background
-    for edge in (labels[:, 0], labels[:, -1], labels[:, :, 0], labels[:, :, -1]):
-        touching[edge] = True
-    kept = ~touching[labels]
-    for _ in range(opening_radius):
-        kept = _cross_erode(kept)
-    for _ in range(opening_radius):
-        kept = _cross_dilate(kept)
-    return kept.reshape(bmap.shape)
-
-
-def _cross_erode(stack: np.ndarray) -> np.ndarray:
-    """Erosion of every [H,W] plane by _CROSS, pixels outside counting as
-    False. The edge rows and columns must already be False (surroundedness
-    has removed everything touching the border), so they stay False."""
-    out = stack.copy()
-    out[:, 1:] &= stack[:, :-1]
-    out[:, :-1] &= stack[:, 1:]
-    out[:, :, 1:] &= stack[:, :, :-1]
-    out[:, :, :-1] &= stack[:, :, 1:]
-    return out
-
-
-def _cross_dilate(stack: np.ndarray) -> np.ndarray:
-    """Dilation of every [H,W] plane by _CROSS."""
-    out = stack.copy()
-    out[:, 1:] |= stack[:, :-1]
-    out[:, :-1] |= stack[:, 1:]
-    out[:, :, 1:] |= stack[:, :, :-1]
-    out[:, :, :-1] |= stack[:, :, 1:]
-    return out
+    n, h, w = stack.shape
+    canvas = _ringed_canvas(n, h, w)
+    _maps(canvas, w)[...] = stack.transpose(1, 0, 2)
+    kept = _surround(canvas, opening_radius)
+    return _maps(kept, w).transpose(1, 0, 2).reshape(bmap.shape)
 
 
 def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
@@ -98,9 +126,10 @@ def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     A constant mean map (e.g. from a constant image, where no boolean map has
     an enclosed region) normalizes to all zeros.
     """
-    maps = boolean_maps(image, config)
-    counts = surroundedness(maps, config.opening_radius).sum(axis=0)
-    return minmax_or_zeros(counts / len(maps))
+    kept = _surround(_boolean_canvas(image, config), config.opening_radius)
+    # a uint8 view sums far faster than the strided bool one
+    counts = _maps(kept.view(np.uint8), np.shape(image)[-1]).sum(axis=1)
+    return minmax_or_zeros(counts / (3 * config.thresholds_per_channel * 2))
 
 
 def box_blur(m: np.ndarray) -> np.ndarray:

@@ -394,10 +394,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), out, bwd)
 
 
+MIN_L2_NORM = 1e-30  # l2_normalize rejects slices with a smaller norm
+
+
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Scale slices along ``axis`` to unit L2 norm; zero-norm slices are an error."""
     norms = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
-    if np.any(norms < 1e-30):
+    if np.any(norms < MIN_L2_NORM):
         raise ValueError("cannot L2-normalize a zero-norm slice")
     y = a.data / norms
 

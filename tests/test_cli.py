@@ -358,6 +358,25 @@ class TestTrainNovel:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("value", [0.0, 1e-200], ids=["zero", "underflow"])
+    @pytest.mark.parametrize("command", ["eval", "train-novel"])
+    def test_zero_norm_classifier_row_is_named(self, base_run, tmp_path, capsys,
+                                               command, value):
+        """A cls.rows row the cosine classifier cannot normalize (its squares
+        sum to zero, exactly or by underflow) is rejected at load, with one
+        line naming the checkpoint, the parameter and the row."""
+        arrays, meta = T.load_arrays(base_run / "base.ckpt.json")
+        rows = arrays["cls.rows"].copy()
+        rows[2] = value
+        bad = tmp_path / "bad.ckpt.json"
+        T.save_arrays(bad, {**arrays, "cls.rows": rows}, meta=meta)
+        flag = "--ckpt" if command == "eval" else "--base-ckpt"
+        rc = run([command, "--out", str(tmp_path / "o"), flag, str(bad), *TINY])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: checkpoint {bad}: parameter 'cls.rows' row 2 has "
+                       "zero norm, which the cosine classifier cannot normalize"]
+
     def test_checkpoint_without_metadata_rejected(self, tmp_path, capsys):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"format_version": 1, "arrays": {}}))
@@ -529,6 +548,31 @@ class TestSweep:
         assert (tmp_path / "torn" / "sweep.csv").read_bytes() == whole
         capsys.readouterr()
 
+    def test_each_row_is_fsynced(self, tmp_path, capsys, monkeypatch):
+        """A power cut after a cell is printed finds its row on disk: the
+        header and every row are fsynced once written, and so is the new
+        file's directory entry."""
+        out = tmp_path / "s"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert run(["sweep", "--out", str(out), *self.ARGS,
+                    "--set", "sweep.seeds=[3,4]"]) == 0
+        table = (out / "sweep.csv").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(table) if byte == ord("\n")]
+        ino = os.stat(out / "sweep.csv").st_ino
+        assert len(ends) == 3
+        assert [size for i, size in synced if i == ino] == ends
+        header = synced.index((ino, ends[0]))
+        assert os.stat(out).st_ino in [i for i, _ in synced[header:]]
+        capsys.readouterr()
+
     def test_completed_grid_is_a_no_op(self, tmp_path, capsys):
         out = tmp_path / "s2"
         args = ["sweep", "--out", str(out), *self.ARGS,
@@ -598,7 +642,8 @@ class TestAtomicWrites:
     def test_contents_are_fsynced_before_the_replace(self, tmp_path, monkeypatch,
                                                      writer):
         """A power cut after the replace finds the whole new file on disk:
-        each temp file is flushed, then fsynced, then renamed over its target."""
+        each temp file is flushed, then fsynced, then renamed over its target,
+        and then the target's directory is fsynced, before the next replace."""
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -609,16 +654,19 @@ class TestAtomicWrites:
 
         def replace(src, dst):
             st = os.stat(src)
-            events.append(("replace", st.st_ino, st.st_size))
+            events.append(("replace", st.st_ino, st.st_size,
+                           os.stat(os.path.dirname(dst) or ".").st_ino))
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         self.WRITERS[writer](tmp_path, 0)
-        replaced = [e for e in events if e[0] == "replace"]
+        replaced = [i for i, e in enumerate(events) if e[0] == "replace"]
         assert replaced
-        for event in replaced:
-            assert ("fsync", *event[1:]) in events[:events.index(event)], events
+        for i, end in zip(replaced, replaced[1:] + [len(events)]):
+            _, ino, size, directory = events[i]
+            assert ("fsync", ino, size) in events[:i], events
+            assert directory in [e[1] for e in events[i + 1:end] if e[0] == "fsync"], events
 
     def test_replaces_whole_file(self, tmp_path):
         path = tmp_path / "report.json"

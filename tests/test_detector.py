@@ -517,6 +517,19 @@ class TestNms:
         assert D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=1) == [0]
         assert D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=0) == []
 
+    def test_single_candidate_is_kept(self):
+        """One box at or above score_thr is kept whatever its overlaps with
+        the boxes below it, unless top_k is 0."""
+        boxes = np.array([[0.5, 0.5, 0.2, 0.2]] * 3)
+        scores = np.array([0.01, 0.3, 0.02])
+        for top_k in (None, 1, 2):
+            got = D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=top_k)
+            assert got == [1] == brute_force_nms(boxes.tolist(), scores.tolist(), 0.5,
+                                                 score_thr=0.05, top_k=top_k)
+            assert type(got[0]) is int
+        assert D.nms(boxes, scores, 0.5, score_thr=0.05, top_k=0) == []
+        assert D.nms(boxes[:1], scores[1:2], 0.5) == [0]
+
     def test_tie_prefers_lower_index(self):
         boxes = np.array([[0.5, 0.5, 0.2, 0.2], [0.5, 0.5, 0.2, 0.2]])
         assert D.nms(boxes, np.array([0.7, 0.7]), 0.5) == [0]

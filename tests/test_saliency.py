@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from fewdet import saliency as S
 from fewdet import synthdata as sd
@@ -97,6 +98,20 @@ class TestSurroundedness:
         np.testing.assert_array_equal(S.surroundedness(m, 0),
                                       flood_fill_surroundedness(m))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_stack_matches_flood_fill_per_map(self, n):
+        """The maps of a stack share one canvas but never each other's
+        components: each comes out as it would alone (an empty stack
+        comes out empty)."""
+        rng = np.random.default_rng(10 + n)
+        for shape in [(1, 1), (1, 6), (6, 1), (2, 2), (5, 5), (9, 4)]:
+            for _ in range(10):
+                stack = rng.uniform(size=(n, *shape)) < rng.uniform(0.2, 0.9)
+                got = S.surroundedness(stack, 0)
+                assert got.shape == stack.shape
+                for one, want in zip(got, stack):
+                    np.testing.assert_array_equal(one, flood_fill_surroundedness(want))
+
 
 class TestBmsSaliency:
 
@@ -139,6 +154,23 @@ class TestBmsSaliency:
             s = S.bms_saliency(img, BmsConfig())
             assert s.min() >= 0.0 and s.max() <= 1.0
 
+    def test_one_labelling_per_image(self, monkeypatch):
+        """All 3*T*2 boolean maps of an image are labelled in one call."""
+        calls = []
+        real_label = ndimage.label
+
+        def label(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_label(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "label", label)
+        rng = np.random.default_rng(6)
+        for t in (1, 8):
+            calls.clear()
+            S.bms_saliency(rng.uniform(0, 1, size=(3, 10, 12)),
+                           BmsConfig(thresholds_per_channel=t))
+            assert calls == [(12, 6 * t * 13 + 1)]
+
     def test_never_records_on_tape(self):
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, size=(3, 8, 8))
@@ -162,6 +194,9 @@ class TestStackedBmsMatchesPerMap:
         yield sd.generate_scene(2).image
         for value in (0.0, 0.5, 1.0, 0.3):
             yield np.full((3, 17, 23), value)
+        # a row, a column and a 2x2 image: every pixel is on a border
+        for shape in [(1, 7), (7, 1), (2, 2)]:
+            yield rng.uniform(0, 1, (3, *shape))
 
     @pytest.mark.parametrize("thresholds", range(1, 10))
     @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -171,6 +206,23 @@ class TestStackedBmsMatchesPerMap:
             got = S.bms_saliency(img, cfg)
             want = bms_saliency_per_map(img, thresholds, radius)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("thresholds", [1, 3, 8])
+    @pytest.mark.parametrize("radius", [3, 5])
+    def test_wide_opening_on_a_small_image(self, thresholds, radius):
+        """On a 9x9 image the opening erodes most regions away, all of them
+        at radius 5; nothing dilates back across the ring into a neighbour."""
+        rng = np.random.default_rng(7)
+        blocks = np.kron(rng.uniform(0, 1, (3, 3, 3)), np.ones((1, 3, 3)))
+        disk = np.full((3, 9, 9), 0.1)
+        disk[:, 1:8, 1:8] = 0.9
+        cfg = BmsConfig(thresholds_per_channel=thresholds, opening_radius=radius)
+        for img in (rng.uniform(0, 1, (3, 9, 9)), blocks, disk):
+            got = S.bms_saliency(img, cfg)
+            want = bms_saliency_per_map(img, thresholds, radius)
+            assert got.tobytes() == want.tobytes()
+        if radius == 5:
+            assert not S.bms_saliency(disk, cfg).any()
 
 
 class TestOracleSaliency:
