@@ -447,6 +447,15 @@ def train_base(scenes: list[Scene], cfg: DetectorConfig, train_cfg: TrainConfig,
     return params, metrics
 
 
+def _check_squares(arrays, message: str) -> None:
+    """A NonFiniteError with the message if a value of the arrays squares to
+    a non-finite number. Values like that are a checkpoint's fault: the
+    novel stage would overflow once a step moves them, and call it divergence."""
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(np.square(a)).all() for a in arrays):
+            raise T.NonFiniteError(message)
+
+
 def train_novel(base_params: DetectorParams, support: SupportSet,
                 cfg: DetectorConfig, train_cfg: TrainConfig, hp: Hyperparams,
                 seed: int, saliency_provider=None
@@ -456,6 +465,11 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
     The frozen base detector's outputs are computed once per support scene
     (they cannot change) and fed to the distillation term as constants.
     """
+    # backpropagation multiplies every weight by a gradient, and a weight
+    # whose square overflows leaves a gradient no room above its own size
+    _check_squares(base_params.as_arrays().values(),
+                   "a weight overflows when squared, which leaves the "
+                   "gradients through it no room")
     anchors = det.generate_anchors(cfg.anchors)
     scenes = support.scenes
     caches = _prepare(scenes, cfg, anchors, saliency_provider)
@@ -468,6 +482,10 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
                                      lambda i: caches[i].saliency, base_params, cfg)
         for cache, (logits, offsets, _) in zip(caches, outputs):
             cache.base_logits, cache.base_offsets = logits, offsets
+            # the distillation term squares novel-minus-base differences, so
+            # such an output overflows on the first step that moves it
+            _check_squares([logits, offsets], "its outputs overflow when squared, "
+                           "as the distillation term does")
 
     def loss_fn(out, mined, cache):
         return novel_loss(out, mined, cache.gt_boxes, anchors, params, cfg, hp,

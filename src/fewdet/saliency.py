@@ -22,7 +22,7 @@ class BmsConfig:
     opening_radius: int = 1  # 0 disables the opening entirely
 
 
-# Every boolean map of an image lives on one row-major [H+2, N*(W+1)+1]
+# The labelled boolean maps of an image live on one row-major [H+2, N*(W+1)+1]
 # canvas: the N maps sit side by side, framed by a True ring made of the top
 # row, the bottom row and one column before each map and after the last. The
 # ring is one 4-connected component, and every component that touches an
@@ -45,40 +45,27 @@ def _maps(canvas: np.ndarray, w: int) -> np.ndarray:
     return canvas[1:-1, 1:].reshape(h, n, w + 1)[:, :, :w]
 
 
-def _boolean_canvas(image: np.ndarray, config: BmsConfig) -> np.ndarray:
-    """The ringed canvas of an image's 3*T*2 boolean maps; see boolean_maps.
+def threshold_levels(image: np.ndarray, config: BmsConfig) -> np.ndarray:
+    """How many thresholds t_k = k/(T+1), k=1..T, each value exceeds.
 
-    The thresholds are written straight into the canvas's map cells: building
-    the [N,H,W] stack first and copying it in would cost a transposing bool
-    copy of every map."""
+    Thresholding is strict (value > t_k), so a value exactly at t_k stays
+    below level k. Boolean map k of a channel is {level >= k} and its
+    complement {level < k}. Returns a [3,H,W] integer array.
+    """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")
-    if image.min() < 0.0 or image.max() > 1.0:
+    if not (image.min() >= 0.0 and image.max() <= 1.0):  # NaN fails both
         raise ValueError("image values must lie in [0,1]")
     t = config.thresholds_per_channel
     if t < 1:
         raise ValueError("thresholds_per_channel must be >= 1")
-    _, h, w = image.shape
-    canvas = _ringed_canvas(3 * t * 2, h, w)
-    pairs = _maps(canvas, w).reshape(h, 3, t, 2, w)
-    thresholds = np.arange(1, t + 1) / (t + 1)
-    np.greater(image.transpose(1, 0, 2)[:, :, None], thresholds[:, None],
-               out=pairs[:, :, :, 0])
-    np.logical_not(pairs[:, :, :, 0], out=pairs[:, :, :, 1])
-    return canvas
-
-
-def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
-    """Threshold each channel at t_k = k/(T+1), k=1..T; emit map and complement.
-
-    Thresholding is strict (value > t_k), so pixels exactly at a threshold
-    fall into the complement. Returns a [3*T*2, H, W] boolean stack,
-    channel-major, then threshold, map before complement: a view of the
-    maps' ringed canvas.
-    """
-    canvas = _boolean_canvas(image, config)
-    return _maps(canvas, np.shape(image)[-1]).transpose(1, 0, 2)
+    # the maps' own compares, added in place: a [3,H,W,T] compare and sum
+    # costs several times more
+    level = np.zeros(image.shape, dtype=np.min_scalar_type(t))
+    for k in range(1, t + 1):
+        level += image > k / (t + 1)
+    return level
 
 
 def _surround(canvas: np.ndarray, opening_radius: int) -> np.ndarray:
@@ -121,14 +108,35 @@ def surroundedness(bmap: np.ndarray, opening_radius: int = 1) -> np.ndarray:
 
 
 def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
-    """Mean surroundedness over all boolean maps, min-max normalized.
+    """Mean surroundedness over all 3*T*2 boolean maps, min-max normalized.
 
     A constant mean map (e.g. from a constant image, where no boolean map has
     an enclosed region) normalizes to all zeros.
+
+    The maps of a channel are nested, so only its distinct non-trivial ones
+    are labelled. With present levels L_0 < ... < L_m, maps k <= L_0 are
+    all-True and maps k > L_m all-False: neither they nor their complements
+    keep a pixel. Maps L_{j-1} < k <= L_j all equal {level >= L_j}, which
+    with its complement is labelled once and counted L_j - L_{j-1} times.
+    The counts are exact integers, so the mean is the one over all maps.
     """
-    kept = _surround(_boolean_canvas(image, config), config.opening_radius)
-    # a uint8 view sums far faster than the strided bool one
-    counts = _maps(kept.view(np.uint8), np.shape(image)[-1]).sum(axis=1)
+    level = threshold_levels(image, config)
+    _, h, w = level.shape
+    present = [np.flatnonzero(np.bincount(channel.ravel())) for channel in level]
+    n = sum(len(p) - 1 for p in present)
+    if n == 0:
+        return np.zeros((h, w))
+    canvas = _ringed_canvas(2 * n, h, w)
+    pairs = _maps(canvas, w).reshape(h, n, 2, w)
+    i = 0
+    for channel, p in zip(level, present):
+        np.greater_equal(channel[:, None], p[1:, None],
+                         out=pairs[:, i:i + len(p) - 1, 0])
+        i += len(p) - 1
+    np.logical_not(pairs[:, :, 0], out=pairs[:, :, 1])
+    kept = _surround(canvas, config.opening_radius)
+    weights = np.repeat(np.concatenate([np.diff(p) for p in present]), 2)
+    counts = np.matmul(weights, _maps(kept.view(np.uint8), w))
     return minmax_or_zeros(counts / (3 * config.thresholds_per_channel * 2))
 
 

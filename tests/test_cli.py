@@ -219,10 +219,10 @@ class TestCheckpointFuzz:
         """eval and train-novel on a valid checkpoint with one value or one
         metadata field changed: each run exits 0 with nothing on stderr, or
         1 with one ``error:`` line; never a traceback or a numpy warning.
-        train-novel may also stop with exit 2 and one line saying that the
-        novel stage diverged: with gamma > 0, a regression weight of about
-        1e200 or more is usable as loaded, but the distillation term
-        overflows once a step moves a weight that feeds it."""
+        A checkpoint fault is never reported as a diverged novel stage (exit
+        2): with gamma > 0, a regression weight of about 1e200 or more gives
+        base offsets whose squares overflow, and that is checked before
+        training starts."""
         arrays, meta = self.mutate(data, *T.load_arrays(base_run / "base.ckpt.json"))
         with tempfile.TemporaryDirectory() as out:
             path = os.path.join(out, "m.ckpt.json")
@@ -242,10 +242,32 @@ class TestCheckpointFuzz:
                     rc = run([args[0], "--out", out, *TINY, *args[1:]])
                 lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
                 one_error = len(lines) == 1 and lines[0].startswith("error: ")
-                assert (rc == 0 and not lines) or (rc == 1 and one_error) or \
-                    (rc == 2 and one_error and args[0] == "train-novel"
-                     and lines[0].startswith("error: novel stage diverged")), \
+                assert (rc == 0 and not lines) or (rc == 1 and one_error), \
                     (args[0], rc, lines)
+
+    @pytest.mark.parametrize("name, index, value, reason", [
+        ("head.0.reg.kernel", 100, 1e200,
+         "a weight overflows when squared, which leaves the gradients through it no room"),
+        ("backbone.1.kernel", 211, -8.978331222798986e+307,
+         "a weight overflows when squared, which leaves the gradients through it no room"),
+        ("head.0.reg.kernel", None, 1e154,
+         "its outputs overflow when squared, as the distillation term does")],
+        ids=["reg-weight", "backbone-weight", "reg-offsets"])
+    def test_overflowing_base_is_no_divergence(self, base_run, tmp_path, name, index,
+                                               value, reason):
+        """Base weights or offsets whose squares overflow are the checkpoint's
+        fault; they used to end train-novel as a diverged novel stage."""
+        arrays, meta = T.load_arrays(base_run / "base.ckpt.json")
+        a = arrays[name].copy()
+        a.flat[slice(None) if index is None else index] = value
+        path = tmp_path / "m.ckpt.json"
+        T.save_arrays(path, {**arrays, name: a}, meta)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = run(["train-novel", "--base-ckpt", str(path), "--out", str(tmp_path),
+                      *TINY, "--set", "novel.k=1", "--set", "novel.epochs=1"])
+        assert (rc, err.getvalue().splitlines()) == (
+            1, [f"error: checkpoint {path}: its weights overflow ({reason})"])
 
 
 class TestTrainBase:

@@ -642,19 +642,34 @@ class TestTraining:
                 fs.train_base(scenes, cfg, tc, [1, 2], seed=7)
 
     def test_overflow_at_the_starting_parameters_is_no_divergence(self):
-        """A step that is non-finite from the very parameters training starts
-        at raises NonFiniteError, not DivergenceError: the input overflows,
+        """A base that overflows from the very parameters training starts at
+        raises NonFiniteError, not DivergenceError: the input overflows,
         training did not diverge."""
         rng = np.random.default_rng(24)
         cfg = tiny_config()
         base = det.init_detector_params(cfg, [1, 2], rng)
-        for s in range(2):  # the box loss sums offsets of 1e308: inf
+        for s in range(2):  # weights and offsets of 1e308 overflow when squared
             base.tensors[f"head.{s}.reg.bias"].data[:] = 1e308
         support = fs.SupportSet(scenes=[toy_scene(rng, cfg, 3), toy_scene(rng, cfg, 1)],
                                 novel_instances={3: [(0, 0)]}, base_instances={}, k=1)
         tc = fs.TrainConfig(epochs=1)
         with pytest.raises(T.NonFiniteError):
             fs.train_novel(base, support, cfg, tc, fs.Hyperparams(), seed=1)
+
+    def test_step_non_finite_from_the_start_is_no_divergence(self):
+        """The epoch loop re-runs a failing scene's step from the parameters
+        training started at; non-finite there too, the NonFiniteError is
+        raised as it is."""
+        cfg, scenes = small_train_setup()
+        params = det.init_detector_params(cfg, [1, 2], np.random.default_rng(0))
+        caches = fs._prepare(scenes, cfg, det.generate_anchors(cfg.anchors), None)
+
+        def loss_fn(out, mined, cache):
+            return T.scale(T.sum_all(out.offsets), math.inf), {}
+
+        with pytest.raises(T.NonFiniteError):
+            fs._run_epochs(scenes, caches, params, cfg, fs.TrainConfig(epochs=1),
+                           "base", 0, loss_fn)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_clip_rescales_gradients_whose_squares_overflow(self, scale):

@@ -21,36 +21,48 @@ class FakeScene:
 
 
 class TestBooleanMaps:
+    """The maps as threshold levels: map k of a channel, value > t_k, is
+    {level >= k} and its complement {level < k}."""
 
     def test_count_and_layout(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 1, size=(3, 6, 6))
-        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=8))
-        assert len(maps) == 3 * 8 * 2
-        # map/complement pairing
-        for i in range(0, len(maps), 2):
-            assert np.array_equal(maps[i], ~maps[i + 1])
+        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=8))
+        assert level.shape == img.shape
+        assert level.min() >= 0 and level.max() <= 8
+        for k in range(1, 9):
+            np.testing.assert_array_equal(level >= k, img > k / 9)
 
     def test_constant_zero_image_single_threshold(self):
         img = np.zeros((3, 4, 4))
-        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=1))
-        assert not maps[0].any() and maps[1].all()
+        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=1))
+        assert not level.any()
 
     def test_exact_threshold_goes_to_complement(self):
-        """t_1 = 1/2 at T=1; pixels exactly at 0.5 fail the strict compare."""
+        """t_1 = 1/2 at T=1 and t_2 = 1/2 at T=3; pixels exactly at 0.5 fail
+        the strict compare, so they stay below the threshold's level."""
         img = np.full((3, 3, 3), 0.5)
-        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=1))
-        assert not maps[0].any() and maps[1].all()
+        assert (S.threshold_levels(img, BmsConfig(thresholds_per_channel=1)) < 1).all()
+        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=3))
+        assert (level >= 1).all() and (level < 2).all()
 
     def test_checkerboard_thresholding(self):
         board = np.indices((4, 4)).sum(axis=0) % 2
         img = np.stack([board * 0.9 + 0.1] * 3)  # low 0.1, high 1.0
-        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=1))
-        np.testing.assert_array_equal(maps[0], board.astype(bool))
+        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=1))
+        np.testing.assert_array_equal(level[0] >= 1, board.astype(bool))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            S.boolean_maps(np.full((3, 2, 2), 1.5), BmsConfig())
+            S.threshold_levels(np.full((3, 2, 2), 1.5), BmsConfig())
+
+    @pytest.mark.parametrize("bad", [-0.25, np.inf, np.nan])
+    def test_one_bad_pixel_rejected(self, bad):
+        """One bad pixel, NaN included, is the same error in BMS."""
+        img = np.full((3, 6, 6), 0.5)
+        img[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            S.bms_saliency(img, BmsConfig())
 
 
 class TestSurroundedness:
@@ -155,7 +167,8 @@ class TestBmsSaliency:
             assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_one_labelling_per_image(self, monkeypatch):
-        """All 3*T*2 boolean maps of an image are labelled in one call."""
+        """An image's distinct non-trivial boolean maps and their complements
+        are labelled in at most one call; an image without one makes none."""
         calls = []
         real_label = ndimage.label
 
@@ -165,11 +178,18 @@ class TestBmsSaliency:
 
         monkeypatch.setattr(ndimage, "label", label)
         rng = np.random.default_rng(6)
-        for t in (1, 8):
-            calls.clear()
-            S.bms_saliency(rng.uniform(0, 1, size=(3, 10, 12)),
-                           BmsConfig(thresholds_per_channel=t))
-            assert calls == [(12, 6 * t * 13 + 1)]
+        blocks = np.kron(rng.uniform(0, 1, (3, 5, 4)), np.ones((1, 2, 3)))
+        for t in (1, 2, 8):
+            cfg = BmsConfig(thresholds_per_channel=t)
+            for img in (rng.uniform(0, 1, size=(3, 10, 12)), blocks,
+                        np.full((3, 10, 12), 0.4), np.zeros((3, 10, 12))):
+                calls.clear()
+                S.bms_saliency(img, cfg)
+                # a channel with m present levels has m - 1 non-trivial maps
+                maps = [(channel > np.arange(1, t + 1)[:, None, None] / (t + 1))
+                        .sum(axis=0) for channel in img]
+                n = sum(len(np.unique(m)) - 1 for m in maps)
+                assert calls == ([(12, 2 * n * 13 + 1)] if n else [])
 
     def test_never_records_on_tape(self):
         rng = np.random.default_rng(4)
@@ -185,7 +205,7 @@ class TestStackedBmsMatchesPerMap:
     same bits as labelling and opening each boolean map on its own."""
 
     @staticmethod
-    def images():
+    def images(thresholds):
         rng = np.random.default_rng(5)
         blocks = np.kron(rng.uniform(0, 1, (3, 5, 6)), np.ones((1, 4, 4)))
         yield rng.uniform(0, 1, (3, 17, 23))
@@ -197,15 +217,47 @@ class TestStackedBmsMatchesPerMap:
         # a row, a column and a 2x2 image: every pixel is on a border
         for shape in [(1, 7), (7, 1), (2, 2)]:
             yield rng.uniform(0, 1, (3, *shape))
+        # values exactly at the thresholds and one float step either side
+        at = np.arange(thresholds + 2) / (thresholds + 1)
+        edges = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+        yield np.kron(rng.choice(edges, (3, 6, 8)), np.ones((1, 3, 3)))
+        # levels 0..T, one per value: a single level, and levels with gaps
+        mid = (np.arange(thresholds + 1) + 0.5) / (thresholds + 1)
+        gaps = np.kron(rng.choice(mid[::3], (3, 5, 6)), np.ones((1, 3, 4)))
+        yield gaps
+        single = gaps.copy()
+        single[0] = mid[thresholds // 2]
+        yield single
 
     @pytest.mark.parametrize("thresholds", range(1, 10))
     @pytest.mark.parametrize("radius", [0, 1, 2])
     def test_byte_identical(self, thresholds, radius):
         cfg = BmsConfig(thresholds_per_channel=thresholds, opening_radius=radius)
-        for img in self.images():
+        for img in self.images(thresholds):
             got = S.bms_saliency(img, cfg)
             want = bms_saliency_per_map(img, thresholds, radius)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), thresholds=st.integers(1, 9), radius=st.integers(0, 2),
+           h=st.integers(1, 9), w=st.integers(1, 9))
+    def test_quantized_images_property(self, data, thresholds, radius, h, w):
+        """Channels drawn from a few values at, beside and between the
+        thresholds: single levels, gaps and repeated maps are the rule."""
+        at = np.arange(thresholds + 2) / (thresholds + 1)
+        mid = (at[:-1] + at[1:]) / 2
+        values = np.unique(np.concatenate(
+            [at, mid, np.nextafter(at, 0.0), np.nextafter(at, 1.0)]))
+        img = np.empty((3, h, w))
+        for channel in img:
+            palette = data.draw(st.lists(st.sampled_from(values), min_size=1,
+                                         max_size=4), label="palette")
+            picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
+                                       min_size=h * w, max_size=h * w), label="pixels")
+            channel[...] = np.array(palette)[picks].reshape(h, w)
+        got = S.bms_saliency(img, BmsConfig(thresholds, radius))
+        want = bms_saliency_per_map(img, thresholds, radius)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("thresholds", [1, 3, 8])
     @pytest.mark.parametrize("radius", [3, 5])
