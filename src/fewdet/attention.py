@@ -61,8 +61,7 @@ def global_context(features: Tensor, h: Tensor) -> Tensor:
 
 
 def gc_block(features: Tensor, w_k: Tensor, w_v1: Tensor, ln_gain: Tensor,
-             ln_bias: Tensor, w_v2: Tensor, eps_ln: float = 1e-5
-             ) -> tuple[Tensor, Tensor]:
+             ln_bias: Tensor, w_v2: Tensor) -> tuple[Tensor, Tensor]:
     """Residual global-context transform: z = y + W_v2 ReLU(LN(W_v1 y')),
     per sample of a [B,C,H,W] stack.
 
@@ -76,7 +75,7 @@ def gc_block(features: Tensor, w_k: Tensor, w_v1: Tensor, ln_gain: Tensor,
     h = topdown_map(features, w_k)
     y = global_context(features, h)
     t = T.reshape(T.matmul(T.reshape(w_v1, (cb, c)), T.reshape(y, (b, c, 1))), (b, cb))
-    t = T.relu(T.layer_norm(t, ln_gain, ln_bias, eps_ln=eps_ln))
+    t = T.relu(T.layer_norm(t, ln_gain, ln_bias))
     u = T.matmul(T.reshape(w_v2, (c, cb)), T.reshape(t, (b, cb, 1)))
     return T.add(features, T.reshape(u, (b, c, 1, 1))), h
 

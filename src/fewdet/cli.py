@@ -194,6 +194,8 @@ RULES = {
     "novel.weight_decay": (lambda v: v >= 0, "a number >= 0"),
     "base.clip_norm": (lambda v: v >= 0, "a number >= 0"),
     "novel.clip_norm": (lambda v: v >= 0, "a number >= 0"),
+    "base.lr_decay": (lambda v: v > 0, "a number > 0"),
+    "novel.lr_decay": (lambda v: v > 0, "a number > 0"),
     "base.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
     "novel.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
     "novel.k": (lambda v: v >= 1, "an integer >= 1"),

@@ -143,13 +143,12 @@ def match_anchors(anchors: np.ndarray, gt_boxes: np.ndarray, gt_labels,
 VARIANCES = (0.1, 0.2)
 
 
-def encode_all(gt: np.ndarray, anchor_array: np.ndarray,
-               variances=VARIANCES) -> np.ndarray:
+def encode_all(gt: np.ndarray, anchor_array: np.ndarray) -> np.ndarray:
     """Offsets regressed from [N,4] anchors to [N,4] ground truth: scaled
     center deltas and log size ratios. The logs are libm's (math.log):
     numpy's vectorized log differs from it in the last bit on some ratios,
     and training follows those bits."""
-    v0, v1 = variances
+    v0, v1 = VARIANCES
     out = np.empty_like(gt)
     out[:, 0] = (gt[:, 0] - anchor_array[:, 0]) / (v0 * anchor_array[:, 2])
     out[:, 1] = (gt[:, 1] - anchor_array[:, 1]) / (v0 * anchor_array[:, 3])
@@ -159,10 +158,9 @@ def encode_all(gt: np.ndarray, anchor_array: np.ndarray,
     return out
 
 
-def decode_all(offsets: np.ndarray, anchor_array: np.ndarray,
-               variances=VARIANCES) -> np.ndarray:
+def decode_all(offsets: np.ndarray, anchor_array: np.ndarray) -> np.ndarray:
     """Boxes from [N,4] offsets against [N,4] anchors: the inverse of encode_all."""
-    v0, v1 = variances
+    v0, v1 = VARIANCES
     out = np.empty_like(offsets)
     out[:, 0] = anchor_array[:, 0] + offsets[:, 0] * v0 * anchor_array[:, 2]
     out[:, 1] = anchor_array[:, 1] + offsets[:, 1] * v0 * anchor_array[:, 3]
@@ -233,9 +231,9 @@ class DetectorParams:
         return {k: v.data for k, v in self.tensors.items()}
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], class_ids: list[int],
-                    requires_grad: bool = True) -> "DetectorParams":
-        return cls({k: Tensor(v, requires_grad=requires_grad)
+    def from_arrays(cls, arrays: dict[str, np.ndarray],
+                    class_ids: list[int]) -> "DetectorParams":
+        return cls({k: Tensor(v, requires_grad=True)
                     for k, v in sorted(arrays.items())}, class_ids)
 
 

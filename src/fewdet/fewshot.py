@@ -332,46 +332,39 @@ def _prepare(scenes: list[Scene], cfg: DetectorConfig, anchors: np.ndarray,
     return caches
 
 
-def _joint_norm(arrays) -> float:
-    total = 0.0  # array by array, in order: training follows these bits
-    for a in arrays:
-        total += float((a ** 2).sum())
-    return math.sqrt(total)
-
-
-def _clip_gradients(params: DetectorParams, max_norm: float) -> None:
-    """Rescale all gradients so their joint L2 norm is at most max_norm; 0
-    leaves them as they are. Non-finite gradients are a NonFiniteError.
-
-    The first epochs produce violent steps that can push whole backbone
-    stages into the dead half of the ReLU, from which no gradient returns;
-    a norm cap keeps the early trajectory inside the recoverable region.
-    """
-    grads = [t.grad for t in params.tensors.values() if t.grad is not None]
-    norm = _joint_norm(grads)
-    if math.isinf(norm):
-        # the squares overflow: take the norm of the gradients scaled down
+def _grad_norm(grads) -> float:
+    """The joint L2 norm of the gradient arrays, summed array by array in
+    order (training follows these bits). Squares that overflow are summed
+    from the arrays scaled down by their peak, so a huge but finite gradient
+    has a finite norm; a non-finite gradient is a NonFiniteError."""
+    total = 0.0
+    for g in grads:
+        total += float((g ** 2).sum())
+    norm = math.sqrt(total)
+    if math.isinf(norm):  # scaled to a peak of 1, the squares cannot overflow
         peak = max(float(np.abs(g).max()) for g in grads)
-        norm = peak * _joint_norm([g / peak for g in grads])
+        norm = peak * _grad_norm([g / peak for g in grads])
     if not math.isfinite(norm):
         raise T.NonFiniteError("the gradients are not finite")
-    if 0 < max_norm < norm:
-        scale = max_norm / norm
-        for t in params.tensors.values():
-            if t.grad is not None:
-                t.grad = t.grad * scale
+    return norm
 
 
 def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
     """Shared epoch loop: shuffle, batch, accumulate grads, step, log.
 
-    A non-finite value is a DivergenceError, unless the failing scene's
-    step is non-finite from the starting parameters as well: then those
-    overflow on their own, and the NonFiniteError propagates.
+    The parameters are views into one flat buffer, which each step updates
+    in place together with a flat velocity buffer; on return they stay views
+    into it. A non-finite value is a DivergenceError, unless the failing
+    scene's step is non-finite from the starting parameters as well: then
+    those overflow on their own, and the NonFiniteError propagates.
     """
     order_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    initial = params.as_arrays()  # steps replace these arrays, never write into them
-    velocity: dict[str, np.ndarray] = {}
+    tensors = list(params.tensors.values())
+    flat = np.concatenate([t.data for t in tensors], axis=None)
+    views = np.split(flat, np.cumsum([t.data.size for t in tensors])[:-1])
+    for t, view in zip(tensors, views):
+        t.data = view.reshape(t.data.shape)
+    initial, velocity = flat.copy(), np.zeros_like(flat)
     metrics = []
     lr = train_cfg.lr
 
@@ -387,6 +380,25 @@ def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
         if loss.requires_grad:
             backward(tape, loss)
         return loss, parts
+
+    def step(batch_size, lr):
+        """One SGD step on the flat buffers from the batch's mean gradient,
+        scaled down to a norm of clip_norm when above it (0 disables).
+
+        The first epochs produce violent steps that can push whole backbone
+        stages into the dead half of the ReLU, from which no gradient
+        returns; the cap keeps the early trajectory inside the recoverable
+        region. The step's flat-size temporaries die on return, before the
+        next batch's tapes run."""
+        grads = [np.zeros(t.data.shape) if t.grad is None else t.grad for t in tensors]
+        if batch_size > 1:
+            grads = [g / batch_size for g in grads]
+        norm = _grad_norm(grads)
+        grad = np.concatenate(grads, axis=None)
+        if 0 < train_cfg.clip_norm < norm:
+            grad *= train_cfg.clip_norm / norm
+        T.sgd_momentum_step(flat, grad, velocity, lr, train_cfg.momentum,
+                            train_cfg.weight_decay)
 
     # a non-finite value is detected and raised as an error below, so numpy's
     # own warnings or errors on the way there are pure noise
@@ -406,21 +418,13 @@ def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
                         sums["loss_total"] = sums.get("loss_total", 0.0) + float(loss.data)
                         for key, value in parts.items():
                             sums[key] = sums.get(key, 0.0) + value
-                    if len(batch) > 1:
-                        for t in params.tensors.values():
-                            if t.grad is not None:
-                                t.grad = t.grad / len(batch)
-                    _clip_gradients(params, train_cfg.clip_norm)
-                    T.sgd_momentum_step(params.tensors, velocity, lr=lr,
-                                        momentum=train_cfg.momentum,
-                                        weight_decay=train_cfg.weight_decay)
+                    step(len(batch), lr)
             except T.NonFiniteError as e:
+                flat[...] = initial
                 params.zero_grads()
-                for name, t in params.tensors.items():
-                    t.data = initial[name]
                 try:
                     scene_grads(idx)
-                    _clip_gradients(params, 0.0)
+                    _grad_norm([t.grad for t in tensors if t.grad is not None])
                 except T.NonFiniteError:
                     raise e  # no divergence: the starting parameters overflow
                 raise DivergenceError(f"{stage} stage diverged at epoch {epoch} "

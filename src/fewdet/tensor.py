@@ -596,26 +596,14 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
 # optimizer
 # ---------------------------------------------------------------------------
 
-def sgd_momentum_step(params: dict[str, Tensor], velocity: dict[str, Array],
-                      lr: float, momentum: float, weight_decay: float = 0.0) -> None:
-    """One SGD step: v <- momentum*v + grad + wd*param; param <- param - lr*v.
-
-    ``velocity`` maps the same names to buffers (zero-initialized on first
-    use); missing grads count as zero. Updates params and velocity in place.
-    """
-    for name in params:
-        p = params[name]
-        v = velocity.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-        elif v.shape != p.data.shape:
-            raise ShapeError(f"velocity shape {v.shape} != param shape {p.data.shape} for {name!r}")
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        v = momentum * v + g + weight_decay * p.data
-        params[name].data = p.data - lr * v
-        velocity[name] = v
+def sgd_momentum_step(param: Array, grad: Array, velocity: Array, lr: float,
+                      momentum: float, weight_decay: float) -> None:
+    """One SGD step over flat arrays, in place and in this order:
+    v <- momentum*v; v += grad; v += wd*param; param -= lr*v."""
+    velocity *= momentum
+    velocity += grad
+    velocity += weight_decay * param
+    param -= lr * velocity
 
 
 # ---------------------------------------------------------------------------

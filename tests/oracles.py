@@ -441,3 +441,26 @@ def col2im_slices(gcols, shape, kh, kw, stride, pad, ho, wo):
         for j in range(kw):
             gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
     return gxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def sgd_step_per_tensor(tensors, velocity, batch_size, clip_norm, lr, momentum,
+                        weight_decay):
+    """One optimizer step over a dict of named parameter tensors, one array
+    at a time: the accumulated gradients (None as zeros) divided by the
+    batch size, scaled down to a joint L2 norm of clip_norm when above it
+    (0 disables), then v = momentum*v + g + weight_decay*p and
+    p = p - lr*v per tensor. ``velocity`` maps the names to buffers and is
+    filled on first use. Returns whether the clip engaged."""
+    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data)) / batch_size
+             for name, t in tensors.items()}
+    total = 0.0
+    for g in grads.values():
+        total += float((g ** 2).sum())
+    norm = math.sqrt(total)
+    clipped = 0 < clip_norm < norm
+    for name, t in tensors.items():
+        g = grads[name] * (clip_norm / norm) if clipped else grads[name]
+        v = momentum * velocity.get(name, np.zeros_like(t.data)) + g + weight_decay * t.data
+        t.data = t.data - lr * v
+        velocity[name] = v
+    return clipped

@@ -46,14 +46,14 @@ from tracer import Phase, Tracer
 cfg = dict(cli.DEFAULTS)
 dcfg = cli.detector_config(cfg)
 split = sd.make_split(1)
-bench = sd.build_benchmark(0, split, sizes=(1, 1, det.INFERENCE_CHUNK + 1))
+bench = sd.build_benchmark(0, split, sizes=(3, 1, det.INFERENCE_CHUNK + 1))
 provider = cli.saliency_provider(cfg, dcfg)
 tracer = Tracer()
 train, evaluation = Phase(), Phase()
 with tracer.recording(train):
     params, _ = fs.train_base(
         bench.base_train, dcfg,
-        dataclasses.replace(cli.train_config(cfg, "base"), epochs=1),
+        dataclasses.replace(cli.train_config(cfg, "base"), epochs=1, batch_size=2),
         sorted(split.base), seed=0, saliency_provider=provider)
 with tracer.recording(evaluation):
     det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
@@ -69,6 +69,8 @@ print(json.dumps({{
     "chunk": det.INFERENCE_CHUNK,
     "eval_forward": calls(evaluation, "detector.forward"),
     "eval_bms": calls(evaluation, "saliency.bms_saliency"),
+    "train_scenes": len(bench.base_train),
+    "train_sgd": calls(train, "tensor.sgd_momentum_step"),
 }}))
 """
 
@@ -85,6 +87,15 @@ def test_training_step_records_every_step_op(traced_counts):
     """bench/selftest.py requires every tape op in spec.STEP_OPS to read
     above zero on the train_base workload."""
     assert traced_counts["unrecorded_step_ops"] == []
+
+
+def test_training_runs_one_sgd_step_per_batch(traced_counts):
+    """bench/selftest.py requires tensor.sgd_momentum_step to read above
+    zero on train_base and novel_sweep, so the epoch loop must call it
+    through the tensor module once per optimizer step: two batches of at
+    most two scenes for three scenes."""
+    assert traced_counts["train_scenes"] == 3
+    assert traced_counts["train_sgd"] == 2
 
 
 def test_evaluation_runs_one_forward_per_chunk_and_bms_per_scene(traced_counts):

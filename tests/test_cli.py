@@ -124,6 +124,7 @@ class TestExitCodes:
         ("novel.k", "0"), ("novel.base_multiplier", "-1"), ("novel.gamma", "-0.5"),
         ("detector.image_size", "-1"), ("novel.lr_decay", "Infinity"),
         ("base.weight_decay", "NaN"), ("anchors.scales", "[NaN,0.42]"),
+        ("base.lr_decay", "-1"), ("base.lr_decay", "0"), ("novel.lr_decay", "0"),
     ])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
                                                 value):

@@ -13,7 +13,7 @@ from fewdet import tensor as T
 from fewdet.detector import AnchorConfig, DetectorConfig, DetectorOutputs
 from fewdet.synthdata import Scene
 from fewdet.tensor import Tape, Tensor, backward, grad_check
-from oracles import col2im_slices
+from oracles import col2im_slices, sgd_step_per_tensor
 
 TOL = 1e-12
 
@@ -593,6 +593,35 @@ def small_train_setup(seed=21, n_scenes=3):
     return cfg, scenes
 
 
+def hand_rolled_training(params, scenes, cfg, tc, seed):
+    """Detection-loss training with fs._run_epochs's shuffling and batching,
+    one tape per scene, and the per-tensor reference step; returns the
+    number of steps whose clip engaged."""
+    anchors = det.generate_anchors(cfg.anchors)
+    order = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    velocity, clipped = {}, 0
+    for _ in range(tc.epochs):
+        perm = order.permutation(len(scenes))
+        for start in range(0, len(perm), tc.batch_size):
+            batch = perm[start:start + tc.batch_size]
+            params.zero_grads()
+            for idx in batch:
+                scene = scenes[int(idx)]
+                boxes = scene.boxes[scene.annotated]
+                match = det.match_anchors(anchors, boxes, scene.labels[scene.annotated],
+                                          cfg.pos_thr)
+                with Tape() as tape:
+                    out = det.forward(scene.image[None], None, params, cfg).single()
+                    mined = det.hard_negative_mining(
+                        det.background_ce(out.logits.data), match, cfg.neg_pos_ratio)
+                    loss, _ = det.base_loss(out, mined, boxes, anchors, params, cfg)
+                backward(tape, loss)
+            clipped += sgd_step_per_tensor(params.tensors, velocity, len(batch),
+                                           tc.clip_norm, tc.lr, tc.momentum,
+                                           tc.weight_decay)
+    return clipped
+
+
 class TestTraining:
     def test_zero_epochs_leaves_parameters_at_init(self):
         cfg, scenes = small_train_setup()
@@ -673,22 +702,34 @@ class TestTraining:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_clip_rescales_gradients_whose_squares_overflow(self, scale):
-        params = det.DetectorParams({"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(1))},
-                                    [])
-        params.tensors["a"].grad = np.array([3.0, 0.0]) * scale
-        params.tensors["b"].grad = np.array([-4.0]) * scale
+        grads = [np.array([3.0, 0.0]) * scale, np.array([-4.0]) * scale]
         with np.errstate(over="ignore"):  # as in training, which detects overflow
-            fs._clip_gradients(params, 0.5)
-        np.testing.assert_allclose(params.tensors["a"].grad, [0.3, 0.0], rtol=1e-15)
-        np.testing.assert_allclose(params.tensors["b"].grad, [-0.4], rtol=1e-15)
+            norm = fs._grad_norm(grads)
+        assert norm == pytest.approx(5.0 * scale, rel=1e-15)
+        clipped = np.concatenate(grads) * (0.5 / norm)  # the epoch loop's clip
+        np.testing.assert_allclose(clipped, [0.3, 0.0, -0.4], rtol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("max_norm", [0.0, 5.0])
     def test_clip_rejects_non_finite_gradients(self, bad, max_norm):
-        params = det.DetectorParams({"a": Tensor(np.zeros(3))}, [])
-        params.tensors["a"].grad = np.array([1e200, bad, 1.0])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(T.NonFiniteError):
-            fs._clip_gradients(params, max_norm)
+        """A gradient that holds a non-finite value next to a huge one stops
+        the step in the norm, with the clip on or off; the same step from
+        the starting parameters fails too, so it is no divergence."""
+        cfg, scenes = small_train_setup(n_scenes=1)
+        params = det.init_detector_params(cfg, [1, 2], np.random.default_rng(0))
+        caches = fs._prepare(scenes, cfg, det.generate_anchors(cfg.anchors), None)
+
+        def loss_fn(out, mined, cache):
+            def poisoned(g):
+                grad = np.zeros(out.offsets.shape)
+                grad.flat[:3] = (1e200, bad, 1.0)
+                return (grad,)
+            return T._record("poison", (out.offsets,), np.array(0.0), poisoned), {}
+
+        with pytest.raises(T.NonFiniteError, match="gradients are not finite"):
+            fs._run_epochs(scenes, caches, params, cfg,
+                           fs.TrainConfig(epochs=1, clip_norm=max_norm), "base", 0,
+                           loss_fn)
 
     def test_default_architecture_steps_match_slice_loop_col2im(self, monkeypatch):
         """Three base steps of the default architecture end on the same
@@ -718,7 +759,6 @@ class TestTraining:
     def test_novel_zero_weights_is_plain_finetune_bitwise(self):
         rng = np.random.default_rng(22)
         cfg = tiny_config()
-        anchors = det.generate_anchors(cfg.anchors)
         base = det.init_detector_params(cfg, [1, 2], rng)
         support = fs.SupportSet(
             scenes=[toy_scene(rng, cfg, 3), toy_scene(rng, cfg, 4)],
@@ -731,39 +771,28 @@ class TestTraining:
 
         # hand-rolled fine-tune: same init, same shuffling, base loss only
         params = fs.init_novel_detector(base, support, cfg)
-        caches = []
-        for scene in support.scenes:
-            boxes = scene.boxes[scene.annotated]
-            caches.append((boxes, det.match_anchors(
-                anchors, boxes, scene.labels[scene.annotated], cfg.pos_thr)))
-        order = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        velocity = {}
-        for _ in range(tc.epochs):
-            for idx in order.permutation(len(support.scenes)):
-                scene = support.scenes[int(idx)]
-                boxes, match = caches[int(idx)]
-                params.zero_grads()
-                with Tape() as tape:
-                    out = det.forward(scene.image[None], None, params, cfg).single()
-                    mined = det.hard_negative_mining(
-                        det.background_ce(out.logits.data), match,
-                        cfg.neg_pos_ratio)
-                    loss, _ = det.base_loss(out, mined, boxes, anchors,
-                                            params, cfg)
-                backward(tape, loss)
-                total = math.sqrt(sum(float((t.grad ** 2).sum())
-                                      for t in params.tensors.values()
-                                      if t.grad is not None))
-                if total > tc.clip_norm:
-                    for t in params.tensors.values():
-                        if t.grad is not None:
-                            t.grad = t.grad * (tc.clip_norm / total)
-                T.sgd_momentum_step(params.tensors, velocity, lr=tc.lr,
-                                    momentum=tc.momentum, weight_decay=0.0)
-
+        hand_rolled_training(params, support.scenes, cfg, tc, seed)
         for name in trained.tensors:
             assert np.array_equal(trained.tensors[name].data,
                                   params.tensors[name].data), name
+
+    def test_batched_base_steps_match_per_tensor_loop_bitwise(self):
+        """Base training at batch size 3, with weight decay and a clip that
+        engages, ends on the bytes of the per-tensor reference step, last
+        short batch included."""
+        cfg, scenes = small_train_setup(n_scenes=4)
+        tc = fs.TrainConfig(epochs=3, batch_size=3, lr=0.005, weight_decay=0.01,
+                            clip_norm=60.0)
+        seed = 13
+        trained, _ = fs.train_base(scenes, cfg, tc, [1, 2], seed=seed)
+
+        params = det.init_detector_params(
+            cfg, [1, 2], np.random.default_rng(np.random.SeedSequence([seed, 1])))
+        clipped = hand_rolled_training(params, scenes, cfg, tc, seed)
+        assert 0 < clipped < 2 * tc.epochs  # the clip engaged, and not on every step
+        for name in trained.tensors:
+            assert trained.tensors[name].data.tobytes() == \
+                params.tensors[name].data.tobytes(), name
 
     def test_novel_metrics_report_all_terms(self):
         rng = np.random.default_rng(23)
