@@ -321,8 +321,8 @@ def forward(images, saliency, params: DetectorParams,
 
     head_inputs = []
     for i in range(4):
-        x = T.relu(T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
-                            stride=2, padding=1))
+        x = T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
+                     stride=2, padding=1, relu=True)
         if i == 1:
             x, topdown = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
                                       t["gc.ln_bias"], t["gc.w_v2"])

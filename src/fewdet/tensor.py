@@ -40,6 +40,13 @@ class CheckpointError(TensorError):
     """A checkpoint document is malformed or from an unknown format version."""
 
 
+def _all_finite(arr: Array) -> bool:
+    """True when every value of arr is finite: a ufunc reduce over booleans,
+    which skips the Python wrapper of ``ndarray.all`` and, unlike a sum,
+    cannot overflow or raise under ``np.errstate(all="raise")``."""
+    return np.logical_and.reduce(np.isfinite(arr), None)
+
+
 class Tensor:
     """A dense n-dimensional float64 array, optionally tracked for gradients.
 
@@ -53,22 +60,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Array | None = None
-
-    @classmethod
-    def _wrap(cls, arr: Array, requires_grad: bool = False) -> "Tensor":
-        # Fast path for op outputs: takes ownership of a fresh array.
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("operation produced non-finite values")
-        t = cls.__new__(cls)
-        t.data = arr
-        t.requires_grad = requires_grad
-        t.grad = None
-        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,17 +112,25 @@ class Tape:
         return len(self.nodes)
 
 
-def _active_tape() -> Tape | None:
-    return _TAPES[-1] if _TAPES else None
-
-
 def _record(op: str, inputs: Sequence[Tensor], out_data: Array,
-            backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
-    tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor._wrap(out_data, requires_grad=track)
-    if track:
-        tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
+            backward_fn: Callable[[Array], tuple[Array | None, ...]],
+            finite: bool = False) -> Tensor:
+    """Wrap a fresh op output, and put it on the innermost tape when an input
+    requires gradients. ``finite=True`` skips the finiteness test: for
+    outputs that only copy or select values of tensors, which are finite
+    already, and for outputs whose op tested the values they come from."""
+    if not finite and not _all_finite(out_data):
+        raise NonFiniteError("operation produced non-finite values")
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.grad = None
+    out.requires_grad = False
+    if _TAPES:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _TAPES[-1].nodes.append(_Node(op, tuple(inputs), out, backward_fn))
+                break
     return out
 
 
@@ -145,11 +149,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise TensorError("loss tensor was not produced on this tape")
 
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    pop = grads.pop
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.output), None)
+        g = pop(id(node.output), None)
         if g is None:
             continue
-        in_grads = node.backward_fn(g.reshape(node.output.data.shape))
+        shape = node.output.data.shape
+        in_grads = node.backward_fn(g if g.shape == shape else g.reshape(shape))
         for t, ig in zip(node.inputs, in_grads):
             if ig is None or not t.requires_grad:
                 continue
@@ -231,7 +237,7 @@ def relu(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * mask,)
-    return _record("relu", (a,), np.where(mask, a.data, 0.0), bwd)
+    return _record("relu", (a,), np.where(mask, a.data, 0.0), bwd, finite=True)
 
 
 def log_shift(a: Tensor, eps: float) -> Tensor:
@@ -298,16 +304,17 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bwd(g):
         return (g.reshape(a.data.shape),)
-    return _record("reshape", (a,), a.data.reshape(shape), bwd)
+    return _record("reshape", (a,), a.data.reshape(shape), bwd, finite=True)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    out = a.data.transpose(axes)  # numpy validates the axes
+    inverse = tuple(np.argsort([ax % a.data.ndim for ax in axes]))
 
     def bwd(g):
         return (g.transpose(inverse),)
-    return _record("transpose", (a,), a.data.transpose(axes), bwd)
+    return _record("transpose", (a,), out, bwd, finite=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -323,7 +330,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             pieces.append(g[tuple(key)] if t.requires_grad else None)
         return tuple(pieces)
     return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis),
-                   bwd)
+                   bwd, finite=True)
 
 
 def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -357,7 +364,7 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
         else:
             np.add.at(gz, (slice(None), idx), g)
         return (gz,)
-    return _record("gather", (a,), out, bwd)
+    return _record("gather", (a,), out, bwd, finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +489,9 @@ def _conv_out_size(h: int, k: int, stride: int, pad: int) -> int:
 
 def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, int, int]:
     """[B,C,H,W] -> [B, C*kh*kw, Ho*Wo] patch columns, zero padded: one copy
-    out of a strided window view of the padded stack."""
+    out of a strided window view of the padded stack. The ndarray
+    constructor builds the view over the contiguous padded copy (or the
+    input made contiguous), at a fraction of ``as_strided``'s cost."""
     b, c, h, w = xd.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
@@ -490,11 +499,10 @@ def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, 
         xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
         xp[:, :, pad:pad + h, pad:pad + w] = xd
     else:
-        xp = xd
+        xp = np.ascontiguousarray(xd)
     sb, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (b, c, kh, kw, ho, wo), (sb, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False)
+    windows = np.ndarray((b, c, kh, kw, ho, wo), np.float64, xp, 0,
+                         (sb, sc, sh, sw, sh * stride, sw * stride))
     return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
@@ -531,7 +539,7 @@ def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int,
 
 def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
            bias: Tensor | Sequence[Tensor] | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """2-d convolution (cross-correlation) over a [B,C,H,W] stack, zero padded.
 
     kernel is [C_out, C_in, kH, kW]; bias, when given, is [C_out]. Output
@@ -544,6 +552,10 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
     keeps its own product, and the input gradient adds the kernels' own from
     last to first, as the tape adds those of separate convolutions: values
     and gradients are bitwise those of the separate convolutions.
+
+    ``relu=True`` applies a ReLU in the same op, with values and gradients
+    bitwise those of ``relu(conv2d(...))``. The finiteness test runs on the
+    pre-activation, so a non-finite value the ReLU would zero still raises.
     """
     kernels = (kernel,) if isinstance(kernel, Tensor) else tuple(kernel)
     biases = () if bias is None else (bias,) if isinstance(bias, Tensor) else tuple(bias)
@@ -559,6 +571,8 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
         raise ShapeError(f"kernel expects {cin} input channels, image has {c}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if padding < 0:
+        raise ValueError("padding must be >= 0")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
     for k, bs in zip(kernels, biases):
@@ -572,8 +586,16 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
         o += bs.data[:, None]
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
     cout = out.shape[1]
+    if not _all_finite(out):
+        raise NonFiniteError("operation produced non-finite values")
+    out = out.reshape(b, cout, ho, wo)
+    if relu:
+        mask = out > 0.0
+        out = np.where(mask, out, 0.0)
 
     def bwd(g):
+        if relu:
+            g = g * mask
         gm = g.reshape(b, cout, ho * wo)
         starts = np.cumsum([0] + [kmat.shape[0] for kmat in kmats])
         spans = list(zip(starts[:-1], starts[1:]))
@@ -589,7 +611,7 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
                 gx = gk_x if gx is None else gx + gk_x
         return (gx, *gks, *gbs)
 
-    return _record("conv2d", (x, *kernels, *biases), out.reshape(b, cout, ho, wo), bwd)
+    return _record("conv2d", (x, *kernels, *biases), out, bwd, finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,33 @@ class TestForward:
         assert abs(out.topdown.data.sum() - 1.0) <= 1e-12
 
 
+class TestTapeSize:
+
+    def test_default_training_step_records_51_nodes(self):
+        """A taped training step of the default detector on a fixed scene:
+        forward with saliency, hard-negative mining and the base loss. The
+        backbone's ReLUs run inside its four convolutions, so the step
+        records 51 nodes where a separate ReLU per stage recorded 55. A
+        change that adds nodes to every step must change this number."""
+        cfg = dict(cli.DEFAULTS)
+        dcfg = cli.detector_config(cfg)
+        split = sd.make_split(1)
+        scene = sd.build_benchmark(0, split, sizes=(1, 1, 1)).base_train[0]
+        saliency = cli.saliency_provider(cfg, dcfg)(scene)
+        params = D.init_detector_params(dcfg, sorted(split.base), np.random.default_rng(0))
+        anchors = D.generate_anchors(dcfg.anchors)
+        boxes = scene.boxes[scene.annotated]
+        match = D.match_anchors(anchors, boxes, scene.labels[scene.annotated], dcfg.pos_thr)
+        with T.Tape() as tape:
+            out = D.forward(scene.image[None], saliency[None], params, dcfg).single()
+            mined = D.hard_negative_mining(D.background_ce(out.logits.data), match,
+                                           dcfg.neg_pos_ratio)
+            loss, _ = D.base_loss(out, mined, boxes, anchors, params, dcfg)
+        assert len(tape) == 51
+        assert [n.op for n in tape.nodes].count("relu") == 1  # gc_block's own
+        assert loss.requires_grad
+
+
 class TestStackedForward:
     """A stack is its scenes run alone: every output of scene b in a stack of
     B is bitwise that scene's output as a stack of one."""

@@ -49,6 +49,59 @@ class TestTensorBasics:
         assert out.requires_grad is False
 
 
+class TestFinitenessContract:
+    """Tensors and op outputs hold only finite values, and the test that
+    enforces it cannot raise a FloatingPointError of its own."""
+
+    OVERFLOWING = {
+        "scale": lambda: T.scale(Tensor([1.0, 1e308]), 10.0),
+        "add": lambda: T.add(Tensor([1e308]), Tensor([1e308, 1.0])),
+        "matmul": lambda: T.matmul(Tensor([[1e308, 1e308]]), Tensor(np.ones((2, 3)))),
+        "conv2d": lambda: T.conv2d(Tensor(np.full((1, 2, 3, 3), 1e308)),
+                                   Tensor(np.ones((1, 2, 2, 2))), padding=1),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OVERFLOWING))
+    def test_overflowing_result_raises(self, op):
+        """Every floating-point error raised but overflow and invalid
+        values, which the training loop leaves to this test (raised, numpy
+        reports the overflow before the test runs)."""
+        with np.errstate(all="raise", over="ignore", invalid="ignore"):
+            with pytest.raises(T.NonFiniteError):
+                self.OVERFLOWING[op]()
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self):
+        with np.errstate(all="raise"):
+            t = Tensor([1e308, 1e308])
+            out = T.add(t, Tensor([0.0, 0.0]))
+            conv = T.conv2d(Tensor(np.full((1, 1, 2, 2), 1e308)), Tensor(np.ones((1, 1, 1, 1))))
+        assert t.data.tolist() == out.data.tolist() == [1e308, 1e308]
+        assert np.all(conv.data == 1e308)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_construction_raises(self, value):
+        with np.errstate(all="raise"):
+            with pytest.raises(T.NonFiniteError):
+                Tensor([1.0, value])
+            with pytest.raises(T.NonFiniteError):
+                Tensor(value)
+
+    def test_fused_relu_tests_the_pre_activation(self):
+        """A -inf pre-activation raises, though the ReLU would zero it:
+        from an overflow, and from an input that went non-finite in place
+        (as a parameter view does when a step overflows), which sets no
+        floating-point flag."""
+        x = Tensor(np.full((1, 1, 2, 2), 1e308))
+        with np.errstate(all="raise", over="ignore"):
+            with pytest.raises(T.NonFiniteError):
+                T.conv2d(x, Tensor(np.full((1, 1, 1, 1), -10.0)), relu=True)
+        x = Tensor(np.ones((1, 1, 2, 2)))
+        x.data[0, 0, 1, 0] = np.inf
+        with np.errstate(all="raise"):
+            with pytest.raises(T.NonFiniteError):
+                T.conv2d(x, Tensor(-np.ones((1, 1, 1, 1))), Tensor([0.0]), relu=True)
+
+
 class TestForwardOracles:
 
     def test_conv2d_single_window(self):
@@ -85,6 +138,27 @@ class TestForwardOracles:
             T.conv2d(x, Tensor(np.zeros((1, 3, 2, 2))))  # channel mismatch
         with pytest.raises(T.ShapeError):
             T.conv2d(x, Tensor(np.zeros((1, 2, 5, 5))))  # kernel larger than input
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_conv2d_non_contiguous_input(self, padding):
+        """A Fortran-ordered or transposed input convolves bitwise as its
+        C-ordered copy does: the window view needs a contiguous buffer."""
+        rng = np.random.default_rng(72)
+        k = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        xv = rng.standard_normal((2, 3, 6, 5))
+        for view in (np.asfortranarray(xv), xv.transpose(0, 1, 3, 2)):
+            assert not view.flags.c_contiguous
+            x = Tensor(view)
+            assert not x.data.flags.c_contiguous
+            got = T.conv2d(x, k, padding=padding).data
+            want = T.conv2d(Tensor(np.ascontiguousarray(view)), k, padding=padding).data
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("padding", [-1, -2])
+    def test_conv2d_negative_padding_rejected(self, padding):
+        x = Tensor(np.zeros((1, 2, 6, 6)))
+        with pytest.raises(ValueError, match="padding must be >= 0"):
+            T.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))), padding=padding)
 
     def test_conv2d_stack_is_per_sample(self):
         """Each sample of a stack convolves exactly as it does alone."""
@@ -302,6 +376,95 @@ class TestScatterOracles:
             assert y.data.flags.c_contiguous
 
 
+class TestFusedRelu:
+    """conv2d(..., relu=True) against relu(conv2d(...)), to the byte."""
+
+    def run(self, xv, kv, bv, w, fused, **kw):
+        """Output and gradients of sum(w * relu(conv)); kv and bv are one
+        array or a list of them (stacked kernels)."""
+        stacked = isinstance(kv, list)
+        x = Tensor(xv, requires_grad=True)
+        ks = [Tensor(v, requires_grad=True) for v in (kv if stacked else [kv])]
+        bs = [Tensor(v, requires_grad=True) for v in (bv if stacked else [bv])]
+        k, b = (ks, bs) if stacked else (ks[0], bs[0])
+        with Tape() as tape:
+            y = T.conv2d(x, k, b, relu=True, **kw) if fused \
+                else T.relu(T.conv2d(x, k, b, **kw))
+            loss = T.sum_all(T.mul(y, Tensor(w)))
+        backward(tape, loss)
+        return [y.data, x.grad] + [t.grad for t in ks + bs]
+
+    def assert_same(self, *args, **kw):
+        for got, want in zip(self.run(*args, fused=True, **kw),
+                             self.run(*args, fused=False, **kw)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
+    def test_values_and_gradients(self, stride, padding):
+        rng = np.random.default_rng(130 + 2 * stride + padding)
+        xv = rng.standard_normal((1, 3, 7, 6))
+        kv, bv = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        ho, wo = T._conv_out_size(7, 3, stride, padding), T._conv_out_size(6, 3, stride, padding)
+        w = mixed_grads(rng, (1, 4, ho, wo))
+        self.assert_same(xv, kv, bv, w, stride=stride, padding=padding)
+
+    def test_stack_of_four_is_per_scene(self):
+        """Each scene of a B=4 stack gets the values and input gradient it
+        gets alone, and the stack matches the separate ReLU."""
+        rng = np.random.default_rng(134)
+        xv = rng.standard_normal((4, 3, 8, 8))
+        kv, bv = rng.standard_normal((5, 3, 3, 3)), rng.standard_normal(5)
+        w = mixed_grads(rng, (4, 5, 4, 4))
+        self.assert_same(xv, kv, bv, w, stride=2, padding=1)
+        stack = self.run(xv, kv, bv, w, fused=True, stride=2, padding=1)
+        for i in range(4):
+            alone = self.run(xv[i:i + 1], kv, bv, w[i:i + 1], fused=True, stride=2,
+                             padding=1)
+            assert stack[0][i].tobytes() == alone[0][0].tobytes()
+            assert stack[1][i].tobytes() == alone[1][0].tobytes()
+
+    def test_stacked_kernels(self):
+        rng = np.random.default_rng(135)
+        xv = rng.standard_normal((2, 3, 6, 6))
+        kv = [rng.standard_normal((4, 3, 3, 3)), rng.standard_normal((2, 3, 3, 3))]
+        bv = [rng.standard_normal(4), rng.standard_normal(2)]
+        w = mixed_grads(rng, (2, 6, 6, 6))
+        self.assert_same(xv, kv, bv, w, padding=1)
+
+    def test_exact_zero_pre_activations(self):
+        """Pre-activations of exactly 0.0, where the bias cancels the
+        product or a -0.0 bias meets a zero input, are cut as the separate
+        ReLU cuts them, and their gradients are the same signed zeros."""
+        xv = np.zeros((1, 2, 4, 4))
+        xv[0, :, :2] = 1.5
+        kv = np.full((3, 2, 1, 1), -0.5)
+        kv[1] = 0.5
+        bv = np.array([1.5, -1.5, -0.0])
+        w = mixed_grads(np.random.default_rng(136), (1, 3, 4, 4))
+        pre = T.conv2d(Tensor(xv), Tensor(kv), Tensor(bv)).data
+        assert np.count_nonzero(pre == 0.0) == 24
+        self.assert_same(xv, kv, bv, w)
+
+    def test_grad_check_away_from_the_kink(self):
+        """Points whose pre-activations all lie 0.01 or more from the kink,
+        which no probe of step 1e-3 crosses (no value here exceeds 4)."""
+        rng = np.random.default_rng(137)
+        checked = 0
+        while checked < 4:
+            stride = 1 + checked % 2
+            pt = {"x": rng.standard_normal((2, 2, 5, 5)),
+                  "k": rng.standard_normal((3, 2, 3, 3)), "b": rng.standard_normal(3)}
+            pre = T.conv2d(Tensor(pt["x"]), Tensor(pt["k"]), Tensor(pt["b"]),
+                           stride=stride, padding=1).data
+            if np.abs(pre).min() < 0.01 or max(np.abs(v).max() for v in pt.values()) > 4:
+                continue
+            pt["w"] = rng.standard_normal(pre.shape)
+            report = grad_check(lambda L: T.sum_all(T.mul(T.conv2d(
+                L["x"], L["k"], L["b"], stride=stride, padding=1, relu=True), L["w"])), pt)
+            assert max(report.values()) < 1e-4, report
+            checked += 1
+
+
 class TestBackward:
 
     def test_gradient_accumulates_across_fanout(self):
@@ -337,6 +500,25 @@ class TestBackward:
         stray = Tensor(np.array(1.0))
         with pytest.raises(T.TensorError):
             backward(tape, stray)
+
+    def test_transpose_negative_axes(self):
+        """Negative axes name the same permutation as their positive forms,
+        and the gradient comes back in the input's shape."""
+        rng = np.random.default_rng(140)
+        xv, w = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2, 3))
+        runs = []
+        for axes in ((-1, 0, 1), (2, 0, 1), (2, -3, -2)):
+            x = Tensor(xv, requires_grad=True)
+            with Tape() as tape:
+                y = T.transpose(x, axes)
+                loss = T.sum_all(T.mul(y, Tensor(w)))
+            backward(tape, loss)
+            assert x.grad.shape == (2, 3, 4)
+            runs.append((y.data.tobytes(), x.grad.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+        report = grad_check(lambda L: T.sum_all(T.mul(T.transpose(L["x"], (-1, 0, 1)),
+                                                      L["w"])), {"x": xv, "w": w})
+        assert max(report.values()) < 1e-4, report
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(8)
