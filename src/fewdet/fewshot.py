@@ -339,10 +339,10 @@ def _grad_norm(grads) -> float:
     has a finite norm; a non-finite gradient is a NonFiniteError."""
     total = 0.0
     for g in grads:
-        total += float((g ** 2).sum())
+        total += float(np.add.reduce(g ** 2, None))
     norm = math.sqrt(total)
     if math.isinf(norm):  # scaled to a peak of 1, the squares cannot overflow
-        peak = max(float(np.abs(g).max()) for g in grads)
+        peak = max(float(np.maximum.reduce(np.abs(g), None)) for g in grads)
         norm = peak * _grad_norm([g / peak for g in grads])
     if not math.isfinite(norm):
         raise T.NonFiniteError("the gradients are not finite")

@@ -170,7 +170,7 @@ def oracle_saliency(scene, blur_radius: int = 2) -> np.ndarray:
 
 def minmax_or_zeros(m: np.ndarray) -> np.ndarray:
     """Rescale a map linearly onto [0,1]; a constant map becomes all zeros."""
-    lo, hi = m.min(), m.max()
+    lo, hi = np.minimum.reduce(m, None), np.maximum.reduce(m, None)
     if hi > lo:
         return (m - lo) / (hi - lo)
     return np.zeros_like(m)

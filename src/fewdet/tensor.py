@@ -8,11 +8,19 @@ back), lives for exactly one training step, and is discarded afterwards.
 Ops are module-level functions. They record onto the innermost active
 ``Tape`` (opened with ``with Tape() as tape:``) whenever any input requires
 gradients; with no active tape they are plain numpy computations.
+
+Reductions call the ufunc's ``reduce`` directly (``np.add.reduce`` for
+``ndarray.sum``, ``np.maximum.reduce`` for ``ndarray.max``): the methods,
+``np.sum`` and ``np.mean`` reach the same C loop through Python wrappers
+whose cost dominates on the small arrays a detector step handles. Means and
+variances repeat numpy's own order of operations, so every value is
+bitwise what the methods give.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Callable, Iterable, Sequence
@@ -38,6 +46,14 @@ class NonFiniteError(TensorError):
 
 class CheckpointError(TensorError):
     """A checkpoint document is malformed or from an unknown format version."""
+
+
+def _full(shape: tuple[int, ...], value) -> Array:
+    """A fresh C-ordered float64 array of ``shape`` holding ``value``
+    broadcast: ``np.broadcast_to(value, shape).copy()`` without its wrapper."""
+    out = np.empty(shape)
+    out[...] = value
+    return out
 
 
 def _all_finite(arr: Array) -> bool:
@@ -189,10 +205,10 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     extra = g.ndim - len(shape)
     if extra:
         lead = tuple(i for i in range(extra) if g.shape[i] != 1)
-        g = (g.sum(axis=lead) if lead else g).reshape(g.shape[extra:])
+        g = (np.add.reduce(g, lead) if lead else g).reshape(g.shape[extra:])
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -243,7 +259,7 @@ def relu(a: Tensor) -> Tensor:
 def log_shift(a: Tensor, eps: float) -> Tensor:
     """Elementwise ln(eps + a); every eps + a must be strictly positive."""
     shifted = eps + a.data
-    if np.any(shifted <= 0.0):
+    if np.logical_or.reduce(shifted <= 0.0, None):
         raise ValueError("log_shift requires eps + value > 0 everywhere")
 
     def bwd(g):
@@ -277,26 +293,30 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.data.shape
+
     def bwd(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-    return _record("sum", (a,), np.asarray(a.data.sum()), bwd)
+        return (_full(shape, g),)
+    return _record("sum", (a,), np.asarray(np.add.reduce(a.data, None)), bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+    """The sum divided by the count, as ``ndarray.mean`` computes it."""
+    shape, n = a.data.shape, a.data.size
 
     def bwd(g):
-        return (np.broadcast_to(g / n, a.data.shape).copy(),)
-    return _record("mean", (a,), np.asarray(a.data.mean()), bwd)
+        return (_full(shape, g / n),)
+    return _record("mean", (a,), np.asarray(np.add.reduce(a.data, None) / n), bwd)
 
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
+    shape = a.data.shape
 
     def bwd(g):
-        ge = np.expand_dims(g, axes)
-        return (np.broadcast_to(ge, a.data.shape).copy(),)
-    return _record("sum_axes", (a,), a.data.sum(axis=axes), bwd)
+        reduced = {ax % len(shape) for ax in axes}
+        return (_full(shape, g.reshape([1 if i in reduced else n for i, n in enumerate(shape)])),)
+    return _record("sum_axes", (a,), np.add.reduce(a.data, axes), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -310,7 +330,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = a.data.transpose(axes)  # numpy validates the axes
-    inverse = tuple(np.argsort([ax % a.data.ndim for ax in axes]))
+    order = [ax % a.data.ndim for ax in axes]
+    inverse = sorted(range(len(order)), key=order.__getitem__)
 
     def bwd(g):
         return (g.transpose(inverse),)
@@ -319,8 +340,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0, *itertools.accumulate(t.data.shape[axis] for t in tensors)]
 
     def bwd(g):
         pieces = []
@@ -351,7 +371,7 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
     else:
         key = None
         idx = np.asarray(indices, dtype=np.int64)
-        out = np.take(a.data, idx, axis=axis)
+        out = a.data.take(idx, axis=axis)
 
     def bwd(g):
         # row-major even when a is a strided view: a gradient's memory order
@@ -396,8 +416,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul stacks do not broadcast: {ad.shape} @ {bd.shape}") from None
 
     def bwd(g):
-        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
+        return (_unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if a.requires_grad else None,
+                _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if b.requires_grad else None)
     return _record("matmul", (a, b), out, bwd)
 
 
@@ -406,13 +426,13 @@ MIN_L2_NORM = 1e-30  # l2_normalize rejects slices with a smaller norm
 
 def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Scale slices along ``axis`` to unit L2 norm; zero-norm slices are an error."""
-    norms = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
-    if np.any(norms < MIN_L2_NORM):
+    norms = np.sqrt(np.add.reduce(a.data * a.data, axis, keepdims=True))
+    if np.logical_or.reduce(norms < MIN_L2_NORM, None):
         raise ValueError("cannot L2-normalize a zero-norm slice")
     y = a.data / norms
 
     def bwd(g):
-        return ((g - y * np.sum(g * y, axis=axis, keepdims=True)) / norms,)
+        return ((g - y * np.add.reduce(g * y, axis, keepdims=True)) / norms,)
     return _record("l2_normalize", (a,), y, bwd)
 
 
@@ -427,11 +447,11 @@ def softmax_spatial(logits: Tensor) -> Tensor:
         raise ShapeError(f"softmax_spatial expects [...,H,W] maps, got shape {logits.data.shape}")
 
     x = logits.data
-    e = np.exp(x - x.max(axis=(-2, -1), keepdims=True))
-    p = e / e.sum(axis=(-2, -1), keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, (-2, -1), keepdims=True))
+    p = e / np.add.reduce(e, (-2, -1), keepdims=True)
 
     def bwd(g):
-        return (p * (g - np.sum(g * p, axis=(-2, -1), keepdims=True)),)
+        return (p * (g - np.add.reduce(g * p, (-2, -1), keepdims=True)),)
     return _record("softmax_spatial", (logits,), p, bwd)
 
 
@@ -443,16 +463,16 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     t = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or t.shape != (logits.data.shape[0],):
         raise ShapeError("softmax_cross_entropy expects [N,C] logits and N targets")
-    if t.size and (t.min() < 0 or t.max() >= logits.data.shape[1]):
+    if t.size and (np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= logits.data.shape[1]):
         raise ShapeError("target class index out of range")
 
     x = logits.data
-    m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    m = np.maximum.reduce(x, 1, keepdims=True)
+    lse = m[:, 0] + np.log(np.add.reduce(np.exp(x - m), 1))
 
     def bwd(g):
         e = np.exp(x - m)
-        p = e / e.sum(axis=1, keepdims=True)
+        p = e / np.add.reduce(e, 1, keepdims=True)
         p[np.arange(x.shape[0]), t] -= 1.0
         return (p * g[:, None],)
     return _record("softmax_cross_entropy", (logits,),
@@ -461,20 +481,25 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps_ln: float = 1e-5) -> Tensor:
     """Normalize each vector along the last axis to zero mean / unit
-    variance (population), then apply the per-feature affine gain, bias."""
+    variance (population), then apply the per-feature affine gain, bias.
+
+    The mean is the sum divided by the count, and the variance the sum of
+    the squared deviations from that mean divided by the count: numpy's own
+    order in ``ndarray.mean`` and ``ndarray.var``, bit for bit."""
     n = x.data.shape[-1:]
     if x.data.ndim < 1 or gain.data.shape != n or bias.data.shape != n:
         raise ShapeError("layer_norm gain/bias must match the input's last axis")
 
-    m = x.data.mean(axis=-1, keepdims=True)
-    s = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps_ln)
-    xhat = (x.data - m) * s
+    count = n[0]
+    d = x.data - np.add.reduce(x.data, -1, keepdims=True) / count
+    s = 1.0 / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / count + eps_ln)
+    xhat = d * s
     out = gain.data * xhat + bias.data
 
     def bwd(g):
         dxhat = g * gain.data
-        dx = s * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) \
+        dx = s * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / count
+                  - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / count)) \
             if x.requires_grad else None
         dgain = _unbroadcast(g * xhat, n) if gain.requires_grad else None
         dbias = _unbroadcast(g.copy(), n) if bias.requires_grad else None
@@ -487,14 +512,12 @@ def _conv_out_size(h: int, k: int, stride: int, pad: int) -> int:
     return (h + 2 * pad - k) // stride + 1
 
 
-def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, int, int]:
+def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int) -> Array:
     """[B,C,H,W] -> [B, C*kh*kw, Ho*Wo] patch columns, zero padded: one copy
     out of a strided window view of the padded stack. The ndarray
     constructor builds the view over the contiguous padded copy (or the
     input made contiguous), at a fraction of ``as_strided``'s cost."""
     b, c, h, w = xd.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
     if pad:
         xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
         xp[:, :, pad:pad + h, pad:pad + w] = xd
@@ -503,7 +526,7 @@ def _im2col(xd: Array, kh: int, kw: int, stride: int, pad: int) -> tuple[Array, 
     sb, sc, sh, sw = xp.strides
     windows = np.ndarray((b, c, kh, kw, ho, wo), np.float64, xp, 0,
                          (sb, sc, sh, sw, sh * stride, sw * stride))
-    return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
+    return windows.reshape(b, c * kh * kw, ho * wo)
 
 
 @functools.lru_cache(maxsize=64)
@@ -537,6 +560,41 @@ def _col2im(gcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int,
     return gxp.reshape(b, c, hp, wp)[:, :, pad:pad + h, pad:pad + w]
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _conv_plan(xshape: tuple[int, ...], kshapes: tuple[tuple[int, ...], ...],
+               bshapes: tuple[tuple[int, ...], ...], stride: int, padding: int
+               ) -> tuple[int, int, tuple[tuple[int, int], ...], bool]:
+    """Validate one conv2d geometry and return ``(Ho, Wo, spans, pointwise)``:
+    spans are each kernel's output channels (lo, hi), and pointwise marks a
+    1x1, stride-1, unpadded convolution, whose input is its own im2col.
+    Cached per geometry; lru_cache stores no exception, so a bad call raises
+    every time it is made, and ``typed`` keeps a float stride or padding from
+    sharing the plan of an int one."""
+    if len(xshape) != 4 or not kshapes or any(len(ks) != 4 for ks in kshapes):
+        raise ShapeError("conv2d expects [B,C,H,W] input and [Co,Ci,kh,kw] kernels")
+    if bshapes and len(bshapes) != len(kshapes):
+        raise ShapeError(f"{len(kshapes)} kernels but {len(bshapes)} biases")
+    _, cin, kh, kw = kshapes[0]
+    if any(ks[1:] != (cin, kh, kw) for ks in kshapes):
+        raise ShapeError("stacked kernels must share input channels and size")
+    _, c, h, w = xshape
+    if cin != c:
+        raise ShapeError(f"kernel expects {cin} input channels, image has {c}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if padding < 0:
+        raise ValueError("padding must be >= 0")
+    if kh > h + 2 * padding or kw > w + 2 * padding:
+        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
+    for ks, bs in zip(kshapes, bshapes):
+        if bs != (ks[0],):
+            raise ShapeError(f"bias must have shape ({ks[0]},), got {bs}")
+    ends = list(itertools.accumulate(ks[0] for ks in kshapes))
+    spans = tuple(zip([0] + ends[:-1], ends))
+    return (_conv_out_size(h, kh, stride, padding), _conv_out_size(w, kw, stride, padding),
+            spans, kh == kw == 1 and stride == 1 and padding == 0)
+
+
 def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
            bias: Tensor | Sequence[Tensor] | None = None,
            stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
@@ -546,6 +604,10 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
     spatial extents follow floor((H + 2p - kH)/stride) + 1. The stack has one
     im2col and one stacked ``kernel @ cols`` product, which np.matmul runs
     per sample, so a sample's bits do not depend on the stack around it.
+    Validation, output size and channel spans come from a plan cached per
+    geometry. A 1x1, stride-1, unpadded convolution uses the input as its
+    own columns, and its input gradient is ``gcols + 0.0``, bitwise what
+    col2im's bincount gives (a -0.0 becomes +0.0).
 
     kernel and bias may also be sequences: convolutions of one input that
     share its im2col, with output channels stacked in order. Each kernel
@@ -559,33 +621,25 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
     """
     kernels = (kernel,) if isinstance(kernel, Tensor) else tuple(kernel)
     biases = () if bias is None else (bias,) if isinstance(bias, Tensor) else tuple(bias)
-    if x.data.ndim != 4 or not kernels or any(k.data.ndim != 4 for k in kernels):
-        raise ShapeError("conv2d expects [B,C,H,W] input and [Co,Ci,kh,kw] kernels")
-    if biases and len(biases) != len(kernels):
-        raise ShapeError(f"{len(kernels)} kernels but {len(biases)} biases")
-    _, cin, kh, kw = kernels[0].data.shape
-    if any(k.data.shape[1:] != (cin, kh, kw) for k in kernels):
-        raise ShapeError("stacked kernels must share input channels and size")
-    b, c, h, w = x.data.shape
-    if cin != c:
-        raise ShapeError(f"kernel expects {cin} input channels, image has {c}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if padding < 0:
-        raise ValueError("padding must be >= 0")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    for k, bs in zip(kernels, biases):
-        if bs.data.shape != (k.data.shape[0],):
-            raise ShapeError(f"bias must have shape ({k.data.shape[0]},), got {bs.data.shape}")
-
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    kmats = [k.data.reshape(k.data.shape[0], cin * kh * kw) for k in kernels]
-    outs = [kmat @ cols for kmat in kmats]
-    for o, bs in zip(outs, biases):
-        o += bs.data[:, None]
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
-    cout = out.shape[1]
+    xd = x.data
+    ho, wo, spans, pointwise = _conv_plan(
+        xd.shape, tuple([k.data.shape for k in kernels]),
+        tuple([bs.data.shape for bs in biases]), stride, padding)
+    b, c, h, w = xd.shape
+    kh, kw = kernels[0].data.shape[2:]
+    cout = spans[-1][1]
+    cols = xd.reshape(b, c, h * w) if pointwise else _im2col(xd, kh, kw, stride, padding, ho, wo)
+    if len(kernels) == 1:
+        kmat = kernels[0].data.reshape(cout, c * kh * kw)
+        out = kmat @ cols
+        if biases:
+            out += biases[0].data[:, None]
+    else:
+        kmats = [k.data.reshape(hi - lo, c * kh * kw) for k, (lo, hi) in zip(kernels, spans)]
+        outs = [km @ cols for km in kmats]
+        for o, bs in zip(outs, biases):
+            o += bs.data[:, None]
+        out = np.concatenate(outs, axis=1)
     if not _all_finite(out):
         raise NonFiniteError("operation produced non-finite values")
     out = out.reshape(b, cout, ho, wo)
@@ -593,21 +647,34 @@ def conv2d(x: Tensor, kernel: Tensor | Sequence[Tensor],
         mask = out > 0.0
         out = np.where(mask, out, 0.0)
 
+    def input_grad(gcols):
+        if pointwise:
+            return gcols.reshape(xd.shape) + 0.0
+        return _col2im(gcols, xd.shape, kh, kw, stride, padding, ho, wo)
+
     def bwd(g):
         if relu:
             g = g * mask
         gm = g.reshape(b, cout, ho * wo)
-        starts = np.cumsum([0] + [kmat.shape[0] for kmat in kmats])
-        spans = list(zip(starts[:-1], starts[1:]))
-        gks = [_unbroadcast(gm[:, lo:hi] @ np.swapaxes(cols, 1, 2), kmat.shape)
+        if len(kernels) == 1:
+            k = kernels[0]
+            gk = _unbroadcast(gm @ cols.swapaxes(1, 2), kmat.shape).reshape(k.data.shape) \
+                if k.requires_grad else None
+            gx = input_grad(kmat.T @ gm) if x.requires_grad else None
+            if not biases:
+                return (gx, gk)
+            gb = _unbroadcast(np.add.reduce(g, (2, 3)), (cout,)) \
+                if biases[0].requires_grad else None
+            return (gx, gk, gb)
+        gks = [_unbroadcast(gm[:, lo:hi] @ cols.swapaxes(1, 2), km.shape)
                .reshape(k.data.shape) if k.requires_grad else None
-               for (lo, hi), kmat, k in zip(spans, kmats, kernels)]
-        gbs = [_unbroadcast(g[:, lo:hi].sum(axis=(2, 3)), bs.data.shape)
+               for (lo, hi), km, k in zip(spans, kmats, kernels)]
+        gbs = [_unbroadcast(np.add.reduce(g[:, lo:hi], (2, 3)), (hi - lo,))
                if bs.requires_grad else None for (lo, hi), bs in zip(spans, biases)]
         gx = None
         if x.requires_grad:
-            for (lo, hi), kmat in zip(reversed(spans), reversed(kmats)):
-                gk_x = _col2im(kmat.T @ gm[:, lo:hi], x.data.shape, kh, kw, stride, padding, ho, wo)
+            for (lo, hi), km in zip(reversed(spans), reversed(kmats)):
+                gk_x = input_grad(km.T @ gm[:, lo:hi])
                 gx = gk_x if gx is None else gx + gk_x
         return (gx, *gks, *gbs)
 
@@ -670,33 +737,37 @@ def _check_coordinates(f: Callable[[dict[str, Tensor]], Tensor],
                        coordinates: Callable[[tuple[int, ...]], Iterable]
                        ) -> dict[str, float]:
     """The finite-difference core: ``coordinates(shape)`` names the indices
-    probed in each leaf, asked leaf by leaf after the taped evaluation."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    # a private copy: each probe perturbs one coordinate in place, then restores it
-    point = {k: np.array(v, dtype=np.float64) for k, v in point.items()}
+    probed in each leaf, asked leaf by leaf after the taped evaluation.
 
+    The probes share one set of constant leaves over a private copy of the
+    point: each probe perturbs one coordinate of those arrays in place and
+    restores it, and only the two perturbed values need a finiteness test."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("h must be positive")
+    h = float(h)
     leaves = {k: Tensor(v, requires_grad=True) for k, v in point.items()}
+    probes = {k: Tensor(v) for k, v in point.items()}
     with Tape() as tape:
         out = f(leaves)
     if out.data.shape != () and out.data.size != 1:
         raise ShapeError("grad_check target must be scalar-valued")
     backward(tape, out)
 
-    def evaluate() -> float:
-        return float(f({k: Tensor(v) for k, v in point.items()}).data)
+    def evaluate(values: Array, idx, value: float) -> float:
+        if not math.isfinite(value):
+            raise NonFiniteError("a probe perturbs a value to a non-finite one")
+        values[idx] = value
+        return float(f(probes).data)
 
     report: dict[str, float] = {}
     for name, leaf in leaves.items():
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        values = point[name]
+        values = probes[name].data
         worst = 0.0
         for idx in coordinates(values.shape):
-            x = values[idx]
-            values[idx] = x + h
-            up = evaluate()
-            values[idx] = x - h
-            down = evaluate()
+            x = float(values[idx])  # Python floats overflow to inf without a warning
+            up = evaluate(values, idx, x + h)
+            down = evaluate(values, idx, x - h)
             values[idx] = x
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[idx])

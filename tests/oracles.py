@@ -464,3 +464,104 @@ def sgd_step_per_tensor(tensors, velocity, batch_size, clip_norm, lr, momentum,
         t.data = t.data - lr * v
         velocity[name] = v
     return clipped
+
+
+# The tape's reductions as numpy's methods and Python-level functions compute
+# them (``ndarray.sum/mean/var/max``, ``np.sum``, ``np.any``, ``np.argsort``,
+# ``np.broadcast_to(...).copy()``). Each returns the forward value and the
+# input gradients for an upstream gradient ``g``.
+
+def unbroadcast_methods(g, shape):
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        lead = tuple(i for i in range(extra) if g.shape[i] != 1)
+        g = (g.sum(axis=lead) if lead else g).reshape(g.shape[extra:])
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def sum_all_methods(a, g):
+    return np.asarray(a.sum()), (np.broadcast_to(g, a.shape).copy(),)
+
+
+def mean_all_methods(a, g):
+    return np.asarray(a.mean()), (np.broadcast_to(g / a.size, a.shape).copy(),)
+
+
+def sum_axes_methods(a, axes, g):
+    return a.sum(axis=axes), (np.broadcast_to(np.expand_dims(g, axes), a.shape).copy(),)
+
+
+def transpose_methods(a, axes, g):
+    inverse = tuple(np.argsort([ax % a.ndim for ax in axes]))
+    return a.transpose(axes), (g.transpose(inverse),)
+
+
+def log_shift_methods(a, eps, g):
+    shifted = eps + a
+    if np.any(shifted <= 0.0):
+        raise ValueError("log_shift requires eps + value > 0 everywhere")
+    return np.log(shifted), (g / (eps + a),)
+
+
+def l2_normalize_methods(a, axis, g):
+    norms = np.sqrt(np.sum(a * a, axis=axis, keepdims=True))
+    if np.any(norms < 1e-30):
+        raise ValueError("cannot L2-normalize a zero-norm slice")
+    y = a / norms
+    return y, ((g - y * np.sum(g * y, axis=axis, keepdims=True)) / norms,)
+
+
+def softmax_spatial_methods(x, g):
+    e = np.exp(x - x.max(axis=(-2, -1), keepdims=True))
+    p = e / e.sum(axis=(-2, -1), keepdims=True)
+    return p, (p * (g - np.sum(g * p, axis=(-2, -1), keepdims=True)),)
+
+
+def softmax_cross_entropy_methods(x, t, g):
+    m = x.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+    p = np.exp(x - m)
+    p = p / p.sum(axis=1, keepdims=True)
+    p[np.arange(x.shape[0]), t] -= 1.0
+    return lse - x[np.arange(x.shape[0]), t], (p * g[:, None],)
+
+
+def layer_norm_methods(x, gain, bias, g, eps_ln=1e-5):
+    n = x.shape[-1:]
+    m = x.mean(axis=-1, keepdims=True)
+    s = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps_ln)
+    xhat = (x - m) * s
+    dxhat = g * gain
+    dx = s * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return gain * xhat + bias, (dx, unbroadcast_methods(g * xhat, n),
+                                unbroadcast_methods(g.copy(), n))
+
+
+def conv2d_bias_grad_methods(g, lo, hi):
+    return unbroadcast_methods(g[:, lo:hi].sum(axis=(2, 3)), (hi - lo,))
+
+
+def minmax_or_zeros_methods(m):
+    lo, hi = m.min(), m.max()
+    if hi > lo:
+        return (m - lo) / (hi - lo)
+    return np.zeros_like(m)
+
+
+def grad_norm_methods(grads):
+    """fewshot's joint gradient norm, overflow rescale included."""
+    total = 0.0
+    for g in grads:
+        total += float((g ** 2).sum())
+    norm = math.sqrt(total)
+    if math.isinf(norm):
+        peak = max(float(np.abs(g).max()) for g in grads)
+        norm = peak * grad_norm_methods([g / peak for g in grads])
+    return norm
+
