@@ -212,9 +212,11 @@ RULES = {
     "detector.nms_iou": (lambda v: 0 < v < 1, "a number in (0,1)"),
     "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
     "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
-    "saliency.thresholds_per_channel": (lambda v: v >= 1, "an integer >= 1"),
-    "saliency.blur_radius": (lambda v: v >= 0, "an integer >= 0"),
-    "saliency.opening_radius": (lambda v: v >= 0, "an integer >= 0"),
+    "detector.image_size": (lambda v: 1 <= v <= 1024, "an integer in [1,1024]"),
+    # each saliency loop runs as many rounds as its key says
+    "saliency.thresholds_per_channel": (lambda v: 1 <= v <= 255, "an integer in [1,255]"),
+    "saliency.blur_radius": (lambda v: 0 <= v <= 255, "an integer in [0,255]"),
+    "saliency.opening_radius": (lambda v: 0 <= v <= 255, "an integer in [0,255]"),
     "gradcheck.points": (lambda v: v >= 1, "an integer >= 1"),
     "sweep.beta": (lambda v: v >= 0, "a list of numbers >= 0"),
     "sweep.eta": (lambda v: v >= 0, "a list of numbers >= 0"),
@@ -250,7 +252,7 @@ def validate_config(cfg: dict[str, object]) -> None:
         params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
         det.forward(blank.image[None], provider(blank)[None] if provider else None,
                     params, dcfg)
-    except (T.TensorError, ValueError, ArithmeticError) as e:
+    except (T.TensorError, ValueError, ArithmeticError, MemoryError) as e:
         changed = [f"{k}={json.dumps(v)}" for k, v in cfg.items()
                    if k.split(".")[0] in ARCHITECTURE and v != DEFAULTS[k]]
         raise UsageError(f"the settings {', '.join(changed) or '(defaults)'} do not "

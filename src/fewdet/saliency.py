@@ -80,12 +80,13 @@ def _surround(canvas: np.ndarray, opening_radius: int) -> np.ndarray:
     # cell lies more than r cells from it, so r dilations leave it False and
     # no map leaks into its neighbour
     before = np.empty_like(canvas)
-    for op in [np.logical_and] * opening_radius + [np.logical_or] * opening_radius:
-        np.copyto(before, canvas)
-        for out, neighbour in ((canvas[1:], before[:-1]), (canvas[:-1], before[1:]),
-                               (canvas[:, 1:], before[:, :-1]),
-                               (canvas[:, :-1], before[:, 1:])):
-            op(out, neighbour, out=out)
+    for op in (np.logical_and, np.logical_or):
+        for _ in range(opening_radius):
+            np.copyto(before, canvas)
+            for out, neighbour in ((canvas[1:], before[:-1]), (canvas[:-1], before[1:]),
+                                   (canvas[:, 1:], before[:, :-1]),
+                                   (canvas[:, :-1], before[:, 1:])):
+                op(out, neighbour, out=out)
     return canvas
 
 
@@ -118,25 +119,49 @@ def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     all-True and maps k > L_m all-False: neither they nor their complements
     keep a pixel. Maps L_{j-1} < k <= L_j all equal {level >= L_j}, which
     with its complement is labelled once and counted L_j - L_{j-1} times.
-    The counts are exact integers, so the mean is the one over all maps.
+    Maps also repeat across channels (all three of a grey image's do), so
+    each distinct map of the image is labelled once and counted as often as
+    all its copies together. A map's pixel count, the sum of its channel's
+    histogram from L_j up, is known without building it, and only maps of
+    equal count are compared pixel by pixel. The counts are exact integers,
+    so the mean is the one over all maps.
     """
     level = threshold_levels(image, config)
     _, h, w = level.shape
-    present = [np.flatnonzero(np.bincount(channel.ravel())) for channel in level]
-    n = sum(len(p) - 1 for p in present)
+    # per channel, the levels of its maps that no earlier channel had; per
+    # distinct map, its multiplicity; per pixel count, the (slot, channel,
+    # level) of the distinct maps of that count
+    fresh, weights, by_size = [], [], {}
+    for channel in level:
+        hist = np.bincount(channel.ravel())
+        present = np.flatnonzero(hist).tolist()
+        sizes = np.add.accumulate(hist[::-1])[::-1].tolist()
+        fresh.append([])
+        # a channel's map sizes strictly fall, so its own maps never tie
+        for low, high in zip(present, present[1:]):
+            same = by_size.setdefault(sizes[high], [])
+            twin = next((slot for slot, other, at in same
+                         if np.array_equal(channel >= high, other >= at)), None)
+            if twin is None:
+                same.append((len(weights), channel, high))
+                weights.append(high - low)
+                fresh[-1].append(high)
+            else:
+                weights[twin] += high - low
+    n = len(weights)
     if n == 0:
         return np.zeros((h, w))
     canvas = _ringed_canvas(2 * n, h, w)
     pairs = _maps(canvas, w).reshape(h, n, 2, w)
     i = 0
-    for channel, p in zip(level, present):
-        np.greater_equal(channel[:, None], p[1:, None],
-                         out=pairs[:, i:i + len(p) - 1, 0])
-        i += len(p) - 1
+    for channel, levels in zip(level, fresh):
+        np.greater_equal(channel[:, None],
+                         np.array(levels, dtype=channel.dtype)[:, None],
+                         out=pairs[:, i:i + len(levels), 0])
+        i += len(levels)
     np.logical_not(pairs[:, :, 0], out=pairs[:, :, 1])
     kept = _surround(canvas, config.opening_radius)
-    weights = np.repeat(np.concatenate([np.diff(p) for p in present]), 2)
-    counts = np.matmul(weights, _maps(kept.view(np.uint8), w))
+    counts = np.matmul(np.repeat(weights, 2), _maps(kept.view(np.uint8), w))
     return minmax_or_zeros(counts / (3 * config.thresholds_per_channel * 2))
 
 

@@ -125,6 +125,9 @@ class TestExitCodes:
         ("detector.image_size", "-1"), ("novel.lr_decay", "Infinity"),
         ("base.weight_decay", "NaN"), ("anchors.scales", "[NaN,0.42]"),
         ("base.lr_decay", "-1"), ("base.lr_decay", "0"), ("novel.lr_decay", "0"),
+        # a detector too large to allocate, or too large to probe
+        ("detector.image_size", "100000000"), ("detector.image_size", "1025"),
+        ("detector.backbone_channels", "[8,16,24,1000000000000]"),
     ])
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key,
                                                 value):
@@ -134,6 +137,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
         assert not (tmp_path / "base.ckpt.json").exists()
+
+    @pytest.mark.parametrize("key,mode", [("saliency.thresholds_per_channel", "bms"),
+                                          ("saliency.opening_radius", "bms"),
+                                          ("saliency.blur_radius", "oracle")])
+    def test_saliency_round_counts_are_capped(self, tmp_path, capsys, key, mode):
+        """Each key sets how many rounds a saliency loop runs: 255 is valid,
+        and a larger value stops at once with one error line instead of
+        running that many rounds."""
+        cli.resolve_config(None, [f"saliency.mode={mode}", f"{key}=255"])
+        for value in ("256", "100000000000000000000"):
+            t0 = time.monotonic()
+            rc = run(["gradcheck", "--out", str(tmp_path), "--set", f"saliency.mode={mode}",
+                      "--set", f"{key}={value}"])
+            assert rc == 1
+            assert time.monotonic() - t0 < 5
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
 
 
 def _like(default):

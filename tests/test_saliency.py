@@ -167,8 +167,9 @@ class TestBmsSaliency:
             assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_one_labelling_per_image(self, monkeypatch):
-        """An image's distinct non-trivial boolean maps and their complements
-        are labelled in at most one call; an image without one makes none."""
+        """The distinct non-trivial boolean maps of the whole image and their
+        complements are labelled in at most one call, each map once however
+        many channels give it; an image without one makes no call."""
         calls = []
         real_label = ndimage.label
 
@@ -179,16 +180,23 @@ class TestBmsSaliency:
         monkeypatch.setattr(ndimage, "label", label)
         rng = np.random.default_rng(6)
         blocks = np.kron(rng.uniform(0, 1, (3, 5, 4)), np.ones((1, 2, 3)))
+        grey = np.repeat(rng.uniform(0, 1, (1, 10, 12)), 3, axis=0)
+        two_equal = rng.uniform(0, 1, (3, 10, 12))
+        two_equal[2] = two_equal[0]
         for t in (1, 2, 8):
             cfg = BmsConfig(thresholds_per_channel=t)
-            for img in (rng.uniform(0, 1, size=(3, 10, 12)), blocks,
+
+            def distinct(channels):
+                maps = [channel > k / (t + 1) for channel in channels
+                        for k in range(1, t + 1)]
+                return len({m.tobytes() for m in maps if m.any() and not m.all()})
+
+            assert distinct(grey) == distinct(grey[:1]) > 0
+            for img in (rng.uniform(0, 1, size=(3, 10, 12)), blocks, grey, two_equal,
                         np.full((3, 10, 12), 0.4), np.zeros((3, 10, 12))):
                 calls.clear()
                 S.bms_saliency(img, cfg)
-                # a channel with m present levels has m - 1 non-trivial maps
-                maps = [(channel > np.arange(1, t + 1)[:, None, None] / (t + 1))
-                        .sum(axis=0) for channel in img]
-                n = sum(len(np.unique(m)) - 1 for m in maps)
+                n = distinct(img)
                 assert calls == ([(12, 2 * n * 13 + 1)] if n else [])
 
     def test_never_records_on_tape(self):
@@ -212,6 +220,16 @@ class TestStackedBmsMatchesPerMap:
         yield blocks[:, :17, :23]
         yield blocks[:, :20, :9].transpose(0, 2, 1)
         yield sd.generate_scene(2).image
+        # maps that repeat across channels: a grey image, two equal channels,
+        # and a mirrored channel, whose maps have the counts of the first
+        # channel's but other pixels
+        yield np.repeat(rng.uniform(0, 1, (1, 17, 23)), 3, axis=0)
+        two_equal = blocks[:, :17, :23].copy()
+        two_equal[1] = two_equal[0]
+        yield two_equal
+        mirrored = rng.uniform(0, 1, (3, 17, 23))
+        mirrored[2] = mirrored[0, :, ::-1]
+        yield mirrored
         for value in (0.0, 0.5, 1.0, 0.3):
             yield np.full((3, 17, 23), value)
         # a row, a column and a 2x2 image: every pixel is on a border
@@ -243,13 +261,21 @@ class TestStackedBmsMatchesPerMap:
            h=st.integers(1, 9), w=st.integers(1, 9))
     def test_quantized_images_property(self, data, thresholds, radius, h, w):
         """Channels drawn from a few values at, beside and between the
-        thresholds: single levels, gaps and repeated maps are the rule."""
+        thresholds, or copied or mirrored from an earlier channel: single
+        levels, gaps and maps repeated within and across channels are the
+        rule."""
         at = np.arange(thresholds + 2) / (thresholds + 1)
         mid = (at[:-1] + at[1:]) / 2
         values = np.unique(np.concatenate(
             [at, mid, np.nextafter(at, 0.0), np.nextafter(at, 1.0)]))
         img = np.empty((3, h, w))
-        for channel in img:
+        for c, channel in enumerate(img):
+            how = data.draw(st.sampled_from(["drawn", "copy", "mirror"] if c else ["drawn"]),
+                            label="how")
+            if how != "drawn":
+                earlier = img[data.draw(st.integers(0, c - 1), label="earlier")]
+                channel[...] = earlier if how == "copy" else earlier[:, ::-1]
+                continue
             palette = data.draw(st.lists(st.sampled_from(values), min_size=1,
                                          max_size=4), label="palette")
             picks = data.draw(st.lists(st.integers(0, len(palette) - 1),
