@@ -6,9 +6,10 @@ map pools the features into one context vector, and a bottleneck transform of
 that vector is added back residually at every position.
 
 The bottom-up half multiplies the features channel-wise by ln(eps + s), where
-s is an externally computed saliency map. Saliency never carries gradients;
-with eps = e and zero saliency the gate is exactly ln(e) = 1 and the features
-pass through bit-identically.
+s is an externally computed saliency map. The gate depends on the image
+alone, so it is built once per scene or batch, apart from the forward that
+applies it. Saliency never carries gradients; with eps = e and zero saliency
+the gate is exactly ln(e) = 1 and the features pass through bit-identically.
 """
 
 from __future__ import annotations
@@ -100,21 +101,33 @@ def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return minmax_or_zeros(s)
 
 
-def fuse_bottom_up(z: Tensor, saliency: np.ndarray, epsilon: float = math.e) -> Tensor:
-    """Gate features by saliency: z'[b,c,i,j] = z[b,c,i,j] * ln(eps + s[b,i,j]).
+def bottom_up_gate(maps: np.ndarray, h: int, w: int, epsilon: float = math.e) -> Tensor:
+    """The bottom-up gate ln(eps + s) of a [B,h',w'] stack of saliency maps,
+    as a constant [B,1,h,w] Tensor for :func:`fuse_bottom_up`.
 
-    ``saliency`` holds one map per sample of z, [B,h,w]. Each map is pooled
-    to the feature resolution and renormalized to [0,1] first. It enters as
-    a constant: gradients flow into z only.
+    Each map is pooled to h x w and renormalized to [0,1] first. The gate
+    depends on the maps alone, so a caller builds it once per scene or
+    batch and hands it to every forward over those images.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if z.data.ndim != 4 or np.ndim(saliency) != 3 or len(saliency) != z.data.shape[0]:
-        raise T.ShapeError(f"expected [B,C,H,W] features and [B,h,w] saliency, got "
-                           f"{z.data.shape} and {np.shape(saliency)}")
-    _, _, h, w = z.data.shape
-    gate = np.stack([np.log(epsilon + pool_saliency(s, h, w)) for s in saliency])
-    return T.mul(z, Tensor(gate[:, None]))
+    if np.ndim(maps) != 3:
+        raise T.ShapeError(f"expected a [B,h,w] saliency stack, got shape {np.shape(maps)}")
+    gate = np.stack([np.log(epsilon + pool_saliency(s, h, w)) for s in maps])
+    return Tensor(gate[:, None])
+
+
+def fuse_bottom_up(z: Tensor, gate: Tensor) -> Tensor:
+    """Gate features by saliency: z'[b,c,i,j] = z[b,c,i,j] * gate[b,0,i,j].
+
+    ``gate`` is :func:`bottom_up_gate`'s [B,1,h,w] tensor for the B samples
+    of z, at z's resolution. It enters as a constant: gradients flow into z
+    only.
+    """
+    if z.data.ndim != 4 or gate.data.shape != (z.data.shape[0], 1) + z.data.shape[2:]:
+        raise T.ShapeError(f"expected [B,C,H,W] features and a [B,1,H,W] gate, got "
+                           f"{z.data.shape} and {gate.data.shape}")
+    return T.mul(z, gate)
 
 
 def upsample_nearest(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -250,7 +250,8 @@ def validate_config(cfg: dict[str, object]) -> None:
         provider = saliency_provider(cfg, dcfg)
         det.generate_anchors(dcfg.anchors)
         params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
-        det.forward(blank.image[None], provider(blank)[None] if provider else None,
+        det.forward(blank.image[None],
+                    det.saliency_gate(provider(blank)[None] if provider else None, dcfg),
                     params, dcfg)
     except (T.TensorError, ValueError, ArithmeticError, MemoryError) as e:
         changed = [f"{k}={json.dumps(v)}" for k, v in cfg.items()
@@ -541,7 +542,8 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
 
     full = full_saliency(run_cfg, scene)
     pooled = att.pool_saliency(full, side, side) if dcfg.use_bottom_up else None
-    out = det.forward(scene.image[None], None if pooled is None else pooled[None],
+    out = det.forward(scene.image[None],
+                      det.saliency_gate(None if pooled is None else pooled[None], dcfg),
                       params, dcfg)
 
     write_ppm(os.path.join(outdir, "image.ppm"), scene.image)
@@ -602,6 +604,10 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
     fresh = complete == 0
 
     base_cache: dict[tuple, det.DetectorParams] = {}
+    # the grid runs split and seed outermost, so the cells of one (split,
+    # seed) are consecutive and share its scenes, which no cell changes:
+    # only the current pair's are kept
+    built_for, built = None, None
     with open(csv_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
@@ -616,8 +622,12 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
             key = tuple(str(v) for v in (beta, eta, eps, gamma, split_id, k, seed))
             if key in done:
                 continue
+            if built_for != (split_id, seed):
+                built = None  # the old pair's scenes go before the new ones come
+                built = benchmark({**cfg, "seed": int(seed), "data.split": int(split_id)})
+                built_for = (split_id, seed)
             row = sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed,
-                             base_cache)
+                             base_cache, built)
             writer.writerow(key + row)
             fh.flush()
             os.fsync(fh.fileno())  # a finished cell survives a power cut
@@ -627,13 +637,15 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
 
 
 def sweep_cell(cfg: dict[str, object], beta, eta, eps, gamma, split_id, k, seed,
-               base_cache: dict) -> tuple[str, str, str]:
+               base_cache: dict, built: tuple[sd.Benchmark, sd.SplitSpec]
+               ) -> tuple[str, str, str]:
+    """One grid cell over ``built``, the benchmark of its (split, seed)."""
     cell = dict(cfg)
     cell.update({"seed": int(seed), "data.split": int(split_id),
                  "detector.epsilon": float(eps), "novel.beta": float(beta),
                  "novel.eta": float(eta), "novel.gamma": float(gamma),
                  "novel.k": int(k)})
-    bench, split = benchmark(cell)
+    bench, split = built
     dcfg = detector_config(cell)
     provider = saliency_provider(cell, dcfg)
 
@@ -758,24 +770,27 @@ def _micro_setup(rng: np.random.Generator):
     gt_boxes = np.array([[0.45, 0.5, 0.5, 0.55], [0.8, 0.75, 0.3, 0.4]])
     gt_labels = [1, 3]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
+    # the gate and the targets hold for every probe
+    gate = det.saliency_gate(saliency[None], cfg)
+    targets = det.loss_targets(match, gt_boxes, anchors, params)
 
-    probe = det.forward(image[None], saliency[None], params, cfg).single()
+    probe = det.forward(image[None], gate, params, cfg).single()
     mined = det.hard_negative_mining(det.background_ce(probe.logits.data),
                                      match, cfg.neg_pos_ratio)
     point = {name: t.data for name, t in params.tensors.items()}
 
     def outputs_of(ts):
         run = det.DetectorParams(dict(ts), class_ids)
-        return run, det.forward(image[None], saliency[None], run, cfg).single()
+        return run, det.forward(image[None], gate, run, cfg).single()
 
-    return cfg, anchors, gt_boxes, mined, point, outputs_of
+    return cfg, mined, targets, point, outputs_of
 
 
 def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
-    cfg, anchors, gt_boxes, mined, point, outputs_of = _micro_setup(rng)
-    n_anchors = len(anchors)
-    base_logits = rng.standard_normal((n_anchors, 3))
-    base_offsets = rng.standard_normal((n_anchors, 4))
+    cfg, mined, targets, point, outputs_of = _micro_setup(rng)
+    n_anchors = len(mined.positive_class)
+    base_logits = T.Tensor(rng.standard_normal((n_anchors, 3)))
+    base_offsets = T.Tensor(rng.standard_normal((n_anchors, 4)))
     hp = fs.Hyperparams()
 
     def check(name, f):
@@ -784,12 +799,12 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
         return name, max(report.values())
 
     def f_base(ts):
-        run, out = outputs_of(ts)
-        return det.base_loss(out, mined, gt_boxes, anchors, run, cfg)[0]
+        _, out = outputs_of(ts)
+        return det.base_loss(out, mined, targets, cfg)[0]
 
     def f_obj(ts):
         run, out = outputs_of(ts)
-        return fs.object_concentration_loss(out.features, run.cls_rows, mined, run)
+        return fs.object_concentration_loss(out.features, run.cls_rows, targets)
 
     def f_bg(ts):
         run, out = outputs_of(ts)
@@ -801,7 +816,7 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
 
     def f_novel(ts):
         run, out = outputs_of(ts)
-        return fs.novel_loss(out, mined, gt_boxes, anchors, run, cfg, hp,
+        return fs.novel_loss(out, mined, targets, run, cfg, hp,
                              base_logits=base_logits,
                              base_offsets=base_offsets)[0]
 

@@ -298,15 +298,34 @@ class DetectorOutputs:
                                            self.topdown)))
 
 
-def forward(images, saliency, params: DetectorParams,
+def fusion_size(cfg: DetectorConfig) -> tuple[int, int]:
+    """The feature resolution at the saliency fusion: the image side after
+    the first two backbone stages, 3x3 convs of stride 2 and padding 1."""
+    side = cfg.image_size
+    for _ in range(2):
+        side = (side - 1) // 2 + 1
+    return side, side
+
+
+def saliency_gate(maps, cfg: DetectorConfig) -> Tensor | None:
+    """The bottom-up gate :func:`forward` takes, from a [B,h,w] stack of
+    saliency maps, one per image; None when there are no maps or
+    cfg.use_bottom_up is off. It depends on the maps alone: build it once
+    per scene or batch, not once per forward."""
+    if maps is None or not cfg.use_bottom_up:
+        return None
+    return att.bottom_up_gate(maps, *fusion_size(cfg), cfg.epsilon)
+
+
+def forward(images, gate: Tensor | None, params: DetectorParams,
             cfg: DetectorConfig) -> DetectorOutputs:
     """Run the detector on a stack of B images, [B,3,H,W].
 
-    ``saliency`` is a [B,h,w] stack of maps, one per image, or None; it is
-    ignored unless cfg.use_bottom_up. Every output is per scene: scene b's
-    outputs are bitwise those of a stack holding scene b alone. The outputs
-    carry the global-context block's attention maps as ``topdown``. Records
-    on the active tape, if any.
+    ``gate`` is :func:`saliency_gate`'s [B,1,h,w] bottom-up gate for the
+    images, or None; it is ignored unless cfg.use_bottom_up. Every output is
+    per scene: scene b's outputs are bitwise those of a stack holding scene b
+    alone. The outputs carry the global-context block's attention maps as
+    ``topdown``. Records on the active tape, if any.
     """
     x = images if isinstance(images, Tensor) else Tensor(images)
     side = cfg.image_size
@@ -326,8 +345,8 @@ def forward(images, saliency, params: DetectorParams,
         if i == 1:
             x, topdown = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
                                       t["gc.ln_bias"], t["gc.w_v2"])
-            if cfg.use_bottom_up and saliency is not None:
-                x = att.fuse_bottom_up(x, saliency, cfg.epsilon)
+            if cfg.use_bottom_up and gate is not None:
+                x = att.fuse_bottom_up(x, gate)
         if i >= 2:
             head_inputs.append(x)
 
@@ -373,13 +392,13 @@ def forward_chunks(images, saliency_of, params: DetectorParams,
 
     ``saliency_of(i)`` gives image i's map (None, or a None result: no
     bottom-up input); it is asked once per image, chunk by chunk, just
-    before that chunk's forward.
+    before that chunk's forward, whose gate it builds.
     """
     for start in range(0, len(images), INFERENCE_CHUNK):
         idx = range(start, min(start + INFERENCE_CHUNK, len(images)))
         maps = [saliency_of(i) for i in idx] if saliency_of else [None]
-        out = forward(np.stack([images[i] for i in idx]),
-                      None if maps[0] is None else np.stack(maps), params, cfg)
+        gate = saliency_gate(None if maps[0] is None else np.stack(maps), cfg)
+        out = forward(np.stack([images[i] for i in idx]), gate, params, cfg)
         yield from zip(out.logits.data, out.offsets.data, out.features.data)
 
 
@@ -416,34 +435,54 @@ def hard_negative_mining(cls_losses: np.ndarray, match: MatchResult,
     return out
 
 
-def base_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: np.ndarray,
-              anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
-              alpha: float | None = None) -> tuple[Tensor, dict[str, float]]:
+@dataclass(frozen=True)
+class LossTargets:
+    """A scene's parameter-free loss inputs, built once by :func:`loss_targets`."""
+
+    pos_idx: np.ndarray  # [P] int64 positive anchors, ascending
+    rows: np.ndarray     # [P] int64 classifier row of each positive's class
+    boxes: Tensor        # [P,4] offsets encoded from each positive's matched gt
+
+
+def loss_targets(match: MatchResult, gt_boxes: np.ndarray, anchors: np.ndarray,
+                 params: DetectorParams) -> LossTargets:
+    """The positives of a match, their classifier rows in ``params`` and
+    their box targets encoded from the [G,4] ground truth. They depend on
+    the match and the class-id row map, not on parameter values, so a
+    scene's targets hold for every step of a stage."""
+    pos_idx = np.where(match.positive_class > 0)[0]
+    rows = np.array([params.row_of(int(c)) for c in match.positive_class[pos_idx]],
+                    dtype=np.int64)
+    boxes = encode_all(gt_boxes[match.matched_gt[pos_idx]], anchors[pos_idx])
+    return LossTargets(pos_idx, rows, Tensor(boxes))
+
+
+def base_loss(outputs: DetectorOutputs, match: MatchResult, targets: LossTargets,
+              cfg: DetectorConfig, alpha: float | None = None
+              ) -> tuple[Tensor, dict[str, float]]:
     """The detection loss: (cross-entropy + alpha * smooth-L1) / max(N, 1).
 
-    Classification covers positives (their class row) and mined hard
-    negatives (the background row); regression covers positives only,
-    against offsets encoded from their matched rows of the [G,4] ground
-    truth. ``alpha`` defaults to cfg.alpha, the base stage's weight; the
-    novel stage passes its own.
+    Classification covers positives (their class row) and the mined hard
+    negatives of ``match`` (the background row); regression covers
+    positives only, against their encoded box targets. ``targets`` must come
+    from the match that was mined. ``alpha`` defaults to cfg.alpha, the base
+    stage's weight; the novel stage passes its own.
     """
     alpha = cfg.alpha if alpha is None else alpha
-    pos_idx = np.where(match.positive_class > 0)[0]
+    pos_idx = targets.pos_idx
     neg_idx = np.where(match.hard_negative)[0]
-    n = max(match.num_positives, 1)
+    n = max(pos_idx.size, 1)
     zero = {"loss_cls": 0.0, "loss_bbox": 0.0}
     if pos_idx.size == 0 and neg_idx.size == 0:
         return Tensor(0.0), zero
 
     sel = np.concatenate([pos_idx, neg_idx])
-    rows = np.array([params.row_of(int(c)) for c in match.positive_class[pos_idx]]
-                    + [BACKGROUND] * len(neg_idx), dtype=np.int64)
+    rows = np.concatenate([targets.rows, np.full(neg_idx.size, BACKGROUND, dtype=np.int64)])
     l_cls = T.sum_all(T.softmax_cross_entropy(T.gather(outputs.logits, sel), rows))
 
     if pos_idx.size:
-        targets = encode_all(gt_boxes[match.matched_gt[pos_idx]], anchors[pos_idx])
         l_bbox = T.sum_all(T.smooth_l1(T.gather(outputs.offsets, pos_idx),
-                                       Tensor(targets)))
+                                       targets.boxes))
         total = T.scale(T.add(l_cls, T.scale(l_bbox, alpha)), 1.0 / n)
         parts = {"loss_cls": float(l_cls.data) / n,
                  "loss_bbox": alpha * float(l_bbox.data) / n}

@@ -19,7 +19,8 @@ from . import tensor as T
 # pool_saliency and bms_saliency are unused here; bench/selftest.py checks
 # that its tracer rebinds these two ``from ... import`` bindings
 from .attention import pool_saliency  # noqa: F401
-from .detector import DetectorConfig, DetectorOutputs, DetectorParams, MatchResult
+from .detector import (DetectorConfig, DetectorOutputs, DetectorParams, LossTargets,
+                       MatchResult)
 from .saliency import bms_saliency  # noqa: F401
 from .synthdata import Scene, SplitSpec, class_instance_index
 from .tensor import Tape, Tensor, backward
@@ -71,21 +72,19 @@ class TrainConfig:
 # loss terms specific to the novel stage
 # ---------------------------------------------------------------------------
 
-def object_concentration_loss(features: Tensor, rows: Tensor, match: MatchResult,
-                              params: DetectorParams) -> Tensor:
+def object_concentration_loss(features: Tensor, rows: Tensor,
+                              targets: LossTargets) -> Tensor:
     """Pull positive-anchor features toward their class rows.
 
-    The negated mean cosine similarity over positive anchors; 0 when there
-    are none. Features and rows are normalized inside the loss, so it is
-    invariant to positive rescaling of either.
+    The negated mean cosine similarity over the positive anchors of
+    ``targets``; 0 when there are none. Features and rows are normalized
+    inside the loss, so it is invariant to positive rescaling of either.
     """
-    pos_idx = np.where(match.positive_class > 0)[0]
+    pos_idx = targets.pos_idx
     if pos_idx.size == 0:
         return Tensor(0.0)
-    row_idx = np.array([params.row_of(int(c))
-                        for c in match.positive_class[pos_idx]], dtype=np.int64)
     fhat = T.l2_normalize(T.gather(features, pos_idx), axis=1)
-    what = T.l2_normalize(T.gather(rows, row_idx), axis=1)
+    what = T.l2_normalize(T.gather(rows, targets.rows), axis=1)
     return T.scale(T.sum_all(T.mul(fhat, what)), -1.0 / pos_idx.size)
 
 
@@ -105,14 +104,15 @@ def background_concentration_loss(features: Tensor, rows: Tensor,
     return T.scale(T.sum_all(T.mul(fhat, w0)), 1.0 / neg_idx.size)
 
 
-def distillation_loss(outputs: DetectorOutputs, base_logits: np.ndarray,
-                      base_offsets: np.ndarray) -> Tensor:
+def distillation_loss(outputs: DetectorOutputs, base_logits: Tensor,
+                      base_offsets: Tensor) -> Tensor:
     """Anchor the novel detector to its frozen ancestor's outputs.
 
     Mean squared difference over the logit columns the base detector also
     has (background + base categories) plus mean squared difference over all
-    four regression outputs, equally weighted. The base outputs are plain
-    arrays: nothing flows back into the frozen detector.
+    four regression outputs, equally weighted. The base outputs are constant
+    tensors, built once per scene: nothing flows back into the frozen
+    detector.
     """
     n, r_base = base_logits.shape
     if outputs.logits.data.shape[0] != n or outputs.offsets.data.shape != base_offsets.shape:
@@ -121,27 +121,25 @@ def distillation_loss(outputs: DetectorOutputs, base_logits: np.ndarray,
         raise T.ShapeError("novel detector has fewer classifier columns than base")
     cols = range(r_base)
     l_logit = T.mean_all(T.square(T.sub(T.gather(outputs.logits, cols, axis=1),
-                                        Tensor(base_logits))))
-    l_reg = T.mean_all(T.square(T.sub(outputs.offsets, Tensor(base_offsets))))
+                                        base_logits)))
+    l_reg = T.mean_all(T.square(T.sub(outputs.offsets, base_offsets)))
     return T.add(l_logit, l_reg)
 
 
-def novel_loss(outputs: DetectorOutputs, match: MatchResult, gt_boxes: np.ndarray,
-               anchors: np.ndarray, params: DetectorParams, cfg: DetectorConfig,
-               hp: Hyperparams, base_logits: np.ndarray | None = None,
-               base_offsets: np.ndarray | None = None
+def novel_loss(outputs: DetectorOutputs, match: MatchResult, targets: LossTargets,
+               params: DetectorParams, cfg: DetectorConfig, hp: Hyperparams,
+               base_logits: Tensor | None = None, base_offsets: Tensor | None = None
                ) -> tuple[Tensor, dict[str, float]]:
     """Full novel-stage objective: detection loss, its box term weighted by
     hp.alpha, plus weighted concentration and distillation terms. Zero-weight
     terms are skipped outright, so with beta = eta = gamma = 0 the returned
-    tensor is the detection loss itself.
+    tensor is the detection loss itself. ``targets`` come from ``params``'s
+    class-id row map and the match that was mined.
     """
-    total, parts = det.base_loss(outputs, match, gt_boxes, anchors, params, cfg,
-                                 alpha=hp.alpha)
+    total, parts = det.base_loss(outputs, match, targets, cfg, alpha=hp.alpha)
     parts.update({"loss_conc_pos": 0.0, "loss_conc_neg": 0.0, "loss_dist": 0.0})
     if hp.beta != 0.0:
-        l_pos = object_concentration_loss(outputs.features, params.cls_rows,
-                                          match, params)
+        l_pos = object_concentration_loss(outputs.features, params.cls_rows, targets)
         total = T.add(total, T.scale(l_pos, hp.beta))
         parts["loss_conc_pos"] = hp.beta * float(l_pos.data)
     if hp.eta != 0.0:
@@ -312,23 +310,28 @@ def _metric_row(stage: str, epoch: int, sums: dict[str, float], count: int,
 
 @dataclass
 class _SceneCache:
-    saliency: np.ndarray | None
-    gt_boxes: np.ndarray  # [G,4], the scene's annotated boxes
+    """What a stage's steps read of one scene and never change: its
+    bottom-up gate, its anchor match and the loss targets of that match."""
+
+    gate: Tensor | None  # [1,1,h,w]
     match: MatchResult
-    base_logits: np.ndarray | None = None
-    base_offsets: np.ndarray | None = None
+    targets: LossTargets
+    base_logits: Tensor | None = None
+    base_offsets: Tensor | None = None
 
 
-def _prepare(scenes: list[Scene], cfg: DetectorConfig, anchors: np.ndarray,
-             saliency_provider) -> list[_SceneCache]:
+def _prepare(scenes: list[Scene], maps: list[np.ndarray] | None, cfg: DetectorConfig,
+             anchors: np.ndarray, params: DetectorParams) -> list[_SceneCache]:
+    """One cache per scene; ``maps`` holds each scene's saliency map, or is
+    None for no bottom-up input."""
     caches = []
-    for scene in scenes:
+    for i, scene in enumerate(scenes):
         boxes = scene.boxes[scene.annotated]
+        match = det.match_anchors(anchors, boxes, scene.labels[scene.annotated],
+                                  cfg.pos_thr)
         caches.append(_SceneCache(
-            saliency=saliency_provider(scene) if saliency_provider else None,
-            gt_boxes=boxes,
-            match=det.match_anchors(anchors, boxes, scene.labels[scene.annotated],
-                                    cfg.pos_thr)))
+            gate=det.saliency_gate(None if maps is None else maps[i][None], cfg),
+            match=match, targets=det.loss_targets(match, boxes, anchors, params)))
     return caches
 
 
@@ -371,9 +374,8 @@ def _run_epochs(scenes, caches, params, cfg, train_cfg, stage, seed, loss_fn):
     def scene_grads(idx):
         """Add scene idx's gradients; returns its loss and the loss's parts."""
         cache = caches[idx]
-        sal = None if cache.saliency is None else cache.saliency[None]
         with Tape() as tape:
-            out = det.forward(scenes[idx].image[None], sal, params, cfg).single()
+            out = det.forward(scenes[idx].image[None], cache.gate, params, cfg).single()
             mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                              cache.match, cfg.neg_pos_ratio)
             loss, parts = loss_fn(out, mined, cache)
@@ -440,11 +442,11 @@ def train_base(scenes: list[Scene], cfg: DetectorConfig, train_cfg: TrainConfig,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     params = det.init_detector_params(cfg, class_ids, rng)
     anchors = det.generate_anchors(cfg.anchors)
-    caches = _prepare(scenes, cfg, anchors, saliency_provider)
+    caches = _prepare(scenes, [saliency_provider(s) for s in scenes]
+                      if saliency_provider else None, cfg, anchors, params)
 
     def loss_fn(out, mined, cache):
-        return det.base_loss(out, mined, cache.gt_boxes, anchors, params, cfg,
-                             alpha=cfg.alpha)
+        return det.base_loss(out, mined, cache.targets, cfg, alpha=cfg.alpha)
 
     metrics = _run_epochs(scenes, caches, params, cfg, train_cfg, "base", seed,
                           loss_fn)
@@ -468,6 +470,8 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
 
     The frozen base detector's outputs are computed once per support scene
     (they cannot change) and fed to the distillation term as constants.
+    Saliency is computed once per scene and serves imprinting, the base
+    outputs and the steps' gates.
     """
     # backpropagation multiplies every weight by a gradient, and a weight
     # whose square overflows leaves a gradient no room above its own size
@@ -476,23 +480,25 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
                    "gradients through it no room")
     anchors = det.generate_anchors(cfg.anchors)
     scenes = support.scenes
-    caches = _prepare(scenes, cfg, anchors, saliency_provider)
-    # imprinting reads the maps just computed: one provider call per scene
-    cached = {id(s): c.saliency for s, c in zip(scenes, caches)}
+    maps = [saliency_provider(s) for s in scenes] if saliency_provider else None
+    cached = {id(s): m for s, m in zip(scenes, maps or ())}
     params = init_novel_detector(base_params, support, cfg,
-                                 (lambda s: cached[id(s)]) if saliency_provider else None)
+                                 (lambda s: cached[id(s)]) if maps else None)
+    # the targets' classifier rows are the novel detector's
+    caches = _prepare(scenes, maps, cfg, anchors, params)
     if hp.gamma != 0.0:
         outputs = det.forward_chunks([s.image for s in scenes],
-                                     lambda i: caches[i].saliency, base_params, cfg)
+                                     (lambda i: maps[i]) if maps else None,
+                                     base_params, cfg)
         for cache, (logits, offsets, _) in zip(caches, outputs):
-            cache.base_logits, cache.base_offsets = logits, offsets
             # the distillation term squares novel-minus-base differences, so
             # such an output overflows on the first step that moves it
             _check_squares([logits, offsets], "its outputs overflow when squared, "
                            "as the distillation term does")
+            cache.base_logits, cache.base_offsets = Tensor(logits), Tensor(offsets)
 
     def loss_fn(out, mined, cache):
-        return novel_loss(out, mined, cache.gt_boxes, anchors, params, cfg, hp,
+        return novel_loss(out, mined, cache.targets, params, cfg, hp,
                           cache.base_logits, cache.base_offsets)
 
     metrics = _run_epochs(scenes, caches, params, cfg, train_cfg, "novel", seed,

@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 # 4-connectivity: shared edges only, no diagonals
-_CROSS = ndimage.generate_binary_structure(2, 1)
+_CROSS = np.array([[False, True, False],
+                   [True, True, True],
+                   [False, True, False]])
 
 
 @dataclass
@@ -72,6 +73,10 @@ def _surround(canvas: np.ndarray, opening_radius: int) -> np.ndarray:
     """Overwrite a ringed canvas with its maps' surrounded regions: drop the
     4-connected components that touch a map's border, then apply a
     cross-shaped opening of the given radius. Returns the canvas."""
+    # imported where a map is first labelled: scipy.ndimage would cost a
+    # process that labels none, such as the gradient check, tens of MB
+    from scipy import ndimage
+
     # scipy numbers components in raster order: the ring holds the first
     # pixel, so it is component 1 and every surrounded component is above it
     np.greater(ndimage.label(canvas, structure=_CROSS)[0], 1, out=canvas)

@@ -331,12 +331,131 @@ def forward_one(image, saliency, params, cfg):
     """The detector's outputs for one [3,H,W] image (and [h,w] map or None),
     as a stack of one run alone: ([N,1+C] logits, [N,4] offsets, [N,d]
     features, [H,W] top-down map) arrays."""
-    from fewdet import detector as det
-
-    out = det.forward(image[None], None if saliency is None else saliency[None],
-                      params, cfg)
+    out = forward_per_call(image[None], None if saliency is None else saliency[None],
+                           params, cfg)
     return (out.logits.data[0], out.offsets.data[0], out.features.data[0],
             out.topdown.data[0])
+
+
+def saliency_gate_per_call(maps, h, w, epsilon):
+    """The bottom-up gate ln(epsilon + s) of a [B,h',w'] map stack as the
+    fusion once built it inside every forward: each map average-pooled to
+    h x w by an integer factor, then min-max renormalized (a constant map
+    to zeros). Returns a [B,1,h,w] array."""
+    gates = []
+    for s in np.asarray(maps, dtype=np.float64):
+        hs, ws = s.shape
+        if (hs, ws) != (h, w):
+            s = s.reshape(h, hs // h, w, ws // w).mean(axis=(1, 3))
+        lo, hi = s.min(), s.max()
+        s = (s - lo) / (hi - lo) if hi > lo else np.zeros_like(s)
+        gates.append(np.log(epsilon + s))
+    return np.stack(gates)[:, None]
+
+
+def fuse_bottom_up_per_call(z, maps, epsilon):
+    """Saliency fusion from the maps, gate and product in one call."""
+    from fewdet import tensor as T
+    from fewdet.tensor import Tensor
+
+    return T.mul(z, Tensor(saliency_gate_per_call(maps, *z.data.shape[2:], epsilon)))
+
+
+def forward_per_call(images, maps, params, cfg):
+    """detector.forward on a [B,3,H,W] stack with its gate built from the
+    [B,h,w] maps (or None) on this very call. The fusion grid is a quarter
+    of the image side, which two stride-2 stages give for sides divisible
+    by 4."""
+    from fewdet import detector as det
+    from fewdet.tensor import Tensor
+
+    gate = None
+    if maps is not None and cfg.use_bottom_up:
+        side = cfg.image_size // 4
+        gate = Tensor(saliency_gate_per_call(maps, side, side, cfg.epsilon))
+    return det.forward(images, gate, params, cfg)
+
+
+def base_loss_per_call(outputs, match, gt_boxes, anchors, params, cfg, alpha=None):
+    """The detection loss with everything rebuilt from the match on each
+    call: positive indices, their classifier rows (``params.row_of``) and
+    their box targets (``encode_box`` per positive)."""
+    from fewdet import tensor as T
+    from fewdet.tensor import Tensor
+
+    alpha = cfg.alpha if alpha is None else alpha
+    pos_idx = np.where(match.positive_class > 0)[0]
+    neg_idx = np.where(match.hard_negative)[0]
+    n = max(pos_idx.size, 1)
+    if pos_idx.size == 0 and neg_idx.size == 0:
+        return Tensor(0.0), {"loss_cls": 0.0, "loss_bbox": 0.0}
+    sel = np.concatenate([pos_idx, neg_idx])
+    rows = np.array([params.row_of(int(c)) for c in match.positive_class[pos_idx]]
+                    + [0] * len(neg_idx), dtype=np.int64)
+    l_cls = T.sum_all(T.softmax_cross_entropy(T.gather(outputs.logits, sel), rows))
+    if not pos_idx.size:
+        return T.scale(l_cls, 1.0 / n), {"loss_cls": float(l_cls.data) / n,
+                                         "loss_bbox": 0.0}
+    targets = np.array([encode_box(g, a) for g, a in zip(
+        gt_boxes[match.matched_gt[pos_idx]].tolist(), anchors[pos_idx].tolist())])
+    l_bbox = T.sum_all(T.smooth_l1(T.gather(outputs.offsets, pos_idx), Tensor(targets)))
+    total = T.scale(T.add(l_cls, T.scale(l_bbox, alpha)), 1.0 / n)
+    return total, {"loss_cls": float(l_cls.data) / n,
+                   "loss_bbox": alpha * float(l_bbox.data) / n}
+
+
+def object_concentration_loss_per_call(features, rows, match, params):
+    """The object-concentration term with the positives and their
+    classifier rows rebuilt from the match on each call."""
+    from fewdet import tensor as T
+    from fewdet.tensor import Tensor
+
+    pos_idx = np.where(match.positive_class > 0)[0]
+    if pos_idx.size == 0:
+        return Tensor(0.0)
+    row_idx = np.array([params.row_of(int(c)) for c in match.positive_class[pos_idx]],
+                       dtype=np.int64)
+    fhat = T.l2_normalize(T.gather(features, pos_idx), axis=1)
+    what = T.l2_normalize(T.gather(rows, row_idx), axis=1)
+    return T.scale(T.sum_all(T.mul(fhat, what)), -1.0 / pos_idx.size)
+
+
+def distillation_loss_per_call(outputs, base_logits, base_offsets):
+    """The distillation term copying the frozen [N,*] base output arrays
+    into tensors on each call."""
+    from fewdet import tensor as T
+    from fewdet.tensor import Tensor
+
+    cols = range(base_logits.shape[1])
+    l_logit = T.mean_all(T.square(T.sub(T.gather(outputs.logits, cols, axis=1),
+                                        Tensor(base_logits))))
+    l_reg = T.mean_all(T.square(T.sub(outputs.offsets, Tensor(base_offsets))))
+    return T.add(l_logit, l_reg)
+
+
+def novel_loss_per_call(outputs, match, gt_boxes, anchors, params, cfg, hp,
+                        base_logits=None, base_offsets=None):
+    """The novel-stage objective over the per-call terms above."""
+    from fewdet import fewshot as fs
+    from fewdet import tensor as T
+
+    total, parts = base_loss_per_call(outputs, match, gt_boxes, anchors, params, cfg,
+                                      alpha=hp.alpha)
+    parts.update({"loss_conc_pos": 0.0, "loss_conc_neg": 0.0, "loss_dist": 0.0})
+    if hp.beta != 0.0:
+        l_pos = object_concentration_loss_per_call(outputs.features, params.cls_rows,
+                                                   match, params)
+        total = T.add(total, T.scale(l_pos, hp.beta))
+        parts["loss_conc_pos"] = hp.beta * float(l_pos.data)
+    if hp.eta != 0.0:
+        l_neg = fs.background_concentration_loss(outputs.features, params.cls_rows, match)
+        total = T.add(total, T.scale(l_neg, hp.eta))
+        parts["loss_conc_neg"] = hp.eta * float(l_neg.data)
+    if hp.gamma != 0.0:
+        l_dist = distillation_loss_per_call(outputs, base_logits, base_offsets)
+        total = T.add(total, T.scale(l_dist, hp.gamma))
+        parts["loss_dist"] = hp.gamma * float(l_dist.data)
+    return total, parts
 
 
 def evaluate_detector_per_scene(params, cfg, scenes, saliency_provider=None,
@@ -406,7 +525,7 @@ def forward_separate_heads(image, saliency, params, cfg):
             x, _ = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
                                 t["gc.ln_bias"], t["gc.w_v2"])
             if cfg.use_bottom_up and saliency is not None:
-                x = att.fuse_bottom_up(x, saliency[None], cfg.epsilon)
+                x = fuse_bottom_up_per_call(x, saliency[None], cfg.epsilon)
         if i >= 2:
             head_inputs.append(x)
 

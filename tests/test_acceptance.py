@@ -110,14 +110,15 @@ class TestFusionNeutrality:
         rng = _rng(43)
         for _ in range(10):
             z = Tensor((rng.standard_normal((6, 8, 8)) * rng.uniform(0.1, 40))[None])
-            fused = A.fuse_bottom_up(z, np.zeros((1, 8, 8)), epsilon=math.e)
+            fused = A.fuse_bottom_up(z, A.bottom_up_gate(np.zeros((1, 8, 8)), 8, 8, math.e))
             assert np.array_equal(fused.data, z.data)
 
     def test_eps_e_constant_saliency_is_equally_neutral(self):
         # constant maps normalize to zero, so any flat input is a no-op
         rng = _rng(44)
         z = Tensor(rng.standard_normal((4, 8, 8))[None])
-        fused = A.fuse_bottom_up(z, np.full((1, 32, 32), 0.7), epsilon=math.e)
+        fused = A.fuse_bottom_up(z, A.bottom_up_gate(np.full((1, 32, 32), 0.7), 8, 8,
+                                                     math.e))
         assert np.array_equal(fused.data, z.data)
 
     def test_eps_one_zeroes_features_at_zero_saliency_pixels(self):
@@ -126,7 +127,7 @@ class TestFusionNeutrality:
             z = Tensor(rng.standard_normal((5, 4, 4))[None])
             s = rng.uniform(0.3, 1.0, (4, 4))
             s[2, 1] = 0.0
-            fused = A.fuse_bottom_up(z, s[None], epsilon=1.0)
+            fused = A.fuse_bottom_up(z, A.bottom_up_gate(s[None], 4, 4, epsilon=1.0))
             assert np.all(fused.data[0, :, 2, 1] == 0.0)
             assert np.all(fused.data[0, :, 0, 0] != 0.0)
 
@@ -152,10 +153,11 @@ def _random_instance(rng):
                          for _ in range(n_gt)])
     gt_labels = [int(rng.integers(1, 4)) for _ in range(n_gt)]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
-    out = det.forward(image[None], saliency[None], params, cfg).single()
+    out = det.forward(image[None], det.saliency_gate(saliency[None], cfg), params,
+                      cfg).single()
     mined = det.hard_negative_mining(det.background_ce(out.logits.data), match,
                                      cfg.neg_pos_ratio)
-    return cfg, anchors, gt_boxes, mined, params, out
+    return cfg, det.loss_targets(match, gt_boxes, anchors, params), mined, params, out
 
 
 class TestReductionIdentities:
@@ -163,11 +165,9 @@ class TestReductionIdentities:
     def test_novel_loss_with_zero_weights_is_base_loss_on_50_instances(self):
         hp0 = fs.Hyperparams(beta=0.0, eta=0.0, gamma=0.0)
         for trial in range(50):
-            cfg, anchors, gt_boxes, mined, params, out = _random_instance(_rng(46, trial))
-            base_total, base_parts = det.base_loss(out, mined, gt_boxes, anchors,
-                                                   params, cfg)
-            novel_total, novel_parts = fs.novel_loss(out, mined, gt_boxes, anchors,
-                                                     params, cfg, hp0)
+            cfg, targets, mined, params, out = _random_instance(_rng(46, trial))
+            base_total, base_parts = det.base_loss(out, mined, targets, cfg)
+            novel_total, novel_parts = fs.novel_loss(out, mined, targets, params, cfg, hp0)
             assert float(novel_total.data) == float(base_total.data)
             assert novel_parts["loss_cls"] == base_parts["loss_cls"]
             assert novel_parts["loss_bbox"] == base_parts["loss_bbox"]
@@ -177,9 +177,9 @@ class TestReductionIdentities:
 
     def test_distillation_of_identical_outputs_is_exactly_zero(self):
         for trial in range(5):
-            _, _, _, _, _, out = _random_instance(_rng(47, trial))
-            loss = fs.distillation_loss(out, out.logits.data.copy(),
-                                        out.offsets.data.copy())
+            out = _random_instance(_rng(47, trial))[-1]
+            loss = fs.distillation_loss(out, Tensor(out.logits.data.copy()),
+                                        Tensor(out.offsets.data.copy()))
             assert float(loss.data) == 0.0
 
 

@@ -6,7 +6,7 @@ import pytest
 from fewdet import attention as A
 from fewdet import tensor as T
 from fewdet.tensor import Tape, Tensor, backward, grad_check
-from oracles import gc_block_loops
+from oracles import fuse_bottom_up_per_call, gc_block_loops
 
 
 def random_gc_params(rng, channels, ratio=4):
@@ -150,13 +150,18 @@ class TestPoolSaliency:
             A.pool_saliency(np.zeros((6, 6)), 4, 4)
 
 
+def fuse(z, maps, epsilon):
+    """Fusion with the gate built from the maps at z's resolution."""
+    return A.fuse_bottom_up(z, A.bottom_up_gate(maps, *z.shape[2:], epsilon))
+
+
 class TestFuseBottomUp:
 
     def test_neutral_gate_is_bitwise_identity(self):
         """Zero saliency with eps = e multiplies by ln(e) = 1 exactly."""
         rng = np.random.default_rng(10)
         z = Tensor(rng.standard_normal((6, 4, 4))[None])
-        out = A.fuse_bottom_up(z, np.zeros((1, 16, 16)), epsilon=np.e)
+        out = fuse(z, np.zeros((1, 16, 16)), epsilon=np.e)
         assert np.array_equal(out.data, z.data)
 
     def test_full_saliency_scales_by_frozen_constant(self):
@@ -164,7 +169,7 @@ class TestFuseBottomUp:
         z = Tensor(rng.standard_normal((3, 4, 4))[None])
         s = np.zeros((1, 4, 4))
         s[0, 1:3, 1:3] = 1.0  # non-constant so renormalization keeps the ones
-        out = A.fuse_bottom_up(z, s, epsilon=np.e)
+        out = fuse(z, s, epsilon=np.e)
         np.testing.assert_allclose(out.data[..., 1:3, 1:3],
                                    z.data[..., 1:3, 1:3] * 1.3132616875182228,
                                    rtol=0, atol=0)
@@ -173,7 +178,7 @@ class TestFuseBottomUp:
         rng = np.random.default_rng(12)
         z = Tensor(rng.standard_normal((5, 2, 2))[None])
         s = np.array([[[0.0, 1.0], [0.5, 0.25]]])
-        out = A.fuse_bottom_up(z, s, epsilon=1.0)
+        out = fuse(z, s, epsilon=1.0)
         assert np.all(out.data[0, :, 0, 0] == 0.0)
 
     def test_gradient_reaches_z_only(self):
@@ -181,7 +186,7 @@ class TestFuseBottomUp:
         z = Tensor(rng.standard_normal((2, 2, 2))[None], requires_grad=True)
         s = rng.uniform(0, 1, size=(2, 2))
         with Tape() as tape:
-            out = T.sum_all(A.fuse_bottom_up(z, s[None], epsilon=np.e))
+            out = T.sum_all(fuse(z, s[None], epsilon=np.e))
         backward(tape, out)
         gate = np.log(np.e + A.pool_saliency(s, 2, 2))
         np.testing.assert_allclose(z.grad, np.broadcast_to(gate, (1, 2, 2, 2)),
@@ -191,13 +196,44 @@ class TestFuseBottomUp:
         rng = np.random.default_rng(14)
         s = rng.uniform(0, 1, size=(4, 4))[None]
         report = grad_check(
-            lambda L: T.sum_all(T.square(A.fuse_bottom_up(L["z"], s, epsilon=np.e))),
+            lambda L: T.sum_all(T.square(fuse(L["z"], s, epsilon=np.e))),
             {"z": rng.standard_normal((3, 4, 4))[None]})
         assert max(report.values()) < 1e-4
 
     def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            A.fuse_bottom_up(Tensor(np.zeros((1, 1, 2, 2))), np.zeros((1, 2, 2)), epsilon=0.0)
+        for epsilon in (0.0, -1.0):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                A.bottom_up_gate(np.zeros((1, 2, 2)), 2, 2, epsilon)
+
+    def test_non_integer_pooling_factor_rejected(self):
+        with pytest.raises(T.ShapeError, match="non-integer factor"):
+            A.bottom_up_gate(np.zeros((1, 6, 6)), 4, 4)
+
+    def test_map_without_batch_axis_rejected(self):
+        with pytest.raises(T.ShapeError, match=r"\[B,h,w\]"):
+            A.bottom_up_gate(np.zeros((4, 4)), 4, 4)
+
+    @pytest.mark.parametrize("gate_shape", [(1, 1, 4, 4), (2, 3, 4, 4), (2, 1, 2, 2),
+                                            (2, 4, 4), (2, 1, 4, 4, 1)])
+    def test_mismatched_gate_rejected(self, gate_shape):
+        """A gate for another batch size, resolution or layout is a
+        ShapeError, not a broadcast."""
+        z = Tensor(np.ones((2, 3, 4, 4)))
+        with pytest.raises(T.ShapeError):
+            A.fuse_bottom_up(z, Tensor(np.ones(gate_shape)))
+
+    def test_gate_matches_per_call_fusion_bitwise(self):
+        """Pooled and unpooled maps, a constant map and a batch: the gate
+        built once fuses to the bytes of fusion from the maps."""
+        rng = np.random.default_rng(15)
+        z = Tensor(rng.standard_normal((3, 5, 4, 4)))
+        for maps in (rng.uniform(0, 1, (3, 4, 4)), rng.uniform(0, 1, (3, 16, 16)),
+                     np.concatenate([np.full((1, 8, 8), 0.3),
+                                     rng.uniform(0, 1, (2, 8, 8))])):
+            for epsilon in (np.e, 1.0, 0.37):
+                got = fuse(z, maps, epsilon)
+                want = fuse_bottom_up_per_call(z, maps, epsilon)
+                assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestUpsample:

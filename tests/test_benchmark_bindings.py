@@ -41,7 +41,7 @@ from fewdet import detector as det
 from fewdet import fewshot as fs
 from fewdet import synthdata as sd
 import spec
-from tracer import Phase, Tracer
+from tracer import TRACED, Phase, Tracer
 
 cfg = dict(cli.DEFAULTS)
 dcfg = cli.detector_config(cfg)
@@ -63,6 +63,10 @@ def calls(phase, name):
     span = phase.spans.get(name)
     return span.calls if span else 0
 
+traced = {{f"{{module}}.{{fn}}" for module, fns in TRACED.items() for fn in fns}}
+train_spans = sorted({{name.rsplit(".", 1)[0] for name, moves in spec.MOVES.items()
+                      if ("items_per_s", "train_base") in moves}} & traced)
+
 print(json.dumps({{
     "unrecorded_step_ops": [op for op in spec.STEP_OPS
                             if calls(train, "tensor." + op) == 0],
@@ -71,6 +75,10 @@ print(json.dumps({{
     "eval_bms": calls(evaluation, "saliency.bms_saliency"),
     "train_scenes": len(bench.base_train),
     "train_sgd": calls(train, "tensor.sgd_momentum_step"),
+    "train_spans": train_spans,
+    "unread_train_spans": [name for name in train_spans if calls(train, name) == 0],
+    "per_scene": {{name: calls(train, name) for name in (
+        "detector.forward", "attention.fuse_bottom_up", "detector.base_loss")}},
 }}))
 """
 
@@ -87,6 +95,27 @@ def test_training_step_records_every_step_op(traced_counts):
     """bench/selftest.py requires every tape op in spec.STEP_OPS to read
     above zero on the train_base workload."""
     assert traced_counts["unrecorded_step_ops"] == []
+
+
+def test_training_reads_every_span_mapped_to_train_base(traced_counts):
+    """bench/selftest.py requires every per-layer metric spec.MOVES maps to
+    train_base's items_per_s to read above zero there; a span whose call
+    moves out of the training step (into a per-scene cache, say) fails here
+    first."""
+    assert {"attention.fuse_bottom_up", "attention.gc_block", "attention.topdown_map",
+            "detector.forward", "detector.base_loss", "detector.hard_negative_mining",
+            "detector.background_ce", "detector.match_anchors", "tensor.backward",
+            "tensor.sgd_momentum_step"} <= set(traced_counts["train_spans"])
+    assert traced_counts["unread_train_spans"] == []
+
+
+def test_training_runs_forward_fusion_and_loss_once_per_scene(traced_counts):
+    """The gate and the loss targets are built once per scene, but every
+    step still runs the forward, the fusion and the detection loss."""
+    n = traced_counts["train_scenes"]
+    assert traced_counts["per_scene"] == {"detector.forward": n,
+                                          "attention.fuse_bottom_up": n,
+                                          "detector.base_loss": n}
 
 
 def test_training_runs_one_sgd_step_per_batch(traced_counts):

@@ -616,6 +616,38 @@ class TestSweep:
         assert os.stat(out).st_ino in [i for i, _ in synced[header:]]
         capsys.readouterr()
 
+    def test_cells_of_one_split_and_seed_share_one_build(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """Two settings on one (split, seed) build the benchmark once and
+        write the table that a build per cell writes: no cell changes the
+        scenes the next one reads."""
+        args = [*self.ARGS, "--set", "novel.epochs=1", "--set", "sweep.seeds=[3]",
+                "--set", "sweep.beta=[2.0,1.0]"]
+        builds = []
+        build_benchmark = sd.build_benchmark
+
+        def counted(*a, **k):
+            builds.append(a)
+            return build_benchmark(*a, **k)
+
+        monkeypatch.setattr(sd, "build_benchmark", counted)
+        assert run(["sweep", "--out", str(tmp_path / "shared"), *args]) == 0
+        assert len(builds) == 1
+        sweep_cell = cli.sweep_cell
+
+        def built_per_cell(cfg, beta, eta, eps, gamma, split_id, k, seed, base_cache,
+                           built):
+            own = cli.benchmark({**cfg, "seed": int(seed), "data.split": int(split_id)})
+            return sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed, base_cache, own)
+
+        monkeypatch.setattr(cli, "sweep_cell", built_per_cell)
+        assert run(["sweep", "--out", str(tmp_path / "per_cell"), *args]) == 0
+        assert len(builds) == 1 + 1 + 2
+        table = (tmp_path / "shared" / "sweep.csv").read_bytes()
+        assert len(table.splitlines()) == 3
+        assert table == (tmp_path / "per_cell" / "sweep.csv").read_bytes()
+        capsys.readouterr()
+
     def test_completed_grid_is_a_no_op(self, tmp_path, capsys):
         out = tmp_path / "s2"
         args = ["sweep", "--out", str(out), *self.ARGS,

@@ -279,13 +279,16 @@ class TestBaseLoss:
         self.anchors = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.7, 0.2, 0.2]])
         self.cfg = tiny_config()
 
+    def loss(self, outputs, match, gt):
+        return D.base_loss(outputs, match,
+                           D.loss_targets(match, gt, self.anchors, self.params), self.cfg)
+
     def test_empty_is_zero(self):
         match = MatchResult(np.zeros(2, dtype=np.int64),
                             np.full(2, -1, dtype=np.int64),
                             np.zeros(2, dtype=bool))
         outputs = synthetic_outputs(np.zeros((2, 3)), np.zeros((2, 4)))
-        loss, parts = D.base_loss(outputs, match, np.zeros((0, 4)), self.anchors,
-                                  self.params, self.cfg)
+        loss, parts = self.loss(outputs, match, np.zeros((0, 4)))
         assert loss.data == 0.0
         assert parts == {"loss_cls": 0.0, "loss_bbox": 0.0}
 
@@ -296,8 +299,7 @@ class TestBaseLoss:
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
         outputs = synthetic_outputs(np.zeros((2, 3)), offsets)
-        _, parts = D.base_loss(outputs, match, gt, self.anchors,
-                               self.params, self.cfg)
+        _, parts = self.loss(outputs, match, gt)
         assert parts["loss_bbox"] == 0.0
 
     def test_hand_summed_toy_case(self):
@@ -308,8 +310,7 @@ class TestBaseLoss:
         match = MatchResult(np.array([1, 0]), np.array([0, -1]),
                             np.array([False, True]))
         outputs = synthetic_outputs(logits, offsets)
-        loss, parts = D.base_loss(outputs, match, gt, self.anchors,
-                                  self.params, self.cfg)
+        loss, parts = self.loss(outputs, match, gt)
 
         def ce(row, k):
             return math.log(sum(math.exp(v) for v in row)) - row[k]
@@ -332,8 +333,7 @@ class TestBaseLoss:
             outputs = DetectorOutputs(logits=leaves["logits"],
                                       offsets=leaves["offsets"],
                                       features=leaves["logits"])
-            loss, _ = D.base_loss(outputs, match, gt, self.anchors,
-                                  self.params, self.cfg)
+            loss, _ = self.loss(outputs, match, gt)
             return loss
 
         for _ in range(5):
@@ -394,12 +394,32 @@ class TestForward:
     def test_saliency_changes_features_only_when_enabled(self):
         sal = np.zeros((1, 16, 16))
         sal[0, 4:10, 4:10] = 1.0
-        on = D.forward(self.image, sal, self.params, self.cfg)
+        gate = D.saliency_gate(sal, self.cfg)
+        on = D.forward(self.image, gate, self.params, self.cfg)
         off_cfg = dataclasses.replace(self.cfg, use_bottom_up=False)
-        off = D.forward(self.image, sal, self.params, off_cfg)
+        assert D.saliency_gate(sal, off_cfg) is None
+        off = D.forward(self.image, gate, self.params, off_cfg)
         plain = D.forward(self.image, None, self.params, self.cfg)
         assert not np.array_equal(on.logits.data, plain.logits.data)
         assert np.array_equal(off.logits.data, plain.logits.data)
+
+    def test_gate_for_another_batch_rejected(self):
+        gate = D.saliency_gate(np.zeros((1, 4, 4)), self.cfg)
+        with pytest.raises(T.ShapeError):
+            D.forward(np.concatenate([self.image, self.image]), gate, self.params, self.cfg)
+
+    @pytest.mark.parametrize("side", [13, 16, 30, 33])
+    def test_gate_has_the_fusion_resolution(self, side):
+        """The gate is built at the stage-2 resolution of any image side,
+        odd ones included, and forward accepts it."""
+        cfg = tiny_config(image_size=side, anchors=AnchorConfig(
+            map_sizes=(((side + 7) // 8,) * 2, ((side + 15) // 16,) * 2),
+            scales=(0.3, 0.6)))
+        h, w = D.fusion_size(cfg)
+        gate = D.saliency_gate(self.rng.uniform(0, 1, (1, h, w)), cfg)
+        assert gate.shape == (1, 1, h, w)
+        params = D.init_detector_params(cfg, [1], self.rng)
+        D.forward(self.rng.uniform(0, 1, (1, 3, side, side)), gate, params, cfg)
 
     def test_wrong_image_shape(self):
         with pytest.raises(T.ShapeError):
@@ -439,11 +459,13 @@ class TestTapeSize:
         anchors = D.generate_anchors(dcfg.anchors)
         boxes = scene.boxes[scene.annotated]
         match = D.match_anchors(anchors, boxes, scene.labels[scene.annotated], dcfg.pos_thr)
+        gate = D.saliency_gate(saliency[None], dcfg)
+        targets = D.loss_targets(match, boxes, anchors, params)
         with T.Tape() as tape:
-            out = D.forward(scene.image[None], saliency[None], params, dcfg).single()
+            out = D.forward(scene.image[None], gate, params, dcfg).single()
             mined = D.hard_negative_mining(D.background_ce(out.logits.data), match,
                                            dcfg.neg_pos_ratio)
-            loss, _ = D.base_loss(out, mined, boxes, anchors, params, dcfg)
+            loss, _ = D.base_loss(out, mined, targets, dcfg)
         assert len(tape) == 51
         assert [n.op for n in tape.nodes].count("relu") == 1  # gc_block's own
         assert loss.requires_grad
@@ -467,7 +489,8 @@ class TestStackedForward:
                  for s, m in zip(scenes, maps)]
         for n in range(1, 6):
             out = D.forward(np.stack([s.image for s in scenes[:n]]),
-                            np.stack(maps[:n]) if with_saliency else None, params, CFG)
+                            D.saliency_gate(np.stack(maps[:n]), CFG) if with_saliency
+                            else None, params, CFG)
             got = (out.logits.data, out.offsets.data, out.features.data, out.topdown.data)
             for b in range(n):
                 for stacked, single in zip(got, alone[b]):
@@ -488,7 +511,8 @@ class TestStackedForward:
             params.zero_grads()
             with T.Tape() as tape:
                 if fused:
-                    out = D.forward(scenes[0].image[None], maps[0][None], params,
+                    out = D.forward(scenes[0].image[None],
+                                    D.saliency_gate(maps[0][None], CFG), params,
                                     CFG).single()
                     outs = (out.logits, out.offsets, out.features)
                 else:

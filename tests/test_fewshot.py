@@ -13,7 +13,8 @@ from fewdet import tensor as T
 from fewdet.detector import AnchorConfig, DetectorConfig, DetectorOutputs
 from fewdet.synthdata import Scene
 from fewdet.tensor import Tape, Tensor, backward, grad_check
-from oracles import col2im_slices, sgd_step_per_tensor
+from oracles import (base_loss_per_call, col2im_slices, forward_one, forward_per_call,
+                     novel_loss_per_call, sgd_step_per_tensor)
 
 TOL = 1e-12
 
@@ -41,6 +42,14 @@ def toy_scene(rng, cfg, class_id, box=(0.5, 0.5, 0.4, 0.4)) -> Scene:
                  annotated=np.ones(1, dtype=bool))
 
 
+def targets_of(match: det.MatchResult, params: det.DetectorParams) -> det.LossTargets:
+    """The loss targets of a match on unit boxes: the concentration losses
+    read only their positives and classifier rows."""
+    n_gt = int(np.max(match.matched_gt, initial=-1)) + 1
+    unit = np.full((len(match.positive_class), 4), 0.5)
+    return det.loss_targets(match, unit[:n_gt], unit, params)
+
+
 def make_match(n, positives: dict[int, int], negatives=()) -> det.MatchResult:
     positive = np.zeros(n, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
@@ -58,7 +67,7 @@ class TestObjectConcentration:
         feats = Tensor(np.array([[0.0, 5.0], [0.7, 0.0], [0.0, 0.1]]))
         match = make_match(3, {0: 1, 1: 2})
         loss = fs.object_concentration_loss(feats, rows,
-                                            match, rows_params(rows, [1, 2]))
+                                            targets_of(match, rows_params(rows, [1, 2])))
         assert abs(float(loss.data) - (-1.0)) < TOL
 
     def test_orthogonal_features_zero(self):
@@ -66,7 +75,7 @@ class TestObjectConcentration:
         feats = Tensor(np.array([[1.0, 0.0], [0.0, 3.0]]))
         match = make_match(2, {0: 1})
         loss = fs.object_concentration_loss(feats, rows,
-                                            match, rows_params(rows, [1]))
+                                            targets_of(match, rows_params(rows, [1])))
         assert abs(float(loss.data)) < TOL
 
     def test_hand_mean_of_two_cosines(self):
@@ -77,14 +86,14 @@ class TestObjectConcentration:
         feats = Tensor(np.stack([f1, f2]))
         match = make_match(2, {0: 1, 1: 2})
         loss = fs.object_concentration_loss(feats, rows,
-                                            match, rows_params(rows, [1, 2]))
+                                            targets_of(match, rows_params(rows, [1, 2])))
         assert abs(float(loss.data) - (-0.4)) < TOL
 
     def test_no_positives_returns_zero_constant(self):
         rows = Tensor(np.eye(2))
         feats = Tensor(np.ones((3, 2)))
-        loss = fs.object_concentration_loss(feats, rows, make_match(3, {}),
-                                            rows_params(rows, [1]))
+        targets = targets_of(make_match(3, {}), rows_params(rows, [1]))
+        loss = fs.object_concentration_loss(feats, rows, targets)
         assert float(loss.data) == 0.0
         assert not loss.requires_grad
 
@@ -95,9 +104,9 @@ class TestObjectConcentration:
         match = make_match(6, {0: 2, 3: 1, 5: 3})
         params = rows_params(Tensor(rows), [1, 2, 3])
         a = fs.object_concentration_loss(Tensor(feats), Tensor(rows),
-                                         match, params)
+                                         targets_of(match, params))
         b = fs.object_concentration_loss(Tensor(feats * 7.3), Tensor(rows * 0.2),
-                                         match, params)
+                                         targets_of(match, params))
         assert abs(float(a.data) - float(b.data)) < TOL
 
     def test_bounded_by_unit_cosine(self):
@@ -106,9 +115,9 @@ class TestObjectConcentration:
             rows = rng.standard_normal((3, 4))
             feats = rng.standard_normal((5, 4))
             match = make_match(5, {1: 1, 2: 2})
-            loss = float(fs.object_concentration_loss(
-                Tensor(feats), Tensor(rows), match,
-                rows_params(Tensor(rows), [1, 2])).data)
+            targets = targets_of(match, rows_params(Tensor(rows), [1, 2]))
+            loss = float(fs.object_concentration_loss(Tensor(feats), Tensor(rows),
+                                                      targets).data)
             assert -1.0 - TOL <= loss <= 1.0 + TOL
 
     def test_nonpositive_when_features_align(self):
@@ -118,17 +127,17 @@ class TestObjectConcentration:
             rows = rng.uniform(0.1, 1.0, size=(3, 4))
             feats = rng.uniform(0.0, 1.0, size=(5, 4)) + 1e-3
             match = make_match(5, {1: 1, 2: 2})
-            loss = float(fs.object_concentration_loss(
-                Tensor(feats), Tensor(rows), match,
-                rows_params(Tensor(rows), [1, 2])).data)
+            targets = targets_of(match, rows_params(Tensor(rows), [1, 2]))
+            loss = float(fs.object_concentration_loss(Tensor(feats), Tensor(rows),
+                                                      targets).data)
             assert -1.0 - TOL <= loss <= 0.0 + TOL
 
     def test_zero_norm_feature_rejected(self):
         rows = Tensor(np.eye(2))
         feats = Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
-            fs.object_concentration_loss(feats, rows, make_match(2, {0: 1}),
-                                         rows_params(rows, [1]))
+            fs.object_concentration_loss(feats, rows,
+                                         targets_of(make_match(2, {0: 1}), rows_params(rows, [1])))
 
     def test_grad_check(self):
         rng = np.random.default_rng(2)
@@ -137,8 +146,7 @@ class TestObjectConcentration:
 
         def f(leaves):
             return fs.object_concentration_loss(
-                leaves["f"], leaves["w"], match,
-                rows_params(leaves["w"], params_ids))
+                leaves["f"], leaves["w"], targets_of(match, rows_params(leaves["w"], params_ids)))
 
         report = grad_check(f, {"f": rng.standard_normal((4, 3)),
                                 "w": rng.standard_normal((3, 3))})
@@ -210,7 +218,7 @@ class TestDistillation:
         logits = rng.standard_normal((6, 4))
         offsets = rng.standard_normal((6, 4))
         loss = fs.distillation_loss(outputs_from(logits, offsets),
-                                    logits, offsets)
+                                    Tensor(logits), Tensor(offsets))
         assert float(loss.data) == 0.0
 
     def test_single_entry_constant_difference(self):
@@ -223,7 +231,7 @@ class TestDistillation:
             [base_logits, rng.standard_normal((3, 1))], axis=1)
         novel_logits[1, 2] += c
         loss = fs.distillation_loss(outputs_from(novel_logits, offsets),
-                                    base_logits, offsets)
+                                    Tensor(base_logits), Tensor(offsets))
         assert abs(float(loss.data) - c * c / 9.0) < TOL
 
     def test_matches_scalar_loop_oracle(self):
@@ -239,7 +247,7 @@ class TestDistillation:
                     for i in range(4) for j in range(4)) / 16.0
 
         loss = fs.distillation_loss(outputs_from(novel_logits, novel_offsets),
-                                    base_logits, base_offsets)
+                                    Tensor(base_logits), Tensor(base_offsets))
         assert abs(float(loss.data) - (acc_l + acc_r)) < TOL
 
     def test_nonnegative(self):
@@ -248,7 +256,7 @@ class TestDistillation:
             loss = fs.distillation_loss(
                 outputs_from(rng.standard_normal((3, 4)),
                              rng.standard_normal((3, 4))),
-                rng.standard_normal((3, 2)), rng.standard_normal((3, 4)))
+                Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((3, 4))))
             assert float(loss.data) >= 0.0
 
     def test_anchor_count_mismatch_rejected(self):
@@ -256,11 +264,11 @@ class TestDistillation:
         out = outputs_from(rng.standard_normal((3, 4)),
                            rng.standard_normal((3, 4)))
         with pytest.raises(T.ShapeError):
-            fs.distillation_loss(out, rng.standard_normal((4, 2)),
-                                 rng.standard_normal((4, 4)))
+            fs.distillation_loss(out, Tensor(rng.standard_normal((4, 2))),
+                                 Tensor(rng.standard_normal((4, 4))))
         with pytest.raises(T.ShapeError):
-            fs.distillation_loss(out, rng.standard_normal((3, 5)),
-                                 rng.standard_normal((3, 4)))
+            fs.distillation_loss(out, Tensor(rng.standard_normal((3, 5))),
+                                 Tensor(rng.standard_normal((3, 4))))
 
     def test_gradient_reaches_only_novel_outputs(self):
         rng = np.random.default_rng(10)
@@ -268,15 +276,15 @@ class TestDistillation:
         offsets = rng.standard_normal((3, 4))
         out = outputs_from(logits + 0.5, offsets)
         with Tape() as tape:
-            loss = fs.distillation_loss(out, logits, offsets)
+            loss = fs.distillation_loss(out, Tensor(logits), Tensor(offsets))
         backward(tape, loss)
         assert out.logits.grad is not None
         assert out.offsets.grad is not None
 
     def test_grad_check(self):
         rng = np.random.default_rng(11)
-        base_logits = rng.standard_normal((3, 2))
-        base_offsets = rng.standard_normal((3, 4))
+        base_logits = Tensor(rng.standard_normal((3, 2)))
+        base_offsets = Tensor(rng.standard_normal((3, 4)))
 
         def f(leaves):
             out = DetectorOutputs(logits=leaves["lg"], offsets=leaves["off"],
@@ -307,17 +315,18 @@ class TestNovelLoss:
                                                     scales=(0.5,),
                                                     aspects=(1.0,)))
         params = rows_params(Tensor(np.eye(3)), [1, 2])
-        return out, make_match(2, {}), np.zeros((0, 4)), anchors, params
+        match = make_match(2, {})
+        return out, match, det.loss_targets(match, np.zeros((0, 4)), anchors, params), params
 
     def test_hand_weighted_combination(self, monkeypatch):
         # components (0.4, 0.2, -0.5, 0.3, 0.1), weights (1, 2, 0.4, 0.5)
         # -> 0.4 + 0.2 - 1.0 + 0.12 + 0.05 = -0.23
         self._fixed_components(monkeypatch, (0.4, 0.2), -0.5, 0.3, 0.1)
-        out, match, gt, anchors, params = self._dummy_args()
+        out, match, targets, params = self._dummy_args()
         hp = fs.Hyperparams(alpha=1.0, beta=2.0, eta=0.4, gamma=0.5)
         cfg = tiny_config()
-        total, parts = fs.novel_loss(out, match, gt, anchors, params, cfg, hp,
-                                     np.zeros((2, 3)), np.zeros((2, 4)))
+        total, parts = fs.novel_loss(out, match, targets, params, cfg, hp,
+                                     Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
         assert abs(float(total.data) - (-0.23)) < TOL
         assert abs(parts["loss_conc_pos"] - (-1.0)) < TOL
         assert abs(parts["loss_conc_neg"] - 0.12) < TOL
@@ -325,10 +334,10 @@ class TestNovelLoss:
 
     def test_all_components_zero(self, monkeypatch):
         self._fixed_components(monkeypatch, (0.0, 0.0), 0.0, 0.0, 0.0)
-        out, match, gt, anchors, params = self._dummy_args()
-        total, _ = fs.novel_loss(out, match, gt, anchors, params, tiny_config(),
-                                 fs.Hyperparams(), np.zeros((2, 3)),
-                                 np.zeros((2, 4)))
+        out, match, targets, params = self._dummy_args()
+        total, _ = fs.novel_loss(out, match, targets, params, tiny_config(),
+                                 fs.Hyperparams(), Tensor(np.zeros((2, 3))),
+                                 Tensor(np.zeros((2, 4))))
         assert float(total.data) == 0.0
 
     def test_zero_weights_reduce_to_base_loss_bitwise(self):
@@ -341,12 +350,11 @@ class TestNovelLoss:
         out = det.forward(scene.image[None], None, params, cfg).single()
         mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                          match, cfg.neg_pos_ratio)
-        gt = scene.boxes
+        targets = det.loss_targets(match, scene.boxes, anchors, params)
 
-        base_total, base_parts = det.base_loss(out, mined, gt, anchors, params,
-                                               cfg)
+        base_total, base_parts = det.base_loss(out, mined, targets, cfg)
         hp = fs.Hyperparams(beta=0.0, eta=0.0, gamma=0.0)
-        total, parts = fs.novel_loss(out, mined, gt, anchors, params, cfg, hp)
+        total, parts = fs.novel_loss(out, mined, targets, params, cfg, hp)
         assert float(total.data) == float(base_total.data)
         assert parts["loss_cls"] == base_parts["loss_cls"]
         assert parts["loss_bbox"] == base_parts["loss_bbox"]
@@ -354,9 +362,9 @@ class TestNovelLoss:
         assert parts["loss_dist"] == 0.0
 
     def test_gamma_without_base_outputs_rejected(self):
-        out, match, gt, anchors, params = self._dummy_args()
+        out, match, targets, params = self._dummy_args()
         with pytest.raises(ValueError):
-            fs.novel_loss(out, match, gt, anchors, params, tiny_config(),
+            fs.novel_loss(out, match, targets, params, tiny_config(),
                           fs.Hyperparams(gamma=0.5))
 
     def test_end_to_end_gradients_finite(self):
@@ -372,10 +380,11 @@ class TestNovelLoss:
             out = det.forward(scene.image[None], None, params, cfg).single()
             mined = det.hard_negative_mining(det.background_ce(out.logits.data),
                                              match, cfg.neg_pos_ratio)
-            total, _ = fs.novel_loss(out, mined, scene.boxes,
-                                     anchors, params, cfg, fs.Hyperparams(),
-                                     base_out.logits.data,
-                                     base_out.offsets.data)
+            total, _ = fs.novel_loss(out, mined,
+                                     det.loss_targets(match, scene.boxes, anchors, params),
+                                     params, cfg, fs.Hyperparams(),
+                                     Tensor(base_out.logits.data),
+                                     Tensor(base_out.offsets.data))
         backward(tape, total)
         for name, t in params.tensors.items():
             assert t.grad is not None, name
@@ -593,10 +602,15 @@ def small_train_setup(seed=21, n_scenes=3):
     return cfg, scenes
 
 
-def hand_rolled_training(params, scenes, cfg, tc, seed):
-    """Detection-loss training with fs._run_epochs's shuffling and batching,
-    one tape per scene, and the per-tensor reference step; returns the
-    number of steps whose clip engaged."""
+def hand_rolled_training(params, scenes, cfg, tc, seed, maps=None, hp=None,
+                         base_outputs=None):
+    """Training with fs._run_epochs's shuffling and batching, one tape per
+    scene, and the per-tensor reference step; returns the number of steps
+    whose clip engaged. Every step rebuilds what the package builds once per
+    scene, with the per-call oracles: the gate from the scene's saliency map
+    (``maps``, or None), and the match, positives, classifier rows and box
+    targets. The loss is the detection loss, or with ``hp`` the novel-stage
+    objective over the scenes' frozen (logits, offsets) ``base_outputs``."""
     anchors = det.generate_anchors(cfg.anchors)
     order = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     velocity, clipped = {}, 0
@@ -606,15 +620,23 @@ def hand_rolled_training(params, scenes, cfg, tc, seed):
             batch = perm[start:start + tc.batch_size]
             params.zero_grads()
             for idx in batch:
-                scene = scenes[int(idx)]
+                idx = int(idx)
+                scene = scenes[idx]
                 boxes = scene.boxes[scene.annotated]
                 match = det.match_anchors(anchors, boxes, scene.labels[scene.annotated],
                                           cfg.pos_thr)
                 with Tape() as tape:
-                    out = det.forward(scene.image[None], None, params, cfg).single()
+                    out = forward_per_call(scene.image[None],
+                                           None if maps is None else maps[idx][None],
+                                           params, cfg).single()
                     mined = det.hard_negative_mining(
                         det.background_ce(out.logits.data), match, cfg.neg_pos_ratio)
-                    loss, _ = det.base_loss(out, mined, boxes, anchors, params, cfg)
+                    if hp is None:
+                        loss, _ = base_loss_per_call(out, mined, boxes, anchors, params, cfg)
+                    else:
+                        loss, _ = novel_loss_per_call(
+                            out, mined, boxes, anchors, params, cfg, hp,
+                            *(base_outputs[idx] if base_outputs else (None, None)))
                 backward(tape, loss)
             clipped += sgd_step_per_tensor(params.tensors, velocity, len(batch),
                                            tc.clip_norm, tc.lr, tc.momentum,
@@ -691,7 +713,7 @@ class TestTraining:
         raised as it is."""
         cfg, scenes = small_train_setup()
         params = det.init_detector_params(cfg, [1, 2], np.random.default_rng(0))
-        caches = fs._prepare(scenes, cfg, det.generate_anchors(cfg.anchors), None)
+        caches = fs._prepare(scenes, None, cfg, det.generate_anchors(cfg.anchors), params)
 
         def loss_fn(out, mined, cache):
             return T.scale(T.sum_all(out.offsets), math.inf), {}
@@ -717,7 +739,7 @@ class TestTraining:
         the starting parameters fails too, so it is no divergence."""
         cfg, scenes = small_train_setup(n_scenes=1)
         params = det.init_detector_params(cfg, [1, 2], np.random.default_rng(0))
-        caches = fs._prepare(scenes, cfg, det.generate_anchors(cfg.anchors), None)
+        caches = fs._prepare(scenes, None, cfg, det.generate_anchors(cfg.anchors), params)
 
         def loss_fn(out, mined, cache):
             def poisoned(g):
@@ -793,6 +815,51 @@ class TestTraining:
         for name in trained.tensors:
             assert trained.tensors[name].data.tobytes() == \
                 params.tensors[name].data.tobytes(), name
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("bottom_up", [True, False])
+    def test_stages_match_per_call_oracles_bitwise(self, batch_size, bottom_up):
+        """Both stages, every novel term weighted (gamma > 0), saliency maps
+        at the image resolution so that the gate pools: the gates and loss
+        targets built once per scene end on the bytes of rebuilding them on
+        every step."""
+        rng = np.random.default_rng(25)
+        cfg = tiny_config(use_bottom_up=bottom_up)
+        boxes = [(0.5, 0.5, 0.4, 0.4), (0.35, 0.6, 0.5, 0.3), (0.6, 0.4, 0.3, 0.6)]
+        scenes = [toy_scene(rng, cfg, 1 + i % 2, boxes[i % 3]) for i in range(5)]
+        support = fs.SupportSet(
+            scenes=[toy_scene(rng, cfg, c, boxes[i % 3]) for i, c in enumerate((3, 1, 4, 3))],
+            novel_instances={3: [(0, 0), (3, 0)], 4: [(2, 0)]},
+            base_instances={1: [(1, 0)]}, k=1)
+        maps = {id(s): s.image[0] for s in scenes + support.scenes}
+
+        def provider(scene):
+            return maps[id(scene)]
+
+        tc = fs.TrainConfig(epochs=3, batch_size=batch_size, lr=0.005, weight_decay=0.01)
+        hp = fs.Hyperparams(beta=2.0, eta=0.4, gamma=0.5)
+        seed = 17
+
+        base, _ = fs.train_base(scenes, cfg, tc, [1, 2], seed=seed, saliency_provider=provider)
+        novel, _ = fs.train_novel(base, support, cfg, tc, hp, seed=seed,
+                                  saliency_provider=provider)
+
+        params = det.init_detector_params(
+            cfg, [1, 2], np.random.default_rng(np.random.SeedSequence([seed, 1])))
+        hand_rolled_training(params, scenes, cfg, tc, seed,
+                             maps=[maps[id(s)] for s in scenes])
+        for name, t in base.tensors.items():
+            assert t.data.tobytes() == params.tensors[name].data.tobytes(), name
+
+        params = fs.init_novel_detector(base, support, cfg, provider)
+        support_maps = [maps[id(s)] for s in support.scenes]
+        frozen = [forward_one(s.image, m, base, cfg)[:2]
+                  for s, m in zip(support.scenes, support_maps)]
+        hand_rolled_training(params, support.scenes, cfg, tc, seed, maps=support_maps,
+                             hp=hp, base_outputs=frozen)
+        for name, t in novel.tensors.items():
+            assert t.data.tobytes() == params.tensors[name].data.tobytes(), name
+        assert not np.array_equal(novel.cls_rows.data[:3], base.cls_rows.data)
 
     def test_novel_metrics_report_all_terms(self):
         rng = np.random.default_rng(23)

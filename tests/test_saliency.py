@@ -1,5 +1,10 @@
 """Tests for boolean-map saliency and the mask-union oracle."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +128,41 @@ class TestSurroundedness:
                 assert got.shape == stack.shape
                 for one, want in zip(got, stack):
                     np.testing.assert_array_equal(one, flood_fill_surroundedness(want))
+
+
+LAZY_NDIMAGE = f"""
+import hashlib, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / "src")!r})
+import numpy as np
+from fewdet import cli
+from fewdet import saliency as S
+cli.resolve_config(None, [])  # validates BMS settings on a blank scene
+cli.gradcheck_suite(seed=0, points=1)
+before = "scipy.ndimage" in sys.modules
+image = np.random.default_rng(3).uniform(0, 1, (3, 24, 24))
+digest = hashlib.sha256(S.bms_saliency(image, S.BmsConfig()).tobytes()).hexdigest()
+print(before, "scipy.ndimage" in sys.modules, digest)
+"""
+
+
+class TestLazyNdimage:
+
+    def test_loaded_only_when_a_map_is_labelled(self):
+        """Config validation and the gradient check label no map and leave
+        scipy.ndimage unloaded; BMS then loads it, with the bytes a process
+        that imported it up front gets."""
+        proc = subprocess.run([sys.executable, "-c", LAZY_NDIMAGE], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        before, after, digest = proc.stdout.split()
+        image = np.random.default_rng(3).uniform(0, 1, (3, 24, 24))
+        want = hashlib.sha256(S.bms_saliency(image, BmsConfig()).tobytes()).hexdigest()
+        assert (before, after, digest) == ("False", "True", want)
+
+    def test_cross_is_scipys_4_connectivity(self):
+        want = ndimage.generate_binary_structure(2, 1)
+        assert S._CROSS.dtype == want.dtype
+        assert np.array_equal(S._CROSS, want)
 
 
 class TestBmsSaliency:

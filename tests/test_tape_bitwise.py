@@ -1,8 +1,10 @@
-"""The tape's direct reductions, conv2d's per-geometry plan and the gradient
-checker's shared probe leaves, each against the code it replaces, to the
-byte: the reductions against numpy's methods (``tests/oracles.py``), the 1x1
-convolution against the im2col/col2im path, and the checker against one
-that wraps every leaf afresh on each probe."""
+"""The tape's direct reductions, conv2d's per-geometry plan, the gradient
+checker's shared probe leaves and the gradient suite's per-point gate and
+loss targets, each against the code it replaces, to the byte: the reductions
+against numpy's methods (``tests/oracles.py``), the 1x1 convolution against
+the im2col/col2im path, the checker against one that wraps every leaf afresh
+on each probe, and the suite against one that rebuilds the gate and the
+targets on each probe."""
 
 import dataclasses
 import itertools
@@ -368,6 +370,62 @@ def check_coordinates_rebuilding(f, point, h, coordinates):
     return report
 
 
+def composite_checks_per_probe(rng):
+    """``cli._composite_checks`` with the same draws, where every probe's
+    forward builds the gate from the saliency map and every loss rebuilds
+    its positives, rows and box targets from the match (``oracles``)."""
+    cfg = det.DetectorConfig(
+        image_size=16, backbone_channels=(4, 6, 8, 10), feat_dim=6,
+        bottleneck_ratio=2,
+        anchors=det.AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
+    class_ids = [1, 2, 3]
+    params = det.init_detector_params(cfg, class_ids, rng)
+    image = rng.uniform(0.0, 1.0, (3, 16, 16))
+    saliency = rng.uniform(0.0, 1.0, (4, 4))
+    anchors = det.generate_anchors(cfg.anchors)
+    gt_boxes = np.array([[0.45, 0.5, 0.5, 0.55], [0.8, 0.75, 0.3, 0.4]])
+    match = det.match_anchors(anchors, gt_boxes, [1, 3], cfg.pos_thr)
+    probe = oracles.forward_per_call(image[None], saliency[None], params, cfg).single()
+    mined = det.hard_negative_mining(det.background_ce(probe.logits.data),
+                                     match, cfg.neg_pos_ratio)
+    point = {name: t.data for name, t in params.tensors.items()}
+    base_logits = rng.standard_normal((len(anchors), 3))
+    base_offsets = rng.standard_normal((len(anchors), 4))
+    hp = fs.Hyperparams()
+
+    def outputs_of(ts):
+        run = det.DetectorParams(dict(ts), class_ids)
+        return run, oracles.forward_per_call(image[None], saliency[None], run, cfg).single()
+
+    def f_base(ts):
+        run, out = outputs_of(ts)
+        return oracles.base_loss_per_call(out, mined, gt_boxes, anchors, run, cfg)[0]
+
+    def f_obj(ts):
+        run, out = outputs_of(ts)
+        return oracles.object_concentration_loss_per_call(out.features, run.cls_rows,
+                                                          mined, run)
+
+    def f_bg(ts):
+        run, out = outputs_of(ts)
+        return fs.background_concentration_loss(out.features, run.cls_rows, mined)
+
+    def f_dist(ts):
+        _, out = outputs_of(ts)
+        return oracles.distillation_loss_per_call(out, base_logits, base_offsets)
+
+    def f_novel(ts):
+        run, out = outputs_of(ts)
+        return oracles.novel_loss_per_call(out, mined, gt_boxes, anchors, run, cfg, hp,
+                                           base_logits, base_offsets)[0]
+
+    return [(name, max(T.grad_check_sampled(f, point, h=1e-4, samples_per_leaf=2,
+                                            rng=rng).values()))
+            for name, f in (("base_loss", f_base), ("object_concentration_loss", f_obj),
+                            ("background_concentration_loss", f_bg),
+                            ("distillation_loss", f_dist), ("novel_loss", f_novel))]
+
+
 class TestCheckerProbes:
 
     def test_suite_equals_a_checker_that_rebuilds_every_leaf(self, monkeypatch):
@@ -376,6 +434,16 @@ class TestCheckerProbes:
         old = cli.gradcheck_suite(seed=0, points=2)
         assert [name for name, _ in new] == [name for name, _ in old]
         assert [err for _, err in new] == [err for _, err in old]
+
+    def test_suite_equals_one_that_rebuilds_gate_and_targets_per_probe(self, monkeypatch):
+        """The composite checks build the micro detector's gate and loss
+        targets once per point; rebuilt on every probe from the saliency map
+        and the match, they give the same floats."""
+        new = cli.gradcheck_suite(seed=0, points=2)
+        monkeypatch.setattr(cli, "_composite_checks", composite_checks_per_probe)
+        old = cli.gradcheck_suite(seed=0, points=2)
+        assert [name for name, _ in new] == [name for name, _ in old]
+        assert [err.hex() for _, err in new] == [err.hex() for _, err in old]
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_callers_point_is_unchanged(self, sampled):
@@ -428,11 +496,11 @@ def test_tape_ops_call_no_numpy_python_wrappers():
     train_cfg = dataclasses.replace(cli.train_config(cfg, "base"), epochs=1)
     provider = cli.saliency_provider(cfg, dcfg)
     rng = np.random.default_rng(0)
-    micro_cfg, anchors, gt_boxes, mined, point, outputs_of = cli._micro_setup(rng)
+    micro_cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
 
     def f_base(ts):
-        run, out = outputs_of(ts)
-        return det.base_loss(out, mined, gt_boxes, anchors, run, micro_cfg)[0]
+        _, out = outputs_of(ts)
+        return det.base_loss(out, mined, targets, micro_cfg)[0]
 
     calls = []
 
