@@ -213,6 +213,9 @@ RULES = {
     "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
     "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
     "detector.image_size": (lambda v: 1 <= v <= 1024, "an integer in [1,1024]"),
+    # checked here as well as in full_saliency: with bottom-up off the mode
+    # is never read before render-attention, but it is stored all the same
+    "saliency.mode": (lambda v: v in ("bms", "oracle"), "'bms' or 'oracle'"),
     # each saliency loop runs as many rounds as its key says
     "saliency.thresholds_per_channel": (lambda v: 1 <= v <= 255, "an integer in [1,255]"),
     "saliency.blur_radius": (lambda v: 0 <= v <= 255, "an integer in [0,255]"),
@@ -778,12 +781,28 @@ def _micro_setup(rng: np.random.Generator):
     mined = det.hard_negative_mining(det.background_ce(probe.logits.data),
                                      match, cfg.neg_pos_ratio)
     point = {name: t.data for name, t in params.tensors.items()}
+    memo = [None, None]  # the last probe's trunk key and trunk output
 
     def outputs_of(ts):
         run = det.DetectorParams(dict(ts), class_ids)
-        return run, det.forward(image[None], gate, run, cfg).single()
+        if any(t.requires_grad for t in ts.values()):
+            # the taped pass: its trunk nodes must be on the tape
+            return run, det.forward(image[None], gate, run, cfg).single()
+        # a probe that moved no trunk leaf (a head or cls.rows probe) reuses
+        # the trunk output of the probe before it
+        key = _trunk_key(ts)
+        if key != memo[0]:
+            memo[:] = key, det.trunk(image[None], gate, run, cfg)
+        return run, det.heads(*memo[1], run, cfg).single()
 
     return cfg, mined, targets, point, outputs_of
+
+
+def _trunk_key(ts: dict[str, T.Tensor]) -> bytes:
+    """The bytes of every leaf :func:`det.trunk` reads: probes with equal
+    keys have bitwise equal trunk outputs."""
+    return b"".join(t.data.tobytes() for name, t in ts.items()
+                    if name.startswith(("backbone.", "gc.")))
 
 
 def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,13 @@ class MatchResult:
     positive_class: np.ndarray  # [N] int64 class label, 0 when not positive
     matched_gt: np.ndarray      # [N] int64 gt index, -1 when not positive
     hard_negative: np.ndarray   # [N] bool
+
+    @cached_property
+    def non_positive(self) -> np.ndarray:
+        """The anchors that are not positive, ascending: the candidates of
+        every mining of this match, found once. A match is not edited after
+        :func:`match_anchors` returns it."""
+        return np.flatnonzero(self.positive_class == 0)
 
     @property
     def num_positives(self) -> int:
@@ -317,22 +325,20 @@ def saliency_gate(maps, cfg: DetectorConfig) -> Tensor | None:
     return att.bottom_up_gate(maps, *fusion_size(cfg), cfg.epsilon)
 
 
-def forward(images, gate: Tensor | None, params: DetectorParams,
-            cfg: DetectorConfig) -> DetectorOutputs:
-    """Run the detector on a stack of B images, [B,3,H,W].
+def trunk(images, gate: Tensor | None, params: DetectorParams,
+          cfg: DetectorConfig) -> tuple[list[Tensor], Tensor]:
+    """The backbone half of :func:`forward`: image centering, the four
+    backbone stages, the global-context block and the bottom-up fusion.
 
-    ``gate`` is :func:`saliency_gate`'s [B,1,h,w] bottom-up gate for the
-    images, or None; it is ignored unless cfg.use_bottom_up. Every output is
-    per scene: scene b's outputs are bitwise those of a stack holding scene b
-    alone. The outputs carry the global-context block's attention maps as
-    ``topdown``. Records on the active tape, if any.
+    Returns the two heads' input maps (stages 3 and 4) and the [B,h,w]
+    top-down maps. It reads the ``backbone.*`` and ``gc.*`` parameters
+    only, so its output holds for any change to the heads or classifier.
     """
     x = images if isinstance(images, Tensor) else Tensor(images)
     side = cfg.image_size
     if x.data.ndim != 4 or x.data.shape[1:] != (3, side, side):
         raise T.ShapeError(f"expected a [B,3,{side},{side}] image stack, "
                            f"got {x.data.shape}")
-    b = x.data.shape[0]
     # center [0,1] pixels; zero-mean inputs decorrelate whole-channel bias
     # shifts in the first conv, which otherwise invite dead-ReLU collapse
     x = T.sub(T.scale(x, 2.0), Tensor(np.float64(1.0)))
@@ -349,9 +355,18 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
                 x = att.fuse_bottom_up(x, gate)
         if i >= 2:
             head_inputs.append(x)
+    return head_inputs, topdown
 
+
+def heads(head_inputs: list[Tensor], topdown: Tensor, params: DetectorParams,
+          cfg: DetectorConfig) -> DetectorOutputs:
+    """The prediction half of :func:`forward`, from :func:`trunk`'s output:
+    the head convs and the cosine classifier. It reads the ``head.*``
+    parameters and ``cls.rows``."""
+    b = head_inputs[0].data.shape[0]
+    t = params.tensors
     a, d = cfg.num_aspects, cfg.feat_dim
-    heads = []
+    per_head = []
     for s, xs in enumerate(head_inputs):
         expect = cfg.anchors.map_sizes[s]
         if xs.data.shape[2:] != expect:
@@ -360,14 +375,14 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
         # the feature and regression convs share the head's input: one op
         y = T.conv2d(xs, (t[f"head.{s}.feat.kernel"], t[f"head.{s}.reg.kernel"]),
                      (t[f"head.{s}.feat.bias"], t[f"head.{s}.reg.bias"]), padding=1)
-        heads.append(T.reshape(y, (b, a * (d + 4), expect[0] * expect[1])))
+        per_head.append(T.reshape(y, (b, a * (d + 4), expect[0] * expect[1])))
 
     # one row per position of both heads' maps, in anchor order: scale-major,
     # then row-major over cells; each row holds A*d feature then A*4 offset
     # channels, aspect-major. Splitting the rows (not the channels) hands the
     # head convs position-major gradients, the memory order that sets the
     # summation order of their bias gradients in numpy
-    rows = T.transpose(T.concat(heads, axis=2), (0, 2, 1))
+    rows = T.transpose(T.concat(per_head, axis=2), (0, 2, 1))
     p = rows.data.shape[1]
     rows = T.reshape(rows, (b * p, a * (d + 4)))
     features = T.reshape(T.gather(rows, range(a * d), axis=1), (b, p * a, d))
@@ -378,6 +393,20 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
     logits = T.scale(T.matmul(fhat, T.transpose(what, (1, 0))), cfg.temperature)
     return DetectorOutputs(logits=logits, offsets=offsets, features=features,
                            topdown=topdown)
+
+
+def forward(images, gate: Tensor | None, params: DetectorParams,
+            cfg: DetectorConfig) -> DetectorOutputs:
+    """Run the detector on a stack of B images, [B,3,H,W]:
+    ``heads(*trunk(...))``.
+
+    ``gate`` is :func:`saliency_gate`'s [B,1,h,w] bottom-up gate for the
+    images, or None; it is ignored unless cfg.use_bottom_up. Every output is
+    per scene: scene b's outputs are bitwise those of a stack holding scene b
+    alone. The outputs carry the global-context block's attention maps as
+    ``topdown``. Records on the active tape, if any.
+    """
+    return heads(*trunk(images, gate, params, cfg), params, cfg)
 
 
 # scenes per no-grad forward in evaluation, imprinting and the distillation
@@ -408,8 +437,10 @@ def forward_chunks(images, saliency_of, params: DetectorParams,
 
 def background_ce(logits: np.ndarray) -> np.ndarray:
     """Per-anchor cross-entropy against the background class, for mining."""
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    # the ufunc reduces give ndarray.max's and .sum's bits without their
+    # Python wrappers
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.add.reduce(np.exp(logits - m), axis=1))
     return lse - logits[:, BACKGROUND]
 
 
@@ -422,7 +453,7 @@ def hard_negative_mining(cls_losses: np.ndarray, match: MatchResult,
     """
     if neg_pos_ratio < 0:
         raise ValueError("neg_pos_ratio must be >= 0")
-    candidates = np.where(match.positive_class == 0)[0]
+    candidates = match.non_positive
     n_pos = match.num_positives
     want = neg_pos_ratio * n_pos if n_pos else min(1, len(candidates))
     want = min(want, len(candidates))

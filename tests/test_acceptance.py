@@ -2,8 +2,8 @@
 
 The module-scoped ``matrix`` fixture retrains the detector from scratch over
 five seeds under the tuned recipe and takes several minutes on one core;
-every other test here finishes in seconds. Run only the fast part with
-``pytest tests/test_acceptance.py -k "not Matrix"``.
+every other test here finishes in seconds. Its tests carry the ``matrix``
+marker: ``pytest -m "not matrix"`` runs the whole suite without them.
 
 The matrix checks pool their statistic over all of ``SEEDS``. A trained base
 depends on the floating-point platform (CPU features and BLAS kernels change
@@ -349,6 +349,7 @@ def matrix():
     return {"rows": rows, "cfg": cfg_bu, "elapsed": time.monotonic() - t0}
 
 
+@pytest.mark.matrix
 class TestMatrixImprinting:
 
     def test_support_instances_rank_own_class_first(self, matrix):
@@ -392,6 +393,7 @@ class TestMatrixImprinting:
         assert max(identity_err.values()) <= 1e-12, identity_err
 
 
+@pytest.mark.matrix
 class TestMatrixConcentration:
 
     def test_object_concentration_raises_mean_positive_cosine(self, matrix):
@@ -400,6 +402,7 @@ class TestMatrixConcentration:
         assert with_term > without
 
 
+@pytest.mark.matrix
 class TestMatrixAblations:
 
     def test_saliency_fusion_does_not_hurt_novel_map(self, matrix):

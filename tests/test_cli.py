@@ -138,6 +138,21 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
         assert not (tmp_path / "base.ckpt.json").exists()
 
+    @pytest.mark.parametrize("command", ["train-base", "gradcheck"])
+    @pytest.mark.parametrize("use_bottom_up", ["true", "false"])
+    def test_bad_saliency_mode_is_one_error_line(self, tmp_path, capsys, command,
+                                                 use_bottom_up):
+        """An unknown saliency.mode stops at the CLI boundary even when
+        bottom-up is off and no saliency is computed: it would otherwise be
+        written into config.json and checkpoint meta, and fail later."""
+        rc = run([command, "--out", str(tmp_path), *TINY,
+                  "--set", f"detector.use_bottom_up={use_bottom_up}",
+                  "--set", "saliency.mode=foo"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: saliency.mode must be 'bms' or 'oracle', got \"foo\""], err
+        assert not (tmp_path / "config.json").exists()
+
     @pytest.mark.parametrize("key,mode", [("saliency.thresholds_per_channel", "bms"),
                                           ("saliency.opening_radius", "bms"),
                                           ("saliency.blur_radius", "oracle")])

@@ -262,6 +262,18 @@ class TestMining:
             np.testing.assert_array_equal(np.where(mined.hard_negative)[0],
                                           sorted(want))
 
+    def test_candidates_are_found_once_per_match(self):
+        """Every mining of a match reads the one list of its non-positive
+        anchors, which is the np.where list the miner used to rebuild."""
+        match = self.make_match(12, pos_at=(2, 7))
+        rng = np.random.default_rng(9)
+        D.hard_negative_mining(rng.standard_normal(12), match)
+        candidates = match.non_positive
+        D.hard_negative_mining(rng.standard_normal(12), match)
+        assert match.non_positive is candidates
+        want = np.where(match.positive_class == 0)[0]
+        assert candidates.dtype == want.dtype and candidates.tobytes() == want.tobytes()
+
 
 def synthetic_outputs(logits, offsets):
     n, _ = logits.shape
@@ -540,6 +552,55 @@ class TestStackedForward:
 
 
 CFG = cli.detector_config(dict(cli.DEFAULTS))
+
+
+class TestTrunkAndHeads:
+    """``forward`` is ``heads(*trunk(...))``: the same tape, the same values
+    and the same gradient of every parameter, stacked or not, fused with a
+    gate or not."""
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("with_gate", [True, False])
+    def test_forward_is_heads_of_trunk(self, b, with_gate):
+        scenes, maps = TestStackedForward.setup_scenes(b)
+        images = np.stack([s.image for s in scenes])
+        gate = D.saliency_gate(np.stack(maps), CFG) if with_gate else None
+        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        weights = None
+        runs = []
+        for split in (False, True):
+            params.zero_grads()
+            with T.Tape() as tape:
+                if split:
+                    head_inputs, topdown = D.trunk(images, gate, params, CFG)
+                    out = D.heads(head_inputs, topdown, params, CFG)
+                else:
+                    out = D.forward(images, gate, params, CFG)
+                outs = (out.logits, out.offsets, out.features, out.topdown)
+                if weights is None:
+                    weights = [Tensor(rng.standard_normal(o.data.shape)) for o in outs]
+                loss = T.sum_all(T.concat(
+                    [T.reshape(T.sum_all(T.mul(o, w)), (1,)) for o, w in zip(outs, weights)],
+                    axis=0))
+            T.backward(tape, loss)
+            runs.append(([n.op for n in tape.nodes], [o.data.tobytes() for o in outs],
+                         [params.tensors[k].grad.tobytes() for k in sorted(params.tensors)]))
+        assert runs[0] == runs[1]
+
+    def test_trunk_reads_no_head_or_classifier_parameter(self):
+        """The trunk's output is the same for any head and cls.rows values,
+        which is what lets a head probe of the gradient check reuse it."""
+        scenes, maps = TestStackedForward.setup_scenes(1)
+        gate = D.saliency_gate(maps[0][None], CFG)
+        params = D.init_detector_params(CFG, [2, 3], np.random.default_rng(7))
+        with T.Tape() as tape:
+            head_inputs, topdown = D.trunk(scenes[0].image[None], gate, params, CFG)
+            loss = T.add(T.sum_all(topdown), T.sum_all(T.concat(
+                [T.reshape(T.sum_all(x), (1,)) for x in head_inputs], axis=0)))
+        T.backward(tape, loss)
+        read = {k for k, t in params.tensors.items() if t.grad is not None}
+        assert read == {k for k in params.tensors if k.startswith(("backbone.", "gc."))}
 
 
 class TestNms:

@@ -4,7 +4,8 @@ loss targets, each against the code it replaces, to the byte: the reductions
 against numpy's methods (``tests/oracles.py``), the 1x1 convolution against
 the im2col/col2im path, the checker against one that wraps every leaf afresh
 on each probe, and the suite against one that rebuilds the gate and the
-targets on each probe."""
+targets on each probe. The suite's reuse of the detector trunk across head
+probes is counted, and its reuse key mutated."""
 
 import dataclasses
 import itertools
@@ -445,6 +446,81 @@ class TestCheckerProbes:
         assert [name for name, _ in new] == [name for name, _ in old]
         assert [err.hex() for _, err in new] == [err.hex() for _, err in old]
 
+    def test_trunk_runs_once_per_trunk_probe(self, monkeypatch):
+        """In one composite check the trunk runs on the taped pass, on every
+        probe of a backbone or gc leaf and on the first probe after them;
+        every other head and cls.rows probe reuses that output."""
+        rng = np.random.default_rng(np.random.SeedSequence([0, 11, 0]))
+        cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
+        original = {k: v.tobytes() for k, v in point.items()}
+        evaluations = []  # [moved leaves, trunk runs, taped] per evaluation
+        trunk = det.trunk
+
+        def counting_trunk(*args):
+            evaluations[-1][1] += 1
+            return trunk(*args)
+
+        def f_base(ts):
+            moved = [k for k, t in ts.items() if t.data.tobytes() != original[k]]
+            evaluations.append([moved, 0, any(t.requires_grad for t in ts.values())])
+            _, out = outputs_of(ts)
+            return det.base_loss(out, mined, targets, cfg)[0]
+
+        monkeypatch.setattr(det, "trunk", counting_trunk)
+        T.grad_check_sampled(f_base, point, h=1e-4, samples_per_leaf=2, rng=rng)
+        (first, taped_runs, taped), *probes = evaluations
+        assert first == [] and taped and taped_runs == 1
+        assert all(len(moved) == 1 and not taped for moved, _, taped in probes)
+        in_trunk = [runs for (leaf,), runs, _ in probes
+                    if leaf.startswith(("backbone.", "gc."))]
+        in_heads = [runs for (leaf,), runs, _ in probes
+                    if leaf.startswith(("head.", "cls."))]
+        assert len(in_trunk) + len(in_heads) == len(probes) == 4 * len(point)
+        assert in_trunk == [1] * (4 * 13) and in_heads == [1] + [0] * (4 * 9 - 1)
+
+    def test_a_reuse_key_without_any_trunk_leaf_changes_the_check(self, monkeypatch):
+        """The suite's reuse key covers every leaf the trunk reads: leaving
+        out any one of them lets a probe of that leaf reuse a stale trunk,
+        and the check's floats change. At the suite's own points gc.w_v2 is
+        zero (the block starts as an identity), so no loss reads the other
+        four gc leaves there; a point with a nonzero gc.w_v2 makes every
+        trunk leaf count."""
+        want_suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
+        rng = np.random.default_rng(np.random.SeedSequence([0, 11, 0]))
+        cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
+        point = dict(point, **{"gc.w_v2": rng.standard_normal(point["gc.w_v2"].shape)})
+        # the leaves the trunk reads (test_detector.py::TestTrunkAndHeads)
+        read = [k for k in point if k.startswith(("backbone.", "gc."))]
+        assert len(read) == 13
+
+        def f_base(ts):
+            _, out = outputs_of(ts)
+            return det.base_loss(out, mined, targets, cfg)[0]
+
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in point.items()}
+        with Tape() as tape:
+            loss = f_base(leaves)
+        T.backward(tape, loss)
+        # each leaf's steepest coordinate, which a stale trunk cannot hide
+        steepest = [np.unravel_index(np.argmax(np.abs(t.grad)), t.data.shape)
+                    for t in leaves.values()]
+
+        def check():
+            coordinates = iter(steepest)
+            return T._check_coordinates(f_base, point, 1e-4,
+                                        lambda shape: [next(coordinates)])
+
+        want = check()
+        assert max(want.values()) < 1e-4
+        key = cli._trunk_key
+        for leaf in read:
+            monkeypatch.setattr(cli, "_trunk_key", lambda ts, leaf=leaf: key(
+                {k: t for k, t in ts.items() if k != leaf}))
+            assert check()[leaf] > 0.5, leaf
+            suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
+            assert (suite == want_suite) == (leaf in ("gc.w_k", "gc.w_v1", "gc.ln_gain",
+                                                      "gc.ln_bias")), leaf
+
     @pytest.mark.parametrize("sampled", [False, True])
     def test_callers_point_is_unchanged(self, sampled):
         rng = np.random.default_rng(50)
@@ -486,8 +562,9 @@ WRAPPERS = ("numpy/_core/_methods.py", "numpy/_core/fromnumeric.py",
 @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 2.x file layout")
 def test_tape_ops_call_no_numpy_python_wrappers():
     """A taped default training step and a composite gradcheck evaluation,
-    under ``sys.setprofile``: no frame of fewdet/tensor.py calls into numpy's
-    Python-level reduction, fromnumeric or broadcast wrappers. No timing
+    under ``sys.setprofile``: no frame of fewdet/tensor.py, and no frame of
+    the miner's ``detector.background_ce``, calls into numpy's Python-level
+    reduction, fromnumeric or broadcast wrappers. No timing
     enters, so the result is deterministic."""
     cfg = dict(cli.DEFAULTS)
     dcfg = cli.detector_config(cfg)
@@ -524,5 +601,6 @@ def test_tape_ops_call_no_numpy_python_wrappers():
     finally:
         sys.setprofile(None)
     assert any(c[0].endswith("test_tape_bitwise.py") for c in calls), "numpy's layout changed"
-    from_tensor = sorted({c for c in calls if c[0].endswith("fewdet/tensor.py")})
-    assert from_tensor == []
+    guarded = sorted({c for c in calls if c[0].endswith("fewdet/tensor.py")
+                      or (c[0].endswith("fewdet/detector.py") and c[1] == "background_ce")})
+    assert guarded == []
