@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,15 +326,20 @@ def saliency_gate(maps, cfg: DetectorConfig) -> Tensor | None:
     return att.bottom_up_gate(maps, *fusion_size(cfg), cfg.epsilon)
 
 
-def trunk(images, gate: Tensor | None, params: DetectorParams,
-          cfg: DetectorConfig) -> tuple[list[Tensor], Tensor]:
-    """The backbone half of :func:`forward`: image centering, the four
-    backbone stages, the global-context block and the bottom-up fusion.
+class ForwardState(NamedTuple):
+    """What :func:`forward` carries from one stage of ``STAGES`` to the next."""
 
-    Returns the two heads' input maps (stages 3 and 4) and the [B,h,w]
-    top-down maps. It reads the ``backbone.*`` and ``gc.*`` parameters
-    only, so its output holds for any change to the heads or classifier.
-    """
+    x: Tensor  # the centered images before stage 0, then the latest backbone map
+    gate: Tensor | None  # the bottom-up gate that the GC stage fuses
+    topdown: Tensor | None = None  # the GC block's [B,h,w] attention maps
+    head_inputs: tuple[Tensor, ...] = ()  # the backbone maps the heads read
+    maps: tuple[Tensor, ...] = ()  # each head's [B, A*(d+4), positions] map
+
+
+def forward_state(images, gate: Tensor | None, cfg: DetectorConfig) -> ForwardState:
+    """The state before stage 0 of ``STAGES``, for a [B,3,H,W] image stack:
+    the images centered, which reads no parameter. The state does not hold
+    the uncentered copy, so stage 0 can reuse its memory."""
     x = images if isinstance(images, Tensor) else Tensor(images)
     side = cfg.image_size
     if x.data.ndim != 4 or x.data.shape[1:] != (3, side, side):
@@ -341,48 +347,68 @@ def trunk(images, gate: Tensor | None, params: DetectorParams,
                            f"got {x.data.shape}")
     # center [0,1] pixels; zero-mean inputs decorrelate whole-channel bias
     # shifts in the first conv, which otherwise invite dead-ReLU collapse
-    x = T.sub(T.scale(x, 2.0), Tensor(np.float64(1.0)))
-    t = params.tensors
+    return ForwardState(T.sub(T.scale(x, 2.0), Tensor(np.float64(1.0))), gate)
 
-    head_inputs = []
-    for i in range(4):
-        x = T.conv2d(x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
+
+def _backbone(i: int, head_input: bool = False):
+    """Backbone stage i, a stride-2 conv+ReLU. With ``head_input`` a head
+    reads its map, which joins ``head_inputs``."""
+
+    def stage(state: ForwardState, params: DetectorParams,
+              cfg: DetectorConfig) -> ForwardState:
+        t = params.tensors
+        x = T.conv2d(state.x, t[f"backbone.{i}.kernel"], t[f"backbone.{i}.bias"],
                      stride=2, padding=1, relu=True)
-        if i == 1:
-            x, topdown = att.gc_block(x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
-                                      t["gc.ln_bias"], t["gc.w_v2"])
-            if cfg.use_bottom_up and gate is not None:
-                x = att.fuse_bottom_up(x, gate)
-        if i >= 2:
-            head_inputs.append(x)
-    return head_inputs, topdown
+        if head_input:
+            return state._replace(x=x, head_inputs=state.head_inputs + (x,))
+        return state._replace(x=x)
+    return stage
 
 
-def heads(head_inputs: list[Tensor], topdown: Tensor, params: DetectorParams,
-          cfg: DetectorConfig) -> DetectorOutputs:
-    """The prediction half of :func:`forward`, from :func:`trunk`'s output:
-    the head convs and the cosine classifier. It reads the ``head.*``
-    parameters and ``cls.rows``."""
-    b = head_inputs[0].data.shape[0]
+def _global_context(state: ForwardState, params: DetectorParams,
+                    cfg: DetectorConfig) -> ForwardState:
+    """The GC block after backbone stage 1, then the bottom-up fusion."""
     t = params.tensors
-    a, d = cfg.num_aspects, cfg.feat_dim
-    per_head = []
-    for s, xs in enumerate(head_inputs):
+    x, topdown = att.gc_block(state.x, t["gc.w_k"], t["gc.w_v1"], t["gc.ln_gain"],
+                              t["gc.ln_bias"], t["gc.w_v2"])
+    if cfg.use_bottom_up and state.gate is not None:
+        x = att.fuse_bottom_up(x, state.gate)
+    return state._replace(x=x, topdown=topdown)
+
+
+def _head(s: int):
+    """Head s's map, [B, A*(d+4), positions], from head input s. It fills
+    slot s of ``maps``, so it also replaces that map in a complete state."""
+
+    def stage(state: ForwardState, params: DetectorParams,
+              cfg: DetectorConfig) -> ForwardState:
+        xs = state.head_inputs[s]
         expect = cfg.anchors.map_sizes[s]
         if xs.data.shape[2:] != expect:
             raise T.ShapeError(f"head {s} feature map {xs.data.shape[2:]} does not "
                                f"match anchor layout {expect}")
+        t = params.tensors
         # the feature and regression convs share the head's input: one op
         y = T.conv2d(xs, (t[f"head.{s}.feat.kernel"], t[f"head.{s}.reg.kernel"]),
                      (t[f"head.{s}.feat.bias"], t[f"head.{s}.reg.bias"]), padding=1)
-        per_head.append(T.reshape(y, (b, a * (d + 4), expect[0] * expect[1])))
+        m = T.reshape(y, (xs.data.shape[0], cfg.num_aspects * (cfg.feat_dim + 4),
+                          expect[0] * expect[1]))
+        return state._replace(maps=state.maps[:s] + (m,) + state.maps[s + 1:])
+    return stage
 
+
+def _classifier(state: ForwardState, params: DetectorParams,
+                cfg: DetectorConfig) -> DetectorOutputs:
+    """The tail: both heads' maps as per-anchor features and offsets, and
+    the cosine classifier over the features."""
+    b = state.maps[0].data.shape[0]
+    a, d = cfg.num_aspects, cfg.feat_dim
     # one row per position of both heads' maps, in anchor order: scale-major,
     # then row-major over cells; each row holds A*d feature then A*4 offset
     # channels, aspect-major. Splitting the rows (not the channels) hands the
     # head convs position-major gradients, the memory order that sets the
     # summation order of their bias gradients in numpy
-    rows = T.transpose(T.concat(per_head, axis=2), (0, 2, 1))
+    rows = T.transpose(T.concat(state.maps, axis=2), (0, 2, 1))
     p = rows.data.shape[1]
     rows = T.reshape(rows, (b * p, a * (d + 4)))
     features = T.reshape(T.gather(rows, range(a * d), axis=1), (b, p * a, d))
@@ -392,13 +418,61 @@ def heads(head_inputs: list[Tensor], topdown: Tensor, params: DetectorParams,
     what = T.l2_normalize(params.cls_rows, axis=1)
     logits = T.scale(T.matmul(fhat, T.transpose(what, (1, 0))), cfg.temperature)
     return DetectorOutputs(logits=logits, offsets=offsets, features=features,
-                           topdown=topdown)
+                           topdown=state.topdown)
+
+
+# The forward's stages in order: the name prefix of the parameters each one
+# reads, and its function (state, params, cfg) -> the state after it. The
+# last returns the DetectorOutputs. The first TRUNK_STAGES are the trunk.
+STAGES = (
+    ("backbone.0.", _backbone(0)),
+    ("backbone.1.", _backbone(1)),
+    ("gc.", _global_context),
+    ("backbone.2.", _backbone(2, head_input=True)),
+    ("backbone.3.", _backbone(3, head_input=True)),
+    ("head.0.", _head(0)),
+    ("head.1.", _head(1)),
+    ("cls.rows", _classifier),
+)
+TRUNK_STAGES = 5
+
+
+def run_stages(state: ForwardState, params: DetectorParams, cfg: DetectorConfig,
+               start: int = 0, stop: int = len(STAGES)) -> ForwardState | DetectorOutputs:
+    """Run ``STAGES[start:stop]`` from ``state``, the state after stage
+    start - 1 (or :func:`forward_state`'s, for stage 0)."""
+    for _, stage in STAGES[start:stop]:
+        state = stage(state, params, cfg)
+    return state
+
+
+def trunk(images, gate: Tensor | None, params: DetectorParams,
+          cfg: DetectorConfig) -> tuple[list[Tensor], Tensor]:
+    """The backbone half of :func:`forward`: the image centering and the
+    first ``TRUNK_STAGES`` stages, the four backbone stages, the
+    global-context block and the bottom-up fusion.
+
+    Returns the two heads' input maps (stages 3 and 4) and the [B,h,w]
+    top-down maps. It reads the ``backbone.*`` and ``gc.*`` parameters
+    only, so its output holds for any change to the heads or classifier.
+    """
+    state = run_stages(forward_state(images, gate, cfg), params, cfg, 0, TRUNK_STAGES)
+    return list(state.head_inputs), state.topdown
+
+
+def heads(head_inputs: list[Tensor], topdown: Tensor, params: DetectorParams,
+          cfg: DetectorConfig) -> DetectorOutputs:
+    """The prediction half of :func:`forward`, from :func:`trunk`'s output:
+    the head maps and the cosine classifier. It reads the ``head.*``
+    parameters and ``cls.rows``."""
+    state = ForwardState(head_inputs[-1], None, topdown, tuple(head_inputs))
+    return run_stages(state, params, cfg, TRUNK_STAGES)
 
 
 def forward(images, gate: Tensor | None, params: DetectorParams,
             cfg: DetectorConfig) -> DetectorOutputs:
-    """Run the detector on a stack of B images, [B,3,H,W]:
-    ``heads(*trunk(...))``.
+    """Run the detector on a stack of B images, [B,3,H,W]: every stage of
+    ``STAGES``, the ops of ``heads(*trunk(...))`` in their order.
 
     ``gate`` is :func:`saliency_gate`'s [B,1,h,w] bottom-up gate for the
     images, or None; it is ignored unless cfg.use_bottom_up. Every output is
@@ -406,7 +480,7 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
     alone. The outputs carry the global-context block's attention maps as
     ``topdown``. Records on the active tape, if any.
     """
-    return heads(*trunk(images, gate, params, cfg), params, cfg)
+    return run_stages(forward_state(images, gate, cfg), params, cfg)
 
 
 # scenes per no-grad forward in evaluation, imprinting and the distillation

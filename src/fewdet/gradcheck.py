@@ -1,0 +1,240 @@
+"""The gradient gate of ``fewdet gradcheck``: finite-difference checks of
+every tape op, and of the five composite losses through a micro detector.
+
+A composite probe moves one coordinate of one parameter, so it changes
+nothing the detector computed before the first stage (``detector.STAGES``)
+that reads that parameter. Each point runs the stages once at the
+unperturbed point and keeps the state before every stage; a probe resumes
+at the first stage whose leaves moved, reruns a head map only when its own
+leaves or its input moved, and then the classifier tail. The taped pass of
+every check runs the full ``detector.forward``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import detector as det
+from . import fewshot as fs
+from . import tensor as T
+
+# the largest relative error a check may report and still pass
+TOLERANCE = 1e-4
+
+
+def _away_from(rng: np.random.Generator, shape, gap: float = 0.1,
+               spread: float = 1.0) -> np.ndarray:
+    """Values with |v| >= gap, so finite differences cannot cross a kink."""
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    return sign * rng.uniform(gap, gap + spread, shape)
+
+
+def _elementary_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
+    h = 1e-4
+
+    def scalarized(name, build, **leaves):
+        w_cache = {}
+
+        def f(ts):
+            out = build(ts)
+            w = w_cache.get(out.data.shape)
+            if w is None:
+                w = w_cache[out.data.shape] = T.Tensor(rng.standard_normal(out.data.shape))
+            return T.sum_all(T.mul(out, w))
+
+        report = T.grad_check(f, leaves, h=h)
+        return name, max(report.values())
+
+    c = float(rng.uniform(0.5, 2.0))
+    eps = float(rng.uniform(0.5, 3.0))
+    a34 = rng.standard_normal((3, 4))
+    idx = np.array([0, 2, 2, 4])
+    targets = rng.integers(0, 3, size=7)
+    checks = [
+        scalarized("add", lambda ts: T.add(ts["a"], ts["b"]),
+                   a=a34, b=rng.standard_normal((3, 4))),
+        scalarized("sub", lambda ts: T.sub(ts["a"], ts["b"]),
+                   a=rng.standard_normal((2, 5)), b=rng.standard_normal((2, 5))),
+        scalarized("mul_broadcast", lambda ts: T.mul(ts["a"], ts["b"]),
+                   a=a34, b=rng.standard_normal(4)),
+        scalarized("neg", lambda ts: T.neg(ts["a"]), a=rng.standard_normal(6)),
+        scalarized("scale", lambda ts: T.scale(ts["a"], c),
+                   a=rng.standard_normal((3, 3))),
+        scalarized("relu", lambda ts: T.relu(ts["a"]),
+                   a=_away_from(rng, (4, 4))),
+        scalarized("log_shift", lambda ts: T.log_shift(ts["a"], eps),
+                   a=rng.uniform(0.1, 2.0, (3, 3))),
+        scalarized("square", lambda ts: T.square(ts["a"]),
+                   a=rng.standard_normal((2, 3))),
+        scalarized("smooth_l1", lambda ts: T.smooth_l1(ts["a"], ts["b"]),
+                   a=a34, b=a34 - _away_from(rng, (3, 4), gap=0.1, spread=0.7)),
+        scalarized("sum_all", lambda ts: T.sum_all(ts["a"]),
+                   a=rng.standard_normal(7)),
+        scalarized("mean_all", lambda ts: T.mean_all(ts["a"]),
+                   a=rng.standard_normal((3, 5))),
+        scalarized("sum_axes", lambda ts: T.sum_axes(ts["a"], (0, 2)),
+                   a=rng.standard_normal((2, 3, 4))),
+        scalarized("reshape", lambda ts: T.reshape(ts["a"], (3, 4)),
+                   a=rng.standard_normal((2, 6))),
+        scalarized("transpose", lambda ts: T.transpose(ts["a"], (2, 0, 1)),
+                   a=rng.standard_normal((2, 3, 4))),
+        scalarized("concat", lambda ts: T.concat([ts["a"], ts["b"]], axis=0),
+                   a=rng.standard_normal((2, 3)), b=rng.standard_normal((4, 3))),
+        scalarized("gather", lambda ts: T.gather(ts["a"], idx, axis=0),
+                   a=rng.standard_normal((5, 4))),
+        scalarized("dot", lambda ts: T.dot(ts["a"], ts["b"]),
+                   a=rng.standard_normal(6), b=rng.standard_normal(6)),
+        scalarized("matmul", lambda ts: T.matmul(ts["a"], ts["b"]),
+                   a=rng.standard_normal((3, 4)), b=rng.standard_normal((4, 5))),
+        scalarized("l2_normalize", lambda ts: T.l2_normalize(ts["a"], axis=-1),
+                   a=rng.standard_normal((4, 5)) + _away_from(rng, (4, 5), 0.2)),
+        scalarized("softmax_spatial", lambda ts: T.softmax_spatial(ts["a"]),
+                   a=rng.standard_normal((5, 5))),
+        scalarized("softmax_cross_entropy",
+                   lambda ts: T.softmax_cross_entropy(ts["a"], targets),
+                   a=rng.standard_normal((7, 3))),
+        scalarized("layer_norm",
+                   lambda ts: T.layer_norm(ts["x"], ts["gain"], ts["bias"]),
+                   x=rng.standard_normal(8), gain=rng.uniform(0.5, 1.5, 8),
+                   bias=rng.standard_normal(8)),
+        scalarized("conv2d",
+                   lambda ts: T.conv2d(ts["x"], ts["k"], ts["b"],
+                                       stride=1, padding=1),
+                   x=rng.standard_normal((2, 5, 5)).reshape(1, 2, 5, 5),
+                   k=rng.standard_normal((3, 2, 3, 3)) * 0.5,
+                   b=rng.standard_normal(3)),
+    ]
+    return checks
+
+
+def _micro_setup(rng: np.random.Generator):
+    """A detector small enough for sampled finite differences."""
+    cfg = det.DetectorConfig(
+        image_size=16, backbone_channels=(4, 6, 8, 10), feat_dim=6,
+        bottleneck_ratio=2,
+        anchors=det.AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
+    class_ids = [1, 2, 3]
+    params = det.init_detector_params(cfg, class_ids, rng)
+    image = rng.uniform(0.0, 1.0, (3, 16, 16))
+    saliency = rng.uniform(0.0, 1.0, (4, 4))
+    anchors = det.generate_anchors(cfg.anchors)
+    gt_boxes = np.array([[0.45, 0.5, 0.5, 0.55], [0.8, 0.75, 0.3, 0.4]])
+    gt_labels = [1, 3]
+    match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
+    # the gate and the targets hold for every probe
+    gate = det.saliency_gate(saliency[None], cfg)
+    targets = det.loss_targets(match, gt_boxes, anchors, params)
+
+    # the unperturbed point's state before every stage, and its outputs
+    before = [det.forward_state(image[None], gate, cfg)]
+    for _, stage in det.STAGES:
+        before.append(stage(before[-1], params, cfg))
+    outputs = before.pop()
+    mined = det.hard_negative_mining(det.background_ce(outputs.single().logits.data),
+                                     match, cfg.neg_pos_ratio)
+    point = {name: t.data for name, t in params.tensors.items()}
+    # each leaf's stage and bytes at the point, in stage order
+    reference = sorted((next(k for k, (prefix, _) in enumerate(det.STAGES)
+                             if name.startswith(prefix)), name, value.tobytes())
+                       for name, value in point.items())
+
+    def outputs_of(ts):
+        run = det.DetectorParams(dict(ts), class_ids)
+        if any(t.requires_grad for t in ts.values()):
+            # the taped pass: every stage's nodes must be on the tape
+            return run, det.forward(image[None], gate, run, cfg).single()
+        k = _first_moved_stage(ts, reference)
+        out = outputs if k == len(det.STAGES) else _resume(k, before, run, cfg)
+        return run, out.single()
+
+    return cfg, mined, targets, point, outputs_of
+
+
+def _first_moved_stage(ts: dict[str, T.Tensor], reference) -> int:
+    """The first stage with a leaf whose bytes differ from the point's
+    (``reference``'s), or len(STAGES) when none does."""
+    for k, name, value in reference:
+        if ts[name].data.tobytes() != value:
+            return k
+    return len(det.STAGES)
+
+
+def _resume(k: int, before: list[det.ForwardState], params: det.DetectorParams,
+            cfg: det.DetectorConfig) -> det.DetectorOutputs:
+    """The outputs at ``params``, whose leaves differ from the point's in
+    stage k and no earlier stage, from the point's states ``before`` each
+    stage: the trunk from stage k, each head map whose leaves or input moved,
+    then the tail."""
+    trunk, tail = det.TRUNK_STAGES, len(det.STAGES) - 1
+    at_point = before[tail]  # the point's head inputs and head maps
+    state = at_point
+    if k < trunk:
+        # the trunk stages carry the point's head maps through unchanged
+        state = det.run_stages(before[k]._replace(maps=at_point.maps), params, cfg,
+                               k, trunk)
+    for s, x in enumerate(state.head_inputs):
+        if trunk + s == k or x is not at_point.head_inputs[s]:
+            state = det.STAGES[trunk + s][1](state, params, cfg)
+    return det.STAGES[tail][1](state, params, cfg)
+
+
+def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
+    cfg, mined, targets, point, outputs_of = _micro_setup(rng)
+    n_anchors = len(mined.positive_class)
+    base_logits = T.Tensor(rng.standard_normal((n_anchors, 3)))
+    base_offsets = T.Tensor(rng.standard_normal((n_anchors, 4)))
+    hp = fs.Hyperparams()
+
+    def check(name, f):
+        report = T.grad_check_sampled(f, point, h=1e-4, samples_per_leaf=2,
+                                      rng=rng)
+        return name, max(report.values())
+
+    def f_base(ts):
+        _, out = outputs_of(ts)
+        return det.base_loss(out, mined, targets, cfg)[0]
+
+    def f_obj(ts):
+        run, out = outputs_of(ts)
+        return fs.object_concentration_loss(out.features, run.cls_rows, targets)
+
+    def f_bg(ts):
+        run, out = outputs_of(ts)
+        return fs.background_concentration_loss(out.features, run.cls_rows, mined)
+
+    def f_dist(ts):
+        _, out = outputs_of(ts)
+        return fs.distillation_loss(out, base_logits, base_offsets)
+
+    def f_novel(ts):
+        run, out = outputs_of(ts)
+        return fs.novel_loss(out, mined, targets, run, cfg, hp,
+                             base_logits=base_logits,
+                             base_offsets=base_offsets)[0]
+
+    return [check("base_loss", f_base),
+            check("object_concentration_loss", f_obj),
+            check("background_concentration_loss", f_bg),
+            check("distillation_loss", f_dist),
+            check("novel_loss", f_novel)]
+
+
+def gradcheck_suite(seed: int = 0, points: int = 10) -> list[tuple[str, float]]:
+    """Finite-difference verification of every op and composite loss.
+
+    Each check reports its maximum relative error over ``points`` random
+    evaluation points; composite losses probe a coordinate sample of every
+    parameter tensor instead of the full weight vector. A check passes when
+    its error is below ``TOLERANCE``.
+    """
+    worst: dict[str, float] = {}
+    order: list[str] = []
+    for p in range(points):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 11, p]))
+        for name, err in _elementary_checks(rng) + _composite_checks(rng):
+            if name not in worst:
+                worst[name] = err
+                order.append(name)
+            else:
+                worst[name] = max(worst[name], err)
+    return [(name, worst[name]) for name in order]

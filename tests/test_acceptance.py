@@ -27,6 +27,7 @@ import oracles
 from fewdet import attention as A
 from fewdet import cli
 from fewdet import detector as det
+from fewdet import gradcheck
 from fewdet import fewshot as fs
 from fewdet import synthdata as sd
 from fewdet.attention import pool_saliency
@@ -67,7 +68,7 @@ class TestGradientCorrectness:
                 "novel_loss"} <= set(names)
         assert len(names) >= 25
 
-        failures = {name: err for name, err in report if not err < 1e-4}
+        failures = {name: err for name, err in report if not err < gradcheck.TOLERANCE}
         assert not failures
         assert elapsed < 60.0
 

@@ -6,6 +6,7 @@ training run and an evaluation for the call counts the self-test needs, in
 subprocesses because the tracer rebinds module attributes while it is
 installed."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -30,6 +31,38 @@ def test_benchmark_manifest_and_bindings_hold():
     proc = subprocess.run([sys.executable, "-c", CHECK], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+INSTALLED = f"""
+import json, sys
+sys.path.insert(0, {str(ROOT / "bench")!r})
+sys.path.insert(0, {str(ROOT / "src")!r})
+import fewdet.cli
+from tracer import Tracer
+print(json.dumps(Tracer().install()))
+"""
+
+
+def test_tracer_patches_the_gate_in_cli_and_in_its_module():
+    """The gate lives in fewdet.gradcheck and cli imports it; the tracer
+    rebinds both names, so the benchmark's ``cli.gradcheck_suite`` calls
+    are traced under that name."""
+    proc = subprocess.run([sys.executable, "-c", INSTALLED], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    patched = json.loads(proc.stdout.splitlines()[-1])
+    assert {"fewdet.cli.gradcheck_suite", "fewdet.gradcheck.gradcheck_suite"} <= set(patched)
+
+
+def test_benchmark_gradcheck_tolerance_is_the_gates():
+    """The benchmark fails a gradcheck repetition at its own copy of the
+    tolerance; it must be the one `fewdet gradcheck` applies."""
+    from fewdet import gradcheck
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.GRADCHECK_TOL == gradcheck.TOLERANCE
 
 
 TRACED_COUNTS = f"""

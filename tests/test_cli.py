@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fewdet import cli
 from fewdet import detector as det
+from fewdet import gradcheck
 from fewdet import synthdata as sd
 from fewdet import tensor as T
 from fewdet.ppm import read_ppm
@@ -538,7 +539,7 @@ class TestGradcheckCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report
-        assert all(err < 1e-4 for err in report.values())
+        assert all(err < gradcheck.TOLERANCE for err in report.values())
 
     def test_sign_flipped_backward_is_detected(self, tmp_path, monkeypatch,
                                                capsys):

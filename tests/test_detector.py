@@ -602,6 +602,33 @@ class TestTrunkAndHeads:
         read = {k for k, t in params.tensors.items() if t.grad is not None}
         assert read == {k for k in params.tensors if k.startswith(("backbone.", "gc."))}
 
+    @pytest.mark.parametrize("with_gate", [True, False])
+    def test_each_stage_reads_exactly_the_leaves_of_its_prefix(self, with_gate):
+        """Run stage by stage, each stage of ``STAGES`` reads the parameters
+        named by its prefix and no other, and the prefixes share out every
+        parameter. The gradient check's stage reuse rests on this."""
+        scenes, maps = TestStackedForward.setup_scenes(1)
+        gate = D.saliency_gate(maps[0][None], CFG) if with_gate else None
+        params = D.init_detector_params(CFG, [2, 3], np.random.default_rng(7))
+        state = D.forward_state(scenes[0].image[None], gate, CFG)
+        covered = set()
+        for prefix, stage in D.STAGES:
+            params.zero_grads()
+            with T.Tape() as tape:
+                state = stage(state, params, CFG)
+                # every tensor the stage made, summed
+                fields = (state if isinstance(state, D.ForwardState) else
+                          (state.logits, state.offsets, state.features))
+                tensors = [t for f in fields for t in (f if isinstance(f, tuple) else (f,))]
+                produced = {id(node.output) for node in tape.nodes}
+                loss = T.sum_all(T.concat([T.reshape(T.sum_all(t), (1,)) for t in tensors
+                                           if id(t) in produced], axis=0))
+            T.backward(tape, loss)
+            read = {k for k, t in params.tensors.items() if t.grad is not None}
+            assert read and read == {k for k in params.tensors if k.startswith(prefix)}
+            covered |= read
+        assert covered == set(params.tensors)
+
 
 class TestNms:
 

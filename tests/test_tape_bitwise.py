@@ -4,8 +4,8 @@ loss targets, each against the code it replaces, to the byte: the reductions
 against numpy's methods (``tests/oracles.py``), the 1x1 convolution against
 the im2col/col2im path, the checker against one that wraps every leaf afresh
 on each probe, and the suite against one that rebuilds the gate and the
-targets on each probe. The suite's reuse of the detector trunk across head
-probes is counted, and its reuse key mutated."""
+targets on each probe. The stages the suite's probes rerun are counted, and
+its check of which leaves a probe moved is mutated."""
 
 import dataclasses
 import itertools
@@ -20,6 +20,7 @@ import oracles
 from fewdet import cli
 from fewdet import detector as det
 from fewdet import fewshot as fs
+from fewdet import gradcheck
 from fewdet import saliency as S
 from fewdet import synthdata as sd
 from fewdet import tensor as T
@@ -372,7 +373,7 @@ def check_coordinates_rebuilding(f, point, h, coordinates):
 
 
 def composite_checks_per_probe(rng):
-    """``cli._composite_checks`` with the same draws, where every probe's
+    """``gradcheck._composite_checks`` with the same draws, where every probe's
     forward builds the gate from the saliency map and every loss rebuilds
     its positives, rows and box targets from the match (``oracles``)."""
     cfg = det.DetectorConfig(
@@ -441,57 +442,74 @@ class TestCheckerProbes:
         targets once per point; rebuilt on every probe from the saliency map
         and the match, they give the same floats."""
         new = cli.gradcheck_suite(seed=0, points=2)
-        monkeypatch.setattr(cli, "_composite_checks", composite_checks_per_probe)
+        monkeypatch.setattr(gradcheck, "_composite_checks", composite_checks_per_probe)
         old = cli.gradcheck_suite(seed=0, points=2)
         assert [name for name, _ in new] == [name for name, _ in old]
         assert [err.hex() for _, err in new] == [err.hex() for _, err in old]
 
-    def test_trunk_runs_once_per_trunk_probe(self, monkeypatch):
-        """In one composite check the trunk runs on the taped pass, on every
-        probe of a backbone or gc leaf and on the first probe after them;
-        every other head and cls.rows probe reuses that output."""
-        rng = np.random.default_rng(np.random.SeedSequence([0, 11, 0]))
-        cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
-        original = {k: v.tobytes() for k, v in point.items()}
-        evaluations = []  # [moved leaves, trunk runs, taped] per evaluation
-        trunk = det.trunk
+    def test_a_probe_reruns_the_stages_from_the_first_it_moved(self, monkeypatch):
+        """In one composite check the taped pass runs every stage. A probe of
+        a leaf of trunk stage k runs the trunk from stage k, each head map
+        whose input that changed (a backbone.3 probe keeps head.0's map) and
+        the tail; a head.s probe runs its head map and the tail, and a
+        cls.rows probe only the tail."""
+        runs = [[]]  # the stages run, per evaluation
 
-        def counting_trunk(*args):
-            evaluations[-1][1] += 1
-            return trunk(*args)
+        def counting(k, stage):
+            def run(*args):
+                runs[-1].append(k)
+                return stage(*args)
+            return run
+
+        monkeypatch.setattr(det, "STAGES", tuple(
+            (prefix, counting(k, stage)) for k, (prefix, stage) in enumerate(det.STAGES)))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 11, 0]))
+        cfg, mined, targets, point, outputs_of = gradcheck._micro_setup(rng)
+        assert runs.pop() == list(range(8))  # the point's own states
+        original = {k: v.tobytes() for k, v in point.items()}
+        moved = []  # the leaves each evaluation moved
 
         def f_base(ts):
-            moved = [k for k, t in ts.items() if t.data.tobytes() != original[k]]
-            evaluations.append([moved, 0, any(t.requires_grad for t in ts.values())])
+            moved.append([k for k, t in ts.items() if t.data.tobytes() != original[k]])
+            runs.append([])
             _, out = outputs_of(ts)
             return det.base_loss(out, mined, targets, cfg)[0]
 
-        monkeypatch.setattr(det, "trunk", counting_trunk)
         T.grad_check_sampled(f_base, point, h=1e-4, samples_per_leaf=2, rng=rng)
-        (first, taped_runs, taped), *probes = evaluations
-        assert first == [] and taped and taped_runs == 1
-        assert all(len(moved) == 1 and not taped for moved, _, taped in probes)
-        in_trunk = [runs for (leaf,), runs, _ in probes
-                    if leaf.startswith(("backbone.", "gc."))]
-        in_heads = [runs for (leaf,), runs, _ in probes
-                    if leaf.startswith(("head.", "cls."))]
-        assert len(in_trunk) + len(in_heads) == len(probes) == 4 * len(point)
-        assert in_trunk == [1] * (4 * 13) and in_heads == [1] + [0] * (4 * 9 - 1)
+        assert moved[0] == [] and runs[0] == list(range(8))
+        stage_of = {name: k for name in point
+                    for k, (prefix, _) in enumerate(det.STAGES) if name.startswith(prefix)}
+        want = {0: [0, 1, 2, 3, 4, 5, 6, 7], 1: [1, 2, 3, 4, 5, 6, 7], 2: [2, 3, 4, 5, 6, 7],
+                3: [3, 4, 5, 6, 7], 4: [4, 6, 7], 5: [5, 7], 6: [6, 7], 7: [7]}
+        assert len(moved) - 1 == 4 * len(point) and all(len(m) == 1 for m in moved[1:])
+        assert runs[1:] == [want[stage_of[leaf]] for (leaf,) in moved[1:]]
+        assert sorted(set(stage_of.values())) == list(range(8))
 
-    def test_a_reuse_key_without_any_trunk_leaf_changes_the_check(self, monkeypatch):
-        """The suite's reuse key covers every leaf the trunk reads: leaving
-        out any one of them lets a probe of that leaf reuse a stale trunk,
-        and the check's floats change. At the suite's own points gc.w_v2 is
-        zero (the block starts as an identity), so no loss reads the other
-        four gc leaves there; a point with a nonzero gc.w_v2 makes every
-        trunk leaf count."""
+    def test_a_reuse_check_ignoring_any_leaf_changes_its_check(self, monkeypatch):
+        """A probe finds the first stage it moved by comparing each leaf's
+        bytes with the point's. A comparison that ignores any one of the 22
+        leaves lets a probe of that leaf reuse the point's outputs, and that
+        leaf's check fails. In the suite's floats that shows for 16 leaves:
+        at the suite's own points gc.w_v2 is zero (the block starts as an
+        identity), so no loss reads the other four gc leaves, and head.1's
+        1x1 map reads only the centre tap of its 3x3 kernels, which no
+        sampled probe of seed 0's two points hits. A point with a nonzero
+        gc.w_v2, probed at each leaf's steepest coordinate, makes all 22
+        count."""
         want_suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
+        init = det.init_detector_params
+
+        def nonzero_w_v2(cfg, class_ids, rng):
+            params = init(cfg, class_ids, rng)
+            w_v2 = params.tensors["gc.w_v2"].data
+            w_v2[...] = np.random.default_rng(1).standard_normal(w_v2.shape)
+            return params
+
+        monkeypatch.setattr(det, "init_detector_params", nonzero_w_v2)
         rng = np.random.default_rng(np.random.SeedSequence([0, 11, 0]))
-        cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
-        point = dict(point, **{"gc.w_v2": rng.standard_normal(point["gc.w_v2"].shape)})
-        # the leaves the trunk reads (test_detector.py::TestTrunkAndHeads)
-        read = [k for k in point if k.startswith(("backbone.", "gc."))]
-        assert len(read) == 13
+        cfg, mined, targets, point, outputs_of = gradcheck._micro_setup(rng)
+        monkeypatch.undo()
+        assert len(point) == 22 and np.all(point["gc.w_v2"] != 0.0)
 
         def f_base(ts):
             _, out = outputs_of(ts)
@@ -501,7 +519,7 @@ class TestCheckerProbes:
         with Tape() as tape:
             loss = f_base(leaves)
         T.backward(tape, loss)
-        # each leaf's steepest coordinate, which a stale trunk cannot hide
+        # each leaf's steepest coordinate, which a stale output cannot hide
         steepest = [np.unravel_index(np.argmax(np.abs(t.grad)), t.data.shape)
                     for t in leaves.values()]
 
@@ -511,15 +529,17 @@ class TestCheckerProbes:
                                         lambda shape: [next(coordinates)])
 
         want = check()
-        assert max(want.values()) < 1e-4
-        key = cli._trunk_key
-        for leaf in read:
-            monkeypatch.setattr(cli, "_trunk_key", lambda ts, leaf=leaf: key(
-                {k: t for k, t in ts.items() if k != leaf}))
+        assert max(want.values()) < gradcheck.TOLERANCE
+        first_moved = gradcheck._first_moved_stage
+        for leaf in point:
+            monkeypatch.setattr(gradcheck, "_first_moved_stage",
+                                lambda ts, reference, leaf=leaf: first_moved(
+                                    ts, [r for r in reference if r[1] != leaf]))
             assert check()[leaf] > 0.5, leaf
             suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
-            assert (suite == want_suite) == (leaf in ("gc.w_k", "gc.w_v1", "gc.ln_gain",
-                                                      "gc.ln_bias")), leaf
+            assert (suite == want_suite) == (leaf in (
+                "gc.w_k", "gc.w_v1", "gc.ln_gain", "gc.ln_bias", "head.1.feat.kernel",
+                "head.1.reg.kernel")), leaf
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_callers_point_is_unchanged(self, sampled):
@@ -573,7 +593,7 @@ def test_tape_ops_call_no_numpy_python_wrappers():
     train_cfg = dataclasses.replace(cli.train_config(cfg, "base"), epochs=1)
     provider = cli.saliency_provider(cfg, dcfg)
     rng = np.random.default_rng(0)
-    micro_cfg, mined, targets, point, outputs_of = cli._micro_setup(rng)
+    micro_cfg, mined, targets, point, outputs_of = gradcheck._micro_setup(rng)
 
     def f_base(ts):
         _, out = outputs_of(ts)
