@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import weakref
 
 import numpy as np
 
@@ -324,12 +325,28 @@ def full_saliency(cfg: dict[str, object], scene: sd.Scene) -> np.ndarray:
 
 
 def saliency_provider(cfg: dict[str, object], dcfg: det.DetectorConfig):
+    """The pooled bottom-up map of a scene, computed once per scene object.
+
+    A map depends on the scene alone, so it is kept, read-only, while its
+    scene lives: the entry is keyed on the scene's id and dropped by the
+    callback of a weak reference to it, which runs before that id can be
+    reused. A copy of a scene (a support scene) is another object and is
+    computed again.
+    """
     if not dcfg.use_bottom_up:
         return None
     side = dcfg.image_size // 4
+    memo: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
     def provider(scene: sd.Scene) -> np.ndarray:
-        return att.pool_saliency(full_saliency(cfg, scene), side, side)
+        key = id(scene)
+        entry = memo.get(key)
+        if entry is not None and entry[0]() is scene:
+            return entry[1]
+        pooled = att.pool_saliency(full_saliency(cfg, scene), side, side)
+        pooled.flags.writeable = False
+        memo[key] = (weakref.ref(scene, lambda _: memo.pop(key, None)), pooled)
+        return pooled
 
     return provider
 
@@ -607,6 +624,8 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
     fresh = complete == 0
 
     base_cache: dict[tuple, det.DetectorParams] = {}
+    # no sweep.* key changes a saliency map, so every cell reads one memo
+    provider = saliency_provider(cfg, detector_config(cfg))
     # the grid runs split and seed outermost, so the cells of one (split,
     # seed) are consecutive and share its scenes, which no cell changes:
     # only the current pair's are kept
@@ -630,7 +649,7 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
                 built = benchmark({**cfg, "seed": int(seed), "data.split": int(split_id)})
                 built_for = (split_id, seed)
             row = sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed,
-                             base_cache, built)
+                             base_cache, built, provider)
             writer.writerow(key + row)
             fh.flush()
             os.fsync(fh.fileno())  # a finished cell survives a power cut
@@ -640,9 +659,10 @@ def cmd_sweep(cfg: dict[str, object], args: argparse.Namespace) -> int:
 
 
 def sweep_cell(cfg: dict[str, object], beta, eta, eps, gamma, split_id, k, seed,
-               base_cache: dict, built: tuple[sd.Benchmark, sd.SplitSpec]
+               base_cache: dict, built: tuple[sd.Benchmark, sd.SplitSpec], provider
                ) -> tuple[str, str, str]:
-    """One grid cell over ``built``, the benchmark of its (split, seed)."""
+    """One grid cell over ``built``, the benchmark of its (split, seed), with
+    the sweep's saliency ``provider``."""
     cell = dict(cfg)
     cell.update({"seed": int(seed), "data.split": int(split_id),
                  "detector.epsilon": float(eps), "novel.beta": float(beta),
@@ -650,7 +670,6 @@ def sweep_cell(cfg: dict[str, object], beta, eta, eps, gamma, split_id, k, seed,
                  "novel.k": int(k)})
     bench, split = built
     dcfg = detector_config(cell)
-    provider = saliency_provider(cell, dcfg)
 
     cache_key = (int(split_id), int(seed), float(eps))
     if cache_key not in base_cache:

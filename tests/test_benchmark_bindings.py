@@ -166,3 +166,58 @@ def test_evaluation_runs_one_forward_per_chunk_and_bms_per_scene(traced_counts):
     as one per item."""
     assert traced_counts["eval_forward"] == 2
     assert traced_counts["eval_bms"] == traced_counts["chunk"] + 1
+
+
+TWO_CELLS = f"""
+import dataclasses, json, sys
+import numpy as np
+sys.path.insert(0, {str(ROOT / "bench")!r})
+sys.path.insert(0, {str(ROOT / "src")!r})
+from fewdet import cli
+from fewdet import detector as det
+from fewdet import fewshot as fs
+from fewdet import synthdata as sd
+from tracer import Phase, Tracer
+
+cfg = dict(cli.DEFAULTS)
+dcfg = cli.detector_config(cfg)
+split = sd.make_split(1)
+bench = sd.build_benchmark(0, split, sizes=(1, 60, 3))
+base = det.init_detector_params(dcfg, sorted(split.base), np.random.default_rng(0))
+provider = cli.saliency_provider(cfg, dcfg)
+hp = cli.hyperparams(cfg, epsilon=dcfg.epsilon)
+train_cfg = dataclasses.replace(cli.train_config(cfg, "novel"), epochs=1)
+tracer = Tracer()
+cells = []
+for seed in (0, 1):
+    phase = Phase()
+    with tracer.recording(phase):
+        support = fs.sample_support_set(bench.novel_pool, split, hp.k_shots, seed=seed,
+                                        base_multiplier=hp.base_multiplier)
+        params, _ = fs.train_novel(base, support, dcfg, train_cfg, hp, seed=seed,
+                                   saliency_provider=provider)
+        det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
+                              novel_ids=split.novel)
+    cells.append({{"bms": phase.spans["saliency.bms_saliency"].calls,
+                   "support": len(support.scenes)}})
+print(json.dumps({{"cells": cells, "test": len(bench.test)}}))
+"""
+
+
+def test_sweep_cells_sharing_a_provider_still_run_bms_on_support_scenes():
+    """The novel_sweep workload's cells share one provider and one test
+    list, and draw a new support set each. The provider memoizes per scene
+    object, so a later cell computes no test scene's map again, but every
+    support scene is a new object and is computed: bench/selftest.py
+    requires saliency.bms_saliency to read above zero on novel_sweep. A
+    memo keyed on the scene's arrays would bring these calls to zero and
+    fail that group, so it waits for the benchmark change that retargets
+    the check."""
+    proc = subprocess.run([sys.executable, "-c", TWO_CELLS], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    first, second = out["cells"]
+    assert first["bms"] == first["support"] + out["test"]
+    assert second["support"] > 0
+    assert second["bms"] == second["support"]

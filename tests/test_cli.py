@@ -2,21 +2,25 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
 import tempfile
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewdet import attention as att
 from fewdet import cli
 from fewdet import detector as det
 from fewdet import gradcheck
+from fewdet import saliency as sal
 from fewdet import synthdata as sd
 from fewdet import tensor as T
 from fewdet.ppm import read_ppm
@@ -28,6 +32,20 @@ TINY = ["--set", "seed=3", "--set", "data.base_train=4",
 
 def run(args):
     return cli.main(list(args))
+
+
+def bms_images(monkeypatch) -> list:
+    """The image of every `saliency.bms_saliency` call from now on, held, so
+    no two calls' images share an id."""
+    images = []
+    bms_saliency = sal.bms_saliency
+
+    def recorded(image, *a, **k):
+        images.append(image)
+        return bms_saliency(image, *a, **k)
+
+    monkeypatch.setattr(sal, "bms_saliency", recorded)
+    return images
 
 
 @pytest.fixture(scope="module")
@@ -652,13 +670,52 @@ class TestSweep:
         sweep_cell = cli.sweep_cell
 
         def built_per_cell(cfg, beta, eta, eps, gamma, split_id, k, seed, base_cache,
-                           built):
+                           built, provider):
             own = cli.benchmark({**cfg, "seed": int(seed), "data.split": int(split_id)})
-            return sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed, base_cache, own)
+            return sweep_cell(cfg, beta, eta, eps, gamma, split_id, k, seed, base_cache, own,
+                              provider)
 
         monkeypatch.setattr(cli, "sweep_cell", built_per_cell)
         assert run(["sweep", "--out", str(tmp_path / "per_cell"), *args]) == 0
         assert len(builds) == 1 + 1 + 2
+        table = (tmp_path / "shared" / "sweep.csv").read_bytes()
+        assert len(table.splitlines()) == 3
+        assert table == (tmp_path / "per_cell" / "sweep.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_cells_share_one_saliency_provider(self, tmp_path, capsys, monkeypatch):
+        """Two settings on one (split, seed) run BMS once per test scene and
+        once per base-train scene, and write the table that a fresh provider
+        per cell writes."""
+        args = [*self.ARGS, "--set", "novel.epochs=1", "--set", "sweep.seeds=[3]",
+                "--set", "sweep.beta=[2.0,1.0]"]
+        built = []
+        build_benchmark = sd.build_benchmark
+
+        def recorded_build(*a, **k):
+            built.append(build_benchmark(*a, **k))
+            return built[-1]
+
+        monkeypatch.setattr(sd, "build_benchmark", recorded_build)
+        images = bms_images(monkeypatch)
+
+        def calls_per_scene(scenes):
+            return {sum(image is s.image for image in images) for s in scenes}
+
+        assert run(["sweep", "--out", str(tmp_path / "shared"), *args]) == 0
+        assert calls_per_scene(built[-1].test + built[-1].base_train) == {1}
+        sweep_cell = cli.sweep_cell
+
+        def provider_per_cell(cfg, *cell_args):
+            fresh = cli.saliency_provider(cfg, cli.detector_config(cfg))
+            return sweep_cell(cfg, *cell_args[:-1], fresh)
+
+        monkeypatch.setattr(cli, "sweep_cell", provider_per_cell)
+        images.clear()
+        assert run(["sweep", "--out", str(tmp_path / "per_cell"), *args]) == 0
+        # the base detector trains once, in the first cell; the test set is
+        # evaluated in both
+        assert calls_per_scene(built[-1].test) == {2}
         table = (tmp_path / "shared" / "sweep.csv").read_bytes()
         assert len(table.splitlines()) == 3
         assert table == (tmp_path / "per_cell" / "sweep.csv").read_bytes()
@@ -673,6 +730,66 @@ class TestSweep:
         assert run(args) == 0
         assert (out / "sweep.csv").read_bytes() == before
         capsys.readouterr()
+
+
+class TestSaliencyProvider:
+    """The provider memoizes each scene object's pooled map while the scene
+    lives."""
+
+    @staticmethod
+    def provider(mode="bms"):
+        cfg = {**cli.DEFAULTS, "saliency.mode": mode}
+        return cfg, cli.saliency_provider(cfg, cli.detector_config(cfg))
+
+    @pytest.mark.parametrize("mode", ["bms", "oracle"])
+    def test_map_is_the_pooled_full_map(self, mode):
+        cfg, provider = self.provider(mode)
+        side = cli.detector_config(cfg).image_size // 4
+        scene = sd.generate_scene(5)
+        want = att.pool_saliency(cli.full_saliency(cfg, scene), side, side)
+        for _ in range(2):
+            got = provider(scene)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_repeated_calls_run_bms_once(self, monkeypatch):
+        calls = bms_images(monkeypatch)
+        _, provider = self.provider()
+        scene = sd.generate_scene(5)
+        maps = [provider(scene) for _ in range(3)]
+        assert len(calls) == 1
+        assert all(m is maps[0] for m in maps)
+
+    def test_support_copy_is_computed_again(self, monkeypatch):
+        """`sample_support_set` builds each support scene with
+        `dataclasses.replace`: a new object over the pool scene's arrays."""
+        calls = bms_images(monkeypatch)
+        _, provider = self.provider()
+        scene = sd.generate_scene(5)
+        copy = dataclasses.replace(scene, annotated=~scene.annotated)
+        first, second = provider(scene), provider(copy)
+        assert len(calls) == 2
+        assert first.tobytes() == second.tobytes()
+
+    def test_keeps_no_scene_alive(self):
+        _, provider = self.provider()
+        memo = inspect.getclosurevars(provider).nonlocals["memo"]
+        refs = []
+        for i in range(200):
+            scene = sd.Scene.empty(np.random.default_rng(i).random((3, 64, 64)))
+            refs.append(weakref.ref(scene))
+            provider(scene)
+            assert len(memo) == 1
+        del scene
+        assert all(ref() is None for ref in refs)
+        assert memo == {}
+
+    def test_returned_map_is_read_only(self):
+        _, provider = self.provider()
+        scene = sd.generate_scene(5)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                provider(scene)[0, 0] = 1.0
 
 
 class TestOutputRoot:
