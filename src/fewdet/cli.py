@@ -16,339 +16,22 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
-import weakref
 
 import numpy as np
 
 from . import attention as att
 from . import detector as det
 from . import fewshot as fs
-from . import saliency as sal
 from . import synthdata as sd
 from . import tensor as T
 from .atomic import atomic_open, fsync_directory
+from .config import (ARCHITECTURE, DEFAULTS, UsageError, detector_config, full_saliency,
+                     hyperparams, is_int, resolve_config, saliency_provider, train_config,
+                     validate_config)
 from .gradcheck import TOLERANCE, gradcheck_suite
 from .ppm import write_ppm
-
-
-class UsageError(Exception):
-    """Bad invocation: unknown key, missing artifact, mismatched metadata."""
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "data.split": 1,
-    "data.base_train": 200,
-    "data.novel_pool": 40,
-    "data.test": 200,
-    "detector.image_size": 64,
-    "detector.backbone_channels": [8, 16, 24, 32],
-    "detector.feat_dim": 16,
-    "detector.bottleneck_ratio": 4,
-    "detector.temperature": 10.0,
-    "detector.pos_thr": 0.5,
-    "detector.neg_pos_ratio": 3,
-    "detector.alpha": 1.0,
-    "detector.use_bottom_up": True,
-    "detector.epsilon": math.e,
-    "detector.nms_iou": 0.45,
-    "detector.score_thr": 0.05,
-    "detector.top_k": 50,
-    "anchors.map_sizes": [[8, 8], [4, 4]],
-    "anchors.scales": [0.2, 0.42],
-    "anchors.aspects": [1.0, 2.0, 0.5],
-    "saliency.mode": "bms",
-    "saliency.blur_radius": 2,
-    "saliency.thresholds_per_channel": 8,
-    "saliency.opening_radius": 1,
-    "base.epochs": 60,
-    "base.batch_size": 1,
-    "base.lr": 0.01,
-    "base.momentum": 0.9,
-    "base.weight_decay": 0.0,
-    "base.lr_decay_epochs": [45],
-    "base.lr_decay": 0.3,
-    "base.clip_norm": 5.0,
-    "novel.epochs": 40,
-    "novel.batch_size": 1,
-    "novel.lr": 0.002,
-    "novel.momentum": 0.9,
-    "novel.weight_decay": 0.0,
-    "novel.lr_decay_epochs": [30],
-    "novel.lr_decay": 0.3,
-    "novel.clip_norm": 5.0,
-    "novel.k": 2,
-    "novel.base_multiplier": 3,
-    "novel.alpha": 1.0,
-    "novel.beta": 2.0,
-    "novel.eta": 0.4,
-    "novel.gamma": 0.5,
-    "render.scene_seed": 0,
-    "gradcheck.points": 10,
-    "sweep.beta": [2.0],
-    "sweep.eta": [0.4],
-    "sweep.epsilon": [math.e],
-    "sweep.gamma": [0.5],
-    "sweep.k": [2],
-    "sweep.split": [1],
-    "sweep.seeds": [7, 8, 9],
-}
-
-
-def resolve_config(config_path: str | None, sets: list[str]) -> dict[str, object]:
-    """defaults < config file < --set overrides; unknown keys are rejected."""
-    cfg = dict(DEFAULTS)
-    if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as e:
-            raise UsageError(f"config file is not valid JSON: {e}")
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key in loaded:
-            if key not in DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
-        cfg.update(loaded)
-    for item in sets:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        if key not in DEFAULTS:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            cfg[key] = raw
-    validate_config(cfg)
-    return cfg
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _fits(value, default) -> bool:
-    """Whether a config value has the JSON type of the key's default; a
-    list's items are checked against the default's first item."""
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(default, int):
-        return _is_int(value)
-    if isinstance(default, float):
-        return _is_number(value)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    return isinstance(value, type(default))
-
-
-def _finite(value) -> bool:
-    """Whether every number in a config value is finite: the snapshot is
-    strict JSON, which has no NaN or infinity."""
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
-
-
-# the key groups a checkpoint stores and a detector is built from
-ARCHITECTURE = ("detector", "anchors", "saliency")
-
-
-def _known_split(v) -> bool:
-    try:
-        sd.make_split(v)
-    except ValueError:
-        return False
-    return True
-
-
-# key -> (range test, what the key must be); a list key's test applies to
-# every item, so a sweep grid is checked before its first cell trains
-RULES = {
-    "seed": (lambda v: v >= 0, "an integer >= 0"),
-    "render.scene_seed": (lambda v: v >= 0, "an integer >= 0"),
-    "data.split": (_known_split, "a known split id"),
-    "data.base_train": (lambda v: v >= 1, "an integer >= 1"),
-    "data.novel_pool": (lambda v: v >= 1, "an integer >= 1"),
-    "data.test": (lambda v: v >= 1, "an integer >= 1"),
-    "base.epochs": (lambda v: v >= 0, "an integer >= 0"),
-    "novel.epochs": (lambda v: v >= 0, "an integer >= 0"),
-    "base.batch_size": (lambda v: v >= 1, "an integer >= 1"),
-    "novel.batch_size": (lambda v: v >= 1, "an integer >= 1"),
-    "base.lr": (lambda v: v > 0, "a number > 0"),
-    "novel.lr": (lambda v: v > 0, "a number > 0"),
-    "base.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
-    "novel.momentum": (lambda v: 0 <= v < 1, "a number in [0,1)"),
-    "base.weight_decay": (lambda v: v >= 0, "a number >= 0"),
-    "novel.weight_decay": (lambda v: v >= 0, "a number >= 0"),
-    "base.clip_norm": (lambda v: v >= 0, "a number >= 0"),
-    "novel.clip_norm": (lambda v: v >= 0, "a number >= 0"),
-    "base.lr_decay": (lambda v: v > 0, "a number > 0"),
-    "novel.lr_decay": (lambda v: v > 0, "a number > 0"),
-    "base.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
-    "novel.lr_decay_epochs": (lambda v: v >= 0, "a list of integers >= 0"),
-    "novel.k": (lambda v: v >= 1, "an integer >= 1"),
-    "novel.base_multiplier": (lambda v: v >= 0, "an integer >= 0"),
-    "novel.alpha": (lambda v: v >= 0, "a number >= 0"),
-    "novel.beta": (lambda v: v >= 0, "a number >= 0"),
-    "novel.eta": (lambda v: v >= 0, "a number >= 0"),
-    "novel.gamma": (lambda v: v >= 0, "a number >= 0"),
-    "detector.bottleneck_ratio": (lambda v: v >= 1, "an integer >= 1"),
-    "detector.neg_pos_ratio": (lambda v: v >= 0, "an integer >= 0"),
-    "detector.alpha": (lambda v: v >= 0, "a number >= 0"),
-    "detector.temperature": (lambda v: v > 0, "a number > 0"),
-    "detector.pos_thr": (lambda v: 0 < v < 1, "a number in (0,1)"),
-    "detector.nms_iou": (lambda v: 0 < v < 1, "a number in (0,1)"),
-    "detector.score_thr": (lambda v: v >= 0, "a number >= 0"),
-    "detector.top_k": (lambda v: v >= 1, "an integer >= 1"),
-    "detector.image_size": (lambda v: 1 <= v <= 1024, "an integer in [1,1024]"),
-    # checked here as well as in full_saliency: with bottom-up off the mode
-    # is never read before render-attention, but it is stored all the same
-    "saliency.mode": (lambda v: v in ("bms", "oracle"), "'bms' or 'oracle'"),
-    # each saliency loop runs as many rounds as its key says
-    "saliency.thresholds_per_channel": (lambda v: 1 <= v <= 255, "an integer in [1,255]"),
-    "saliency.blur_radius": (lambda v: 0 <= v <= 255, "an integer in [0,255]"),
-    "saliency.opening_radius": (lambda v: 0 <= v <= 255, "an integer in [0,255]"),
-    "gradcheck.points": (lambda v: v >= 1, "an integer >= 1"),
-    "sweep.beta": (lambda v: v >= 0, "a list of numbers >= 0"),
-    "sweep.eta": (lambda v: v >= 0, "a list of numbers >= 0"),
-    "sweep.epsilon": (lambda v: v > 0, "a list of numbers > 0"),
-    "sweep.gamma": (lambda v: v >= 0, "a list of numbers >= 0"),
-    "sweep.k": (lambda v: v >= 1, "a list of integers >= 1"),
-    "sweep.split": (_known_split, "a list of known split ids"),
-    "sweep.seeds": (lambda v: v >= 0, "a list of integers >= 0"),
-}
-
-
-def validate_config(cfg: dict[str, object]) -> None:
-    """Reject values the pipeline cannot run with, naming the key: a value
-    whose JSON type differs from its default's, a NaN or infinity, one
-    outside its key's rule, or architecture settings whose detector cannot
-    be built and run once on a blank scene."""
-    for key, default in DEFAULTS.items():
-        if not _fits(cfg[key], default):
-            raise UsageError(f"{key} must have the type of its default "
-                             f"{json.dumps(default)}, got {json.dumps(cfg[key])}")
-        if not _finite(cfg[key]):
-            raise UsageError(f"{key} must be finite, got {json.dumps(cfg[key])}")
-    for key, (in_range, need) in RULES.items():
-        value = cfg[key]
-        if not all(map(in_range, value if isinstance(value, list) else [value])):
-            raise UsageError(f"{key} must be {need}, got {json.dumps(cfg[key])}")
-    try:
-        dcfg = detector_config(cfg)
-        side = dcfg.image_size
-        blank = sd.Scene.empty(np.zeros((3, side, side)))
-        provider = saliency_provider(cfg, dcfg)
-        det.generate_anchors(dcfg.anchors)
-        params = det.init_detector_params(dcfg, [1], np.random.default_rng(0))
-        det.forward(blank.image[None],
-                    det.saliency_gate(provider(blank)[None] if provider else None, dcfg),
-                    params, dcfg)
-    except (T.TensorError, ValueError, ArithmeticError, MemoryError) as e:
-        changed = [f"{k}={json.dumps(v)}" for k, v in cfg.items()
-                   if k.split(".")[0] in ARCHITECTURE and v != DEFAULTS[k]]
-        raise UsageError(f"the settings {', '.join(changed) or '(defaults)'} do not "
-                         f"describe a working detector: {e}")
-
-
-def write_snapshot(cfg: dict[str, object], outdir: str) -> None:
-    with atomic_open(os.path.join(outdir, "config.json")) as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def detector_config(cfg: dict[str, object]) -> det.DetectorConfig:
-    anchors = det.AnchorConfig(
-        map_sizes=tuple(tuple(int(v) for v in ms) for ms in cfg["anchors.map_sizes"]),
-        scales=tuple(float(s) for s in cfg["anchors.scales"]),
-        aspects=tuple(float(a) for a in cfg["anchors.aspects"]))
-    return det.DetectorConfig(
-        image_size=int(cfg["detector.image_size"]),
-        backbone_channels=tuple(int(c) for c in cfg["detector.backbone_channels"]),
-        feat_dim=int(cfg["detector.feat_dim"]),
-        bottleneck_ratio=int(cfg["detector.bottleneck_ratio"]),
-        anchors=anchors,
-        temperature=float(cfg["detector.temperature"]),
-        pos_thr=float(cfg["detector.pos_thr"]),
-        neg_pos_ratio=int(cfg["detector.neg_pos_ratio"]),
-        alpha=float(cfg["detector.alpha"]),
-        use_bottom_up=bool(cfg["detector.use_bottom_up"]),
-        epsilon=float(cfg["detector.epsilon"]),
-        nms_iou=float(cfg["detector.nms_iou"]),
-        score_thr=float(cfg["detector.score_thr"]),
-        top_k=int(cfg["detector.top_k"]))
-
-
-def train_config(cfg: dict[str, object], stage: str) -> fs.TrainConfig:
-    g = lambda name: cfg[f"{stage}.{name}"]
-    return fs.TrainConfig(
-        epochs=int(g("epochs")), batch_size=int(g("batch_size")),
-        lr=float(g("lr")), momentum=float(g("momentum")),
-        weight_decay=float(g("weight_decay")),
-        lr_decay_epochs=tuple(int(e) for e in g("lr_decay_epochs")),
-        lr_decay=float(g("lr_decay")), clip_norm=float(g("clip_norm")))
-
-
-def hyperparams(cfg: dict[str, object], epsilon: float) -> fs.Hyperparams:
-    return fs.Hyperparams(
-        alpha=float(cfg["novel.alpha"]), beta=float(cfg["novel.beta"]),
-        eta=float(cfg["novel.eta"]), gamma=float(cfg["novel.gamma"]),
-        epsilon=epsilon, k_shots=int(cfg["novel.k"]),
-        base_multiplier=int(cfg["novel.base_multiplier"]))
-
-
-def full_saliency(cfg: dict[str, object], scene: sd.Scene) -> np.ndarray:
-    """Image-resolution bottom-up map, before pooling to the fusion grid."""
-    mode = cfg["saliency.mode"]
-    if mode == "oracle":
-        return sal.oracle_saliency(scene, blur_radius=int(cfg["saliency.blur_radius"]))
-    if mode == "bms":
-        bms = sal.BmsConfig(
-            thresholds_per_channel=int(cfg["saliency.thresholds_per_channel"]),
-            opening_radius=int(cfg["saliency.opening_radius"]))
-        return sal.bms_saliency(scene.image, bms)
-    raise UsageError(f"saliency.mode must be 'bms' or 'oracle', got {mode!r}")
-
-
-def saliency_provider(cfg: dict[str, object], dcfg: det.DetectorConfig):
-    """The pooled bottom-up map of a scene, computed once per scene object.
-
-    A map depends on the scene alone, so it is kept, read-only, while its
-    scene lives: the entry is keyed on the scene's id and dropped by the
-    callback of a weak reference to it, which runs before that id can be
-    reused. A copy of a scene (a support scene) is another object and is
-    computed again.
-    """
-    if not dcfg.use_bottom_up:
-        return None
-    side = dcfg.image_size // 4
-    memo: dict[int, tuple[weakref.ref, np.ndarray]] = {}
-
-    def provider(scene: sd.Scene) -> np.ndarray:
-        key = id(scene)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is scene:
-            return entry[1]
-        pooled = att.pool_saliency(full_saliency(cfg, scene), side, side)
-        pooled.flags.writeable = False
-        memo[key] = (weakref.ref(scene, lambda _: memo.pop(key, None)), pooled)
-        return pooled
-
-    return provider
 
 
 def benchmark(cfg: dict[str, object]) -> tuple[sd.Benchmark, sd.SplitSpec]:
@@ -361,6 +44,12 @@ def benchmark(cfg: dict[str, object]) -> tuple[sd.Benchmark, sd.SplitSpec]:
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
+
+def write_snapshot(cfg: dict[str, object], outdir: str) -> None:
+    with atomic_open(os.path.join(outdir, "config.json")) as fh:
+        json.dump(cfg, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
 
 def checkpoint_meta(cfg: dict[str, object], stage: str,
                     params: det.DetectorParams, split_id: int) -> dict:
@@ -384,15 +73,20 @@ def load_checkpoint(path: str) -> tuple[det.DetectorParams, dict]:
     if "class_ids" not in meta or "config" not in meta or "split" not in meta:
         raise UsageError(f"checkpoint {path} lacks required metadata")
     class_ids, config = meta["class_ids"], meta["config"]
-    if not isinstance(class_ids, list) or not all(_is_int(c) for c in class_ids):
+    if not isinstance(class_ids, list) or not all(is_int(c) for c in class_ids):
         raise UsageError(f"checkpoint {path}: class_ids must be a list of integers")
     if not isinstance(config, dict):
         raise UsageError(f"checkpoint {path}: config must be an object")
-    if not _is_int(meta["split"]):
+    if not is_int(meta["split"]):
         raise UsageError(f"checkpoint {path}: split must be an integer")
     unknown = sorted(set(config) - set(DEFAULTS))
     if unknown:
         raise UsageError(f"checkpoint {path}: unknown config key {unknown[0]!r}")
+    # the invocation's settings govern everything but the architecture
+    foreign = sorted(k for k in config if k.split(".")[0] not in ARCHITECTURE)
+    if foreign:
+        raise UsageError(f"checkpoint {path}: config key {foreign[0]!r} is not a "
+                         "detector, anchors or saliency setting")
     run_cfg = dict(DEFAULTS)
     run_cfg.update(config)
     try:
@@ -517,7 +211,7 @@ def cmd_train_novel(cfg: dict[str, object], args: argparse.Namespace) -> int:
     bench, split = benchmark(run_cfg)
     dcfg = detector_config(run_cfg)
     provider = saliency_provider(run_cfg, dcfg)
-    hp = hyperparams(run_cfg, epsilon=dcfg.epsilon)
+    hp = hyperparams(run_cfg)
     support = fs.sample_support_set(bench.novel_pool, split, hp.k_shots,
                                     seed=int(run_cfg["seed"]),
                                     base_multiplier=hp.base_multiplier)
@@ -676,7 +370,7 @@ def sweep_cell(cfg: dict[str, object], beta, eta, eps, gamma, split_id, k, seed,
         base_cache[cache_key], _ = fs.train_base(
             bench.base_train, dcfg, train_config(cell, "base"),
             sorted(split.base), seed=int(seed), saliency_provider=provider)
-    hp = hyperparams(cell, epsilon=dcfg.epsilon)
+    hp = hyperparams(cell)
     support = fs.sample_support_set(bench.novel_pool, split, hp.k_shots,
                                     seed=int(seed),
                                     base_multiplier=hp.base_multiplier)

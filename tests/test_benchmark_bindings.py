@@ -8,6 +8,7 @@ installed."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,16 @@ def test_tracer_patches_the_gate_in_cli_and_in_its_module():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     patched = json.loads(proc.stdout.splitlines()[-1])
     assert {"fewdet.cli.gradcheck_suite", "fewdet.gradcheck.gradcheck_suite"} <= set(patched)
+
+
+def test_benchmark_reads_the_schema_through_cli():
+    """bench/workloads.py reads the config schema off fewdet.cli, which
+    imports it from fewdet.config: every name it reads there must resolve,
+    and the defaults must be the schema's own table."""
+    from fewdet import cli, config
+    assert cli.DEFAULTS is config.DEFAULTS
+    names = set(re.findall(r"\bcli\.(\w+)", (ROOT / "bench" / "workloads.py").read_text()))
+    assert names and [n for n in sorted(names) if not hasattr(cli, n)] == []
 
 
 def test_benchmark_gradcheck_tolerance_is_the_gates():
@@ -185,7 +196,7 @@ split = sd.make_split(1)
 bench = sd.build_benchmark(0, split, sizes=(1, 60, 3))
 base = det.init_detector_params(dcfg, sorted(split.base), np.random.default_rng(0))
 provider = cli.saliency_provider(cfg, dcfg)
-hp = cli.hyperparams(cfg, epsilon=dcfg.epsilon)
+hp = cli.hyperparams(cfg)
 train_cfg = dataclasses.replace(cli.train_config(cfg, "novel"), epochs=1)
 tracer = Tracer()
 cells = []

@@ -10,6 +10,7 @@ import tempfile
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from fewdet import attention as att
 from fewdet import cli
+from fewdet import config
 from fewdet import detector as det
 from fewdet import gradcheck
 from fewdet import saliency as sal
@@ -66,6 +68,98 @@ def novel_run(tmp_path_factory, base_run):
     return out
 
 
+# one out-of-bound value of every bounded key, with its whole error line;
+# the keys marked had no bound before, and their values failed later, in the
+# blank-detector probe or (with bottom-up off, for detector.epsilon) not
+# until train-novel read the checkpoint
+BOUND_ERRORS = [
+    ("seed", "-1", "seed must be an integer >= 0, got -1"),
+    ("data.split", "4", "data.split must be a known split id, got 4"),
+    ("data.base_train", "0", "data.base_train must be an integer >= 1, got 0"),
+    ("data.novel_pool", "0", "data.novel_pool must be an integer >= 1, got 0"),
+    ("data.test", "0", "data.test must be an integer >= 1, got 0"),
+    ("detector.image_size", "1025",
+     "detector.image_size must be an integer in [1,1024], got 1025"),
+    ("detector.backbone_channels", "[8,16,0,32]",  # no bound before
+     "detector.backbone_channels must be a list of integers >= 1, got [8, 16, 0, 32]"),
+    ("detector.feat_dim", "0",  # no bound before
+     "detector.feat_dim must be an integer >= 1, got 0"),
+    ("detector.bottleneck_ratio", "0",
+     "detector.bottleneck_ratio must be an integer >= 1, got 0"),
+    ("detector.temperature", "0", "detector.temperature must be a number > 0, got 0"),
+    ("detector.pos_thr", "1", "detector.pos_thr must be a number in (0,1), got 1"),
+    ("detector.neg_pos_ratio", "-1",
+     "detector.neg_pos_ratio must be an integer >= 0, got -1"),
+    ("detector.alpha", "-1.0", "detector.alpha must be a number >= 0, got -1.0"),
+    ("detector.epsilon", "0",  # no bound before
+     "detector.epsilon must be a number > 0, got 0"),
+    ("detector.nms_iou", "0", "detector.nms_iou must be a number in (0,1), got 0"),
+    ("detector.score_thr", "-0.1", "detector.score_thr must be a number >= 0, got -0.1"),
+    ("detector.top_k", "0", "detector.top_k must be an integer >= 1, got 0"),
+    ("anchors.scales", "[0.2,-0.42]",  # no bound before
+     "anchors.scales must be a list of numbers > 0, got [0.2, -0.42]"),
+    ("anchors.aspects", "[1.0,0.0,0.5]",  # no bound before
+     "anchors.aspects must be a list of numbers > 0, got [1.0, 0.0, 0.5]"),
+    ("saliency.mode", "foo", "saliency.mode must be 'bms' or 'oracle', got \"foo\""),
+    ("saliency.blur_radius", "256",
+     "saliency.blur_radius must be an integer in [0,255], got 256"),
+    ("saliency.thresholds_per_channel", "0",
+     "saliency.thresholds_per_channel must be an integer in [1,255], got 0"),
+    ("saliency.opening_radius", "-1",
+     "saliency.opening_radius must be an integer in [0,255], got -1"),
+    ("base.epochs", "-1", "base.epochs must be an integer >= 0, got -1"),
+    ("base.batch_size", "0", "base.batch_size must be an integer >= 1, got 0"),
+    ("base.lr", "0", "base.lr must be a number > 0, got 0"),
+    ("base.momentum", "1", "base.momentum must be a number in [0,1), got 1"),
+    ("base.weight_decay", "-0.1", "base.weight_decay must be a number >= 0, got -0.1"),
+    ("base.lr_decay_epochs", "[-1]",
+     "base.lr_decay_epochs must be a list of integers >= 0, got [-1]"),
+    ("base.lr_decay", "0", "base.lr_decay must be a number > 0, got 0"),
+    ("base.clip_norm", "-1.0", "base.clip_norm must be a number >= 0, got -1.0"),
+    ("novel.epochs", "-1", "novel.epochs must be an integer >= 0, got -1"),
+    ("novel.batch_size", "0", "novel.batch_size must be an integer >= 1, got 0"),
+    ("novel.lr", "-0.002", "novel.lr must be a number > 0, got -0.002"),
+    ("novel.momentum", "-0.1", "novel.momentum must be a number in [0,1), got -0.1"),
+    ("novel.weight_decay", "-0.1", "novel.weight_decay must be a number >= 0, got -0.1"),
+    ("novel.lr_decay_epochs", "[30,-1]",
+     "novel.lr_decay_epochs must be a list of integers >= 0, got [30, -1]"),
+    ("novel.lr_decay", "-1", "novel.lr_decay must be a number > 0, got -1"),
+    ("novel.clip_norm", "-5", "novel.clip_norm must be a number >= 0, got -5"),
+    ("novel.k", "0", "novel.k must be an integer >= 1, got 0"),
+    ("novel.base_multiplier", "-1",
+     "novel.base_multiplier must be an integer >= 0, got -1"),
+    ("novel.alpha", "-1", "novel.alpha must be a number >= 0, got -1"),
+    ("novel.beta", "-2.0", "novel.beta must be a number >= 0, got -2.0"),
+    ("novel.eta", "-0.4", "novel.eta must be a number >= 0, got -0.4"),
+    ("novel.gamma", "-0.5", "novel.gamma must be a number >= 0, got -0.5"),
+    ("render.scene_seed", "-2", "render.scene_seed must be an integer >= 0, got -2"),
+    ("gradcheck.points", "0", "gradcheck.points must be an integer >= 1, got 0"),
+    ("sweep.beta", "[-1.0]", "sweep.beta must be a list of numbers >= 0, got [-1.0]"),
+    ("sweep.eta", "[0.4,-0.4]",
+     "sweep.eta must be a list of numbers >= 0, got [0.4, -0.4]"),
+    ("sweep.epsilon", "[0.0]", "sweep.epsilon must be a list of numbers > 0, got [0.0]"),
+    ("sweep.gamma", "[0.5,-0.5]",
+     "sweep.gamma must be a list of numbers >= 0, got [0.5, -0.5]"),
+    ("sweep.k", "[2,0]", "sweep.k must be a list of integers >= 1, got [2, 0]"),
+    ("sweep.split", "[1,9]", "sweep.split must be a list of known split ids, got [1, 9]"),
+    ("sweep.seeds", "[7,-8]", "sweep.seeds must be a list of integers >= 0, got [7, -8]"),
+]
+
+
+def readme_key_table() -> dict[str, tuple[str, str]]:
+    """README's configuration-key table: key -> (default cell, bound cell),
+    the code-span backticks stripped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default, bound, _ = (c.strip().strip("`") for c in line.strip("|").split(" | "))
+            assert key not in rows, key
+            rows[key] = (default, bound)
+    return rows
+
+
 class TestConfigResolution:
     def test_defaults_then_file_then_set(self, tmp_path):
         path = tmp_path / "c.json"
@@ -96,6 +190,18 @@ class TestConfigResolution:
     def test_set_without_equals_rejected(self):
         with pytest.raises(cli.UsageError):
             cli.resolve_config(None, ["seed"])
+
+
+class TestKeyTable:
+    def test_readme_table_matches_keys(self):
+        """README's key table names every key of config.KEYS, with its
+        default (compared as JSON) and its bound (— for none)."""
+        rows = readme_key_table()
+        assert set(rows) == set(config.KEYS)
+        for key, (default, bound) in config.KEYS.items():
+            cell_default, cell_bound = rows[key]
+            assert json.dumps(json.loads(cell_default)) == json.dumps(default), key
+            assert cell_bound == ("—" if bound is None else bound), key
 
 
 class TestExitCodes:
@@ -155,6 +261,27 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+        assert not (tmp_path / "base.ckpt.json").exists()
+
+    @pytest.mark.parametrize("key,value,line", BOUND_ERRORS,
+                             ids=[key for key, _, _ in BOUND_ERRORS])
+    def test_out_of_bound_value_has_its_exact_error_line(self, tmp_path, capsys, key,
+                                                         value, line):
+        rc = run(["train-base", "--out", str(tmp_path), *TINY, "--set", f"{key}={value}"])
+        assert (rc, capsys.readouterr().err.splitlines()) == (1, [f"error: {line}"])
+        assert not (tmp_path / "config.json").exists()
+
+    def test_every_bounded_key_has_a_pinned_error_line(self):
+        assert [key for key, _, _ in BOUND_ERRORS] == [
+            key for key, (_, bound) in config.KEYS.items() if bound is not None]
+
+    def test_zero_epsilon_is_rejected_with_bottom_up_off(self, tmp_path, capsys):
+        """With bottom-up off nothing reads detector.epsilon before the
+        novel stage, so only its bound keeps a 0 out of the checkpoint."""
+        rc = run(["train-base", "--out", str(tmp_path), *TINY,
+                  "--set", "detector.use_bottom_up=false", "--set", "detector.epsilon=0"])
+        assert (rc, capsys.readouterr().err.splitlines()) == (
+            1, ["error: detector.epsilon must be a number > 0, got 0"])
         assert not (tmp_path / "base.ckpt.json").exists()
 
     @pytest.mark.parametrize("command", ["train-base", "gradcheck"])
@@ -434,6 +561,22 @@ class TestTrainNovel:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("command", ["eval", "train-novel"])
+    def test_checkpoint_config_outside_the_architecture_is_one_error_line(
+            self, base_run, tmp_path, capsys, command):
+        """A checkpoint's meta config overrides the invocation's, so it may
+        hold architecture keys only: a stored data.test would make eval score
+        another test set than the config.json it writes records."""
+        doc = json.loads((base_run / "base.ckpt.json").read_text())
+        doc["meta"]["config"]["data.test"] = 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        flag = "--ckpt" if command == "eval" else "--base-ckpt"
+        rc = run([command, "--out", str(tmp_path / "o"), flag, str(bad), *TINY])
+        assert (rc, capsys.readouterr().err.splitlines()) == (
+            1, [f"error: checkpoint {bad}: config key 'data.test' is not a detector, "
+                "anchors or saliency setting"])
 
     @pytest.mark.parametrize("value", [0.0, 1e-200], ids=["zero", "underflow"])
     @pytest.mark.parametrize("command", ["eval", "train-novel"])
