@@ -2,12 +2,13 @@
 every tape op, and of the five composite losses through a micro detector.
 
 A composite probe moves one coordinate of one parameter, so it changes
-nothing the detector computed before the first stage (``detector.STAGES``)
-that reads that parameter. Each point runs the stages once at the
-unperturbed point and keeps the state before every stage; a probe resumes
-at the first stage whose leaves moved, reruns a head map only when its own
-leaves or its input moved, and then the classifier tail. The taped pass of
-every check runs the full ``detector.forward``.
+nothing the detector computed before the stage (``detector.STAGES``) that
+reads that parameter. Each point runs the stages once at the unperturbed
+point and keeps the state before every stage. The checker hands a check's
+probes over at once, and the probes of one stage's leaves form a group:
+stage k runs once per probe, and the stages after it once over the stack
+of those states, as ``forward`` gives each scene of a stack its own bits.
+The taped pass of every check runs the full ``detector.forward``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,12 @@ def _elementary_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
 
 
 def _micro_setup(rng: np.random.Generator):
-    """A detector small enough for sampled finite differences."""
+    """A detector small enough for sampled finite differences.
+
+    Returns the config, the mined anchors, the loss targets, the point,
+    ``outputs_of(ts)`` (the run and single-scene outputs of the full
+    forward at leaves ``ts``, for the taped pass) and ``probe_of(loss)``,
+    the checker's batched probe of ``loss(run, outputs)``."""
     cfg = det.DetectorConfig(
         image_size=16, backbone_channels=(4, 6, 8, 10), feat_dim=6,
         bottleneck_ratio=2,
@@ -133,90 +139,107 @@ def _micro_setup(rng: np.random.Generator):
     mined = det.hard_negative_mining(det.background_ce(outputs.single().logits.data),
                                      match, cfg.neg_pos_ratio)
     point = {name: t.data for name, t in params.tensors.items()}
-    # each leaf's stage and bytes at the point, in stage order
-    reference = sorted((next(k for k, (prefix, _) in enumerate(det.STAGES)
-                             if name.startswith(prefix)), name, value.tobytes())
-                       for name, value in point.items())
+    stage_of = {name: _stage_of(name) for name in point}
 
     def outputs_of(ts):
         run = det.DetectorParams(dict(ts), class_ids)
-        if any(t.requires_grad for t in ts.values()):
-            # the taped pass: every stage's nodes must be on the tape
-            return run, det.forward(image[None], gate, run, cfg).single()
-        k = _first_moved_stage(ts, reference)
-        out = outputs if k == len(det.STAGES) else _resume(k, before, run, cfg)
-        return run, out.single()
+        return run, det.forward(image[None], gate, run, cfg).single()
 
-    return cfg, mined, targets, point, outputs_of
+    def probe_of(loss):
+        def probe(moves):
+            runs, groups = [], {}
+            for m, (name, idx, value) in enumerate(moves):
+                moved = T.Tensor(point[name])
+                moved.data[idx] = value
+                runs.append(det.DetectorParams({**params.tensors, name: moved}, class_ids))
+                groups.setdefault(stage_of[name], []).append(m)
+            outs = {}
+            for k, group in groups.items():
+                outs.update(zip(group, _stage_group(k, [runs[m] for m in group],
+                                                    before, params, cfg)))
+            return [float(loss(run, outs[m]).data) for m, run in enumerate(runs)]
+        return probe
+
+    return cfg, mined, targets, point, outputs_of, probe_of
 
 
-def _first_moved_stage(ts: dict[str, T.Tensor], reference) -> int:
-    """The first stage with a leaf whose bytes differ from the point's
-    (``reference``'s), or len(STAGES) when none does."""
-    for k, name, value in reference:
-        if ts[name].data.tobytes() != value:
-            return k
-    return len(det.STAGES)
+def _stage_of(name: str) -> int:
+    """The index in ``detector.STAGES`` of the stage that reads parameter
+    ``name``."""
+    return next(k for k, (prefix, _) in enumerate(det.STAGES) if name.startswith(prefix))
 
 
-def _resume(k: int, before: list[det.ForwardState], params: det.DetectorParams,
-            cfg: det.DetectorConfig) -> det.DetectorOutputs:
-    """The outputs at ``params``, whose leaves differ from the point's in
-    stage k and no earlier stage, from the point's states ``before`` each
-    stage: the trunk from stage k, each head map whose leaves or input moved,
-    then the tail."""
-    trunk, tail = det.TRUNK_STAGES, len(det.STAGES) - 1
-    at_point = before[tail]  # the point's head inputs and head maps
-    state = at_point
-    if k < trunk:
-        # the trunk stages carry the point's head maps through unchanged
-        state = det.run_stages(before[k]._replace(maps=at_point.maps), params, cfg,
-                               k, trunk)
-    for s, x in enumerate(state.head_inputs):
-        if trunk + s == k or x is not at_point.head_inputs[s]:
-            state = det.STAGES[trunk + s][1](state, params, cfg)
-    return det.STAGES[tail][1](state, params, cfg)
+def _stage_group(k: int, runs: list[det.DetectorParams], before: list[det.ForwardState],
+                 params: det.DetectorParams, cfg: det.DetectorConfig
+                 ) -> list[det.DetectorOutputs]:
+    """Each run's single-scene outputs, where every run's leaves differ
+    from ``params`` in stage k's alone, from the point's states ``before``
+    each stage.
+
+    Stage k runs once per run; the stages after it run once over the stack
+    of those states, with the point's parameters. The point's head maps
+    ride along, so a head whose input was made before stage k keeps its
+    map and does not rerun. A classifier run (k = the tail) runs the tail
+    once per run."""
+    tail = len(det.STAGES) - 1
+    start = before[k]._replace(maps=before[tail].maps)
+    stage = det.STAGES[k][1]
+    if k == tail:
+        return [stage(start, run, cfg).single() for run in runs]
+    state = _stack([stage(start, run, cfg) for run in runs])
+    unmoved = len(before[k].head_inputs)
+    for j in range(k + 1, tail):
+        if j < det.TRUNK_STAGES or j - det.TRUNK_STAGES >= unmoved:
+            state = det.STAGES[j][1](state, params, cfg)
+    out = det.STAGES[tail][1](state, params, cfg)
+    fields = (out.logits, out.offsets, out.features, out.topdown)
+    return [det.DetectorOutputs(*(None if t is None else T.Tensor(t.data[m]) for t in fields))
+            for m in range(len(runs))]
+
+
+def _stack(states: list[det.ForwardState]) -> det.ForwardState:
+    """The single-scene states as one stack along the batch axis."""
+    def stack(values):
+        if isinstance(values[0], tuple):
+            return tuple(stack(v) for v in zip(*values))
+        return None if values[0] is None else T.concat(values, axis=0)
+    return det.ForwardState(*(stack(field) for field in zip(*states)))
 
 
 def _composite_checks(rng: np.random.Generator) -> list[tuple[str, float]]:
-    cfg, mined, targets, point, outputs_of = _micro_setup(rng)
+    cfg, mined, targets, point, outputs_of, probe_of = _micro_setup(rng)
     n_anchors = len(mined.positive_class)
     base_logits = T.Tensor(rng.standard_normal((n_anchors, 3)))
     base_offsets = T.Tensor(rng.standard_normal((n_anchors, 4)))
     hp = fs.Hyperparams()
 
-    def check(name, f):
-        report = T.grad_check_sampled(f, point, h=1e-4, samples_per_leaf=2,
-                                      rng=rng)
+    def check(name, loss):
+        report = T.grad_check_sampled(lambda ts: loss(*outputs_of(ts)), point, h=1e-4,
+                                      samples_per_leaf=2, rng=rng, probe=probe_of(loss))
         return name, max(report.values())
 
-    def f_base(ts):
-        _, out = outputs_of(ts)
+    def base(run, out):
         return det.base_loss(out, mined, targets, cfg)[0]
 
-    def f_obj(ts):
-        run, out = outputs_of(ts)
+    def obj(run, out):
         return fs.object_concentration_loss(out.features, run.cls_rows, targets)
 
-    def f_bg(ts):
-        run, out = outputs_of(ts)
+    def bg(run, out):
         return fs.background_concentration_loss(out.features, run.cls_rows, mined)
 
-    def f_dist(ts):
-        _, out = outputs_of(ts)
+    def dist(run, out):
         return fs.distillation_loss(out, base_logits, base_offsets)
 
-    def f_novel(ts):
-        run, out = outputs_of(ts)
+    def novel(run, out):
         return fs.novel_loss(out, mined, targets, run, cfg, hp,
                              base_logits=base_logits,
                              base_offsets=base_offsets)[0]
 
-    return [check("base_loss", f_base),
-            check("object_concentration_loss", f_obj),
-            check("background_concentration_loss", f_bg),
-            check("distillation_loss", f_dist),
-            check("novel_loss", f_novel)]
+    return [check("base_loss", base),
+            check("object_concentration_loss", obj),
+            check("background_concentration_loss", bg),
+            check("distillation_loss", dist),
+            check("novel_loss", novel)]
 
 
 def gradcheck_suite(seed: int = 0, points: int = 10) -> list[tuple[str, float]]:

@@ -700,21 +700,25 @@ def sgd_momentum_step(param: Array, grad: Array, velocity: Array, lr: float,
 # ---------------------------------------------------------------------------
 
 def grad_check(f: Callable[[dict[str, Tensor]], Tensor],
-               point: dict[str, Array], h: float = 1e-3) -> dict[str, float]:
+               point: dict[str, Array], h: float = 1e-3,
+               probe: Callable[[list], list[float]] | None = None) -> dict[str, float]:
     """Compare taped gradients of ``f`` against central finite differences.
 
     ``f`` maps a dict of named leaf tensors to a scalar tensor. Every
     coordinate of every leaf is probed. Returns the per-leaf maximum relative
     error |a - n| / max(1e-8, |a| + |n|). Raises NonFiniteError if any probe
-    evaluation is non-finite.
+    evaluation is non-finite. ``probe``, when given, evaluates the probes in
+    place of ``f`` (see :func:`_check_coordinates`).
     """
-    return _check_coordinates(f, point, h, np.ndindex)
+    return _check_coordinates(f, point, h, np.ndindex, probe)
 
 
 def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
                        point: dict[str, Array], h: float = 1e-3,
                        samples_per_leaf: int = 4,
-                       rng: np.random.Generator | None = None) -> dict[str, float]:
+                       rng: np.random.Generator | None = None,
+                       probe: Callable[[list], list[float]] | None = None
+                       ) -> dict[str, float]:
     """grad_check restricted to a random coordinate subset of each leaf.
 
     Full central differences over every weight of a whole detector cost
@@ -729,51 +733,65 @@ def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
         flat = rng.choice(size, size=n, replace=False) if n else []
         return [np.unravel_index(int(c), shape) for c in flat]
 
-    return _check_coordinates(f, point, h, sample)
+    return _check_coordinates(f, point, h, sample, probe)
 
 
 def _check_coordinates(f: Callable[[dict[str, Tensor]], Tensor],
                        point: dict[str, Array], h: float,
-                       coordinates: Callable[[tuple[int, ...]], Iterable]
+                       coordinates: Callable[[tuple[int, ...]], Iterable],
+                       probe: Callable[[list], list[float]] | None = None
                        ) -> dict[str, float]:
     """The finite-difference core: ``coordinates(shape)`` names the indices
     probed in each leaf, asked leaf by leaf after the taped evaluation.
 
-    The probes share one set of constant leaves over a private copy of the
-    point: each probe perturbs one coordinate of those arrays in place and
-    restores it, and only the two perturbed values need a finiteness test."""
+    Every probe moves one coordinate x of one leaf to x + h or x - h, and
+    only those values need a finiteness test. ``moves`` lists the probes as
+    (leaf, index, value), in leaf order and x + h before x - h, and
+    ``probe(moves)`` returns f's value at each move alone, as floats: a
+    caller that knows which part of f a leaf feeds can evaluate many moves
+    at once. Without ``probe``, the probes share one set of constant leaves
+    over a private copy of the point; each move perturbs one coordinate of
+    those arrays in place and restores it."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError("h must be positive")
     h = float(h)
     leaves = {k: Tensor(v, requires_grad=True) for k, v in point.items()}
-    probes = {k: Tensor(v) for k, v in point.items()}
     with Tape() as tape:
         out = f(leaves)
     if out.data.shape != () and out.data.size != 1:
         raise ShapeError("grad_check target must be scalar-valued")
     backward(tape, out)
 
-    def evaluate(values: Array, idx, value: float) -> float:
-        if not math.isfinite(value):
-            raise NonFiniteError("a probe perturbs a value to a non-finite one")
-        values[idx] = value
-        return float(f(probes).data)
+    probed = [(name, idx) for name, leaf in leaves.items()
+              for idx in coordinates(leaf.data.shape)]
+    moves = []
+    for name, idx in probed:
+        x = float(leaves[name].data[idx])  # Python floats overflow to inf without a warning
+        for value in (x + h, x - h):
+            if not math.isfinite(value):
+                raise NonFiniteError("a probe perturbs a value to a non-finite one")
+            moves.append((name, idx, value))
+    if probe is None:
+        probes = {k: Tensor(v) for k, v in point.items()}
 
-    report: dict[str, float] = {}
-    for name, leaf in leaves.items():
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        values = probes[name].data
-        worst = 0.0
-        for idx in coordinates(values.shape):
-            x = float(values[idx])  # Python floats overflow to inf without a warning
-            up = evaluate(values, idx, x + h)
-            down = evaluate(values, idx, x - h)
-            values[idx] = x
-            numeric = (up - down) / (2.0 * h)
-            a = float(analytic[idx])
-            rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, rel)
-        report[name] = worst
+        def probe(moves):
+            values = []
+            for name, idx, value in moves:
+                data = probes[name].data
+                x = data[idx]
+                data[idx] = value
+                values.append(float(f(probes).data))
+                data[idx] = x
+            return values
+    values = probe(moves)
+
+    report = {name: 0.0 for name in leaves}
+    for (name, idx), up, down in zip(probed, values[0::2], values[1::2], strict=True):
+        grad = leaves[name].grad
+        a = 0.0 if grad is None else float(grad[idx])
+        numeric = (up - down) / (2.0 * h)
+        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        report[name] = max(report[name], rel)
     return report
 
 

@@ -76,6 +76,30 @@ def test_benchmark_gradcheck_tolerance_is_the_gates():
     assert workloads.GRADCHECK_TOL == gradcheck.TOLERANCE
 
 
+def test_gradcheck_point_calls_both_checkers_through_the_tensor_module(monkeypatch):
+    """bench/selftest.py requires tensor.grad_check_sampled to read above
+    zero on the gradcheck workload, and the tracer counts calls through the
+    tensor module: one point of the suite makes 23 ``T.grad_check`` calls
+    (the elementary op checks) and 5 ``T.grad_check_sampled`` calls (the
+    composite checks), however their probes run."""
+    from fewdet import gradcheck
+    from fewdet import tensor as T
+    calls = {"grad_check": 0, "grad_check_sampled": 0}
+
+    def counting(name):
+        real = getattr(T, name)
+
+        def check(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return check
+
+    for name in calls:
+        monkeypatch.setattr(T, name, counting(name))
+    gradcheck.gradcheck_suite(seed=0, points=1)
+    assert calls == {"grad_check": 23, "grad_check_sampled": 5}
+
+
 TRACED_COUNTS = f"""
 import dataclasses, json, sys
 sys.path.insert(0, {str(ROOT / "bench")!r})
