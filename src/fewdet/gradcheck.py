@@ -121,6 +121,9 @@ def _micro_setup(rng: np.random.Generator):
         anchors=det.AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
     class_ids = [1, 2, 3]
     params = det.init_detector_params(cfg, class_ids, rng)
+    # a nonzero up-projection, so that the losses read every leaf of the GC block
+    w = params.tensors["gc.w_v2"].data
+    w[...] = rng.standard_normal(w.shape) * 0.5
     image = rng.uniform(0.0, 1.0, (3, 16, 16))
     saliency = rng.uniform(0.0, 1.0, (4, 4))
     anchors = det.generate_anchors(cfg.anchors)

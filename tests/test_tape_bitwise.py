@@ -383,6 +383,8 @@ def composite_checks_per_probe(rng):
         anchors=det.AnchorConfig(map_sizes=((2, 2), (1, 1)), scales=(0.3, 0.6)))
     class_ids = [1, 2, 3]
     params = det.init_detector_params(cfg, class_ids, rng)
+    w = params.tensors["gc.w_v2"].data
+    w[...] = rng.standard_normal(w.shape) * 0.5
     image = rng.uniform(0.0, 1.0, (3, 16, 16))
     saliency = rng.uniform(0.0, 1.0, (4, 4))
     anchors = det.generate_anchors(cfg.anchors)
@@ -469,13 +471,13 @@ class TestCheckerProbes:
         new, old = self.suite_and_rebuilding_oracle(monkeypatch, 0)
         assert new == old
 
-    # 15 fails the tolerance at two points, so kinked probes are compared too
-    @pytest.mark.parametrize("seed", [1, 2, 3, 15])
+    # 6 fails the tolerance at two points, so kinked probes are compared too
+    @pytest.mark.parametrize("seed", [1, 2, 3, 6])
     def test_suite_equals_a_checker_that_rebuilds_every_leaf_at_more_seeds(
             self, monkeypatch, seed):
         new, old = self.suite_and_rebuilding_oracle(monkeypatch, seed)
         assert new == old
-        if seed == 15:
+        if seed == 6:
             assert max(map(float.fromhex, new)) > gradcheck.TOLERANCE
 
     def test_suite_equals_one_that_rebuilds_gate_and_targets_per_probe(self, monkeypatch):
@@ -541,25 +543,13 @@ class TestCheckerProbes:
         parameters, so a leaf whose moves join the next stage's group
         (cls.rows's join stage 0's) reads stale states, and the check of
         that leaf at its steepest coordinate fails, for each of the 22
-        leaves. In the suite's floats that shows for 16 leaves: at the
-        suite's points gc.w_v2 is zero (the block starts as an identity), so
-        no loss reads the other four gc leaves, and head.1's 1x1 map reads
-        only the centre tap of its 3x3 kernels, which no sampled probe of
-        seed 0's two points hits. A point with a nonzero gc.w_v2 makes all
-        22 count at their steepest coordinates."""
+        leaves. In the suite's floats that shows for 21 leaves: head.1's 1x1
+        map reads only the centre tap of its 3x3 kernels, which no sampled
+        probe of head.1.feat.kernel at seed 0's two points hits."""
         want_suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
-        init = det.init_detector_params
-
-        def nonzero_w_v2(cfg, class_ids, rng):
-            params = init(cfg, class_ids, rng)
-            w_v2 = params.tensors["gc.w_v2"].data
-            w_v2[...] = np.random.default_rng(1).standard_normal(w_v2.shape)
-            return params
 
         def setup():
-            with monkeypatch.context() as m:
-                m.setattr(det, "init_detector_params", nonzero_w_v2)
-                return micro_base_loss(np.random.default_rng(np.random.SeedSequence([0, 11, 0])))
+            return micro_base_loss(np.random.default_rng(np.random.SeedSequence([0, 11, 0])))
 
         point, f, probe = setup()
         assert len(point) == 22 and np.all(point["gc.w_v2"] != 0.0)
@@ -583,9 +573,7 @@ class TestCheckerProbes:
                 (stage_of(name) + 1) % len(det.STAGES) if name == leaf else stage_of(name)))
             assert check(setup()[2])[leaf] > 0.5, leaf
             suite = [err.hex() for _, err in cli.gradcheck_suite(seed=0, points=2)]
-            assert (suite == want_suite) == (leaf in (
-                "gc.w_k", "gc.w_v1", "gc.ln_gain", "gc.ln_bias", "head.1.feat.kernel",
-                "head.1.reg.kernel")), leaf
+            assert (suite == want_suite) == (leaf == "head.1.feat.kernel"), leaf
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_a_per_move_probe_gives_the_default_report(self, monkeypatch, sampled):
