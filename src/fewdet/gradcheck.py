@@ -182,15 +182,15 @@ def _stage_group(k: int, runs: list[det.DetectorParams], before: list[det.Forwar
     Stage k runs once per run; the stages after it run once over the stack
     of those states, with the point's parameters. The point's head maps
     ride along, so a head whose input was made before stage k keeps its
-    map and does not rerun. A classifier run (k = the tail) runs the tail
-    once per run."""
+    map and does not rerun. A ``cls.rows`` group (k = the tail) runs the
+    tail once per run."""
     tail = len(det.STAGES) - 1
     start = before[k]._replace(maps=before[tail].maps)
     stage = det.STAGES[k][1]
     if k == tail:
         return [stage(start, run, cfg).single() for run in runs]
     state = _stack([stage(start, run, cfg) for run in runs])
-    unmoved = len(before[k].head_inputs)
+    unmoved = len(before[k].head_inputs)  # the head inputs made before stage k
     for j in range(k + 1, tail):
         if j < det.TRUNK_STAGES or j - det.TRUNK_STAGES >= unmoved:
             state = det.STAGES[j][1](state, params, cfg)
