@@ -700,17 +700,15 @@ def sgd_momentum_step(param: Array, grad: Array, velocity: Array, lr: float,
 # ---------------------------------------------------------------------------
 
 def grad_check(f: Callable[[dict[str, Tensor]], Tensor],
-               point: dict[str, Array], h: float = 1e-3,
-               probe: Callable[[list], list[float]] | None = None) -> dict[str, float]:
+               point: dict[str, Array], h: float = 1e-3) -> dict[str, float]:
     """Compare taped gradients of ``f`` against central finite differences.
 
     ``f`` maps a dict of named leaf tensors to a scalar tensor. Every
     coordinate of every leaf is probed. Returns the per-leaf maximum relative
     error |a - n| / max(1e-8, |a| + |n|). Raises NonFiniteError if any probe
-    evaluation is non-finite. ``probe``, when given, evaluates the probes in
-    place of ``f`` (see :func:`_check_coordinates`).
+    evaluation is non-finite.
     """
-    return _check_coordinates(f, point, h, np.ndindex, probe)
+    return _check_coordinates(f, point, h, np.ndindex)
 
 
 def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
@@ -724,6 +722,8 @@ def grad_check_sampled(f: Callable[[dict[str, Tensor]], Tensor],
     Full central differences over every weight of a whole detector cost
     minutes; probing a few coordinates per tensor keeps composite-loss checks
     inside an interactive budget while still touching every leaf.
+    ``probe``, when given, evaluates the probes in place of ``f`` (see
+    :func:`_check_coordinates`).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
 

@@ -581,14 +581,18 @@ class TestCheckerProbes:
         f once per move gives the report of the checker's own probes, to the
         bit."""
         pairs = []
-        check = T.grad_check_sampled if sampled else T.grad_check
+        grad_check = T.grad_check
 
         def both(f, point, h=1e-3):
-            def report(**probe):
-                kwargs = {"rng": np.random.default_rng(7)} if sampled else {}
-                return check(f, point, h, **kwargs, **probe)
+            def report(probe=None):
+                if sampled:
+                    return T.grad_check_sampled(f, point, h, rng=np.random.default_rng(7),
+                                                probe=probe)
+                # grad_check takes no probe; its full-coordinate core does
+                return (grad_check(f, point, h) if probe is None
+                        else T._check_coordinates(f, point, h, np.ndindex, probe))
             want = report()
-            pairs.append((want, report(probe=per_move_probe(f, point))))
+            pairs.append((want, report(per_move_probe(f, point))))
             return want
 
         monkeypatch.setattr(T, "grad_check", both)
@@ -631,10 +635,14 @@ class TestCheckerProbes:
     def test_overflowing_probe_raises_before_a_batched_probe_runs(self, sampled):
         def probe(moves):
             raise AssertionError("the probe ran")
-        check = T.grad_check_sampled if sampled else T.grad_check
+        def f(L):
+            return T.reshape(L["a"], ())
+        point = {"a": np.array([[1.7e308]])}
         with pytest.raises(T.NonFiniteError):
-            check(lambda L: T.reshape(L["a"], ()), {"a": np.array([[1.7e308]])}, h=1e308,
-                  probe=probe)
+            if sampled:
+                T.grad_check_sampled(f, point, h=1e308, probe=probe)
+            else:
+                T._check_coordinates(f, point, 1e308, np.ndindex, probe)
 
 
 # numpy 2.x file layout (checked on numpy 2.4): the Python-level wrappers of
