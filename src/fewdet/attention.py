@@ -101,20 +101,20 @@ def pool_saliency(saliency: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return minmax_or_zeros(s)
 
 
-def bottom_up_gate(maps: np.ndarray, h: int, w: int, epsilon: float = math.e) -> Tensor:
-    """The bottom-up gate ln(eps + s) of a [B,h',w'] stack of saliency maps,
+def bottom_up_gate(maps: np.ndarray, epsilon: float = math.e) -> Tensor:
+    """The bottom-up gate ln(eps + s) of a [B,h,w] stack of saliency maps,
     as a constant [B,1,h,w] Tensor for :func:`fuse_bottom_up`.
 
-    Each map is pooled to h x w and renormalized to [0,1] first. The gate
-    depends on the maps alone, so a caller builds it once per scene or
-    batch and hands it to every forward over those images.
+    The maps are :func:`pool_saliency`'s: pooled to the fusion grid and
+    min-max normalized. The gate depends on the maps alone, so a caller
+    builds it once per scene or batch and hands it to every forward over
+    those images.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if np.ndim(maps) != 3:
         raise T.ShapeError(f"expected a [B,h,w] saliency stack, got shape {np.shape(maps)}")
-    gate = np.stack([np.log(epsilon + pool_saliency(s, h, w)) for s in maps])
-    return Tensor(gate[:, None])
+    return Tensor(np.log(epsilon + np.asarray(maps, dtype=np.float64))[:, None])
 
 
 def fuse_bottom_up(z: Tensor, gate: Tensor) -> Tensor:

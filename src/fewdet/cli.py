@@ -38,7 +38,8 @@ def benchmark(cfg: dict[str, object]) -> tuple[sd.Benchmark, sd.SplitSpec]:
     split = sd.make_split(int(cfg["data.split"]))
     sizes = (int(cfg["data.base_train"]), int(cfg["data.novel_pool"]),
              int(cfg["data.test"]))
-    return sd.build_benchmark(int(cfg["seed"]), split, sizes=sizes), split
+    gen = sd.GenConfig(image_size=int(cfg["detector.image_size"]))
+    return sd.build_benchmark(int(cfg["seed"]), split, sizes=sizes, cfg=gen), split
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +253,9 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
     dcfg = detector_config(run_cfg)
     params.set_requires_grad(False)
     scene_seed = int(run_cfg["render.scene_seed"])
-    scene = sd.generate_scene(scene_seed)
-    side = dcfg.image_size // 4
-
+    scene = sd.generate_scene(scene_seed, sd.GenConfig(image_size=dcfg.image_size))
     full = full_saliency(run_cfg, scene)
-    pooled = att.pool_saliency(full, side, side) if dcfg.use_bottom_up else None
+    pooled = att.pool_saliency(full, *det.fusion_size(dcfg)) if dcfg.use_bottom_up else None
     out = det.forward(scene.image[None],
                       det.saliency_gate(None if pooled is None else pooled[None], dcfg),
                       params, dcfg)

@@ -285,7 +285,7 @@ def saliency_provider(cfg: dict[str, object], dcfg: det.DetectorConfig):
     """
     if not dcfg.use_bottom_up:
         return None
-    side = dcfg.image_size // 4
+    size = det.fusion_size(dcfg)
     memo: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
     def provider(scene: sd.Scene) -> np.ndarray:
@@ -293,7 +293,7 @@ def saliency_provider(cfg: dict[str, object], dcfg: det.DetectorConfig):
         entry = memo.get(key)
         if entry is not None and entry[0]() is scene:
             return entry[1]
-        pooled = att.pool_saliency(full_saliency(cfg, scene), side, side)
+        pooled = att.pool_saliency(full_saliency(cfg, scene), *size)
         pooled.flags.writeable = False
         memo[key] = (weakref.ref(scene, lambda _: memo.pop(key, None)), pooled)
         return pooled

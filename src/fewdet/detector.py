@@ -318,12 +318,13 @@ def fusion_size(cfg: DetectorConfig) -> tuple[int, int]:
 
 def saliency_gate(maps, cfg: DetectorConfig) -> Tensor | None:
     """The bottom-up gate :func:`forward` takes, from a [B,h,w] stack of
-    saliency maps, one per image; None when there are no maps or
-    cfg.use_bottom_up is off. It depends on the maps alone: build it once
-    per scene or batch, not once per forward."""
+    saliency maps, one per image, each pooled to :func:`fusion_size` and
+    min-max normalized (``attention.pool_saliency``); None when there are
+    no maps or cfg.use_bottom_up is off. It depends on the maps alone:
+    build it once per scene or batch, not once per forward."""
     if maps is None or not cfg.use_bottom_up:
         return None
-    return att.bottom_up_gate(maps, *fusion_size(cfg), cfg.epsilon)
+    return att.bottom_up_gate(maps, cfg.epsilon)
 
 
 class ForwardState(NamedTuple):
@@ -423,7 +424,7 @@ def _classifier(state: ForwardState, params: DetectorParams,
 
 # The forward's stages in order: the name prefix of the parameters each one
 # reads, and its function (state, params, cfg) -> the state after it. The
-# last returns the DetectorOutputs. The first TRUNK_STAGES are the trunk.
+# last returns the DetectorOutputs.
 STAGES = (
     ("backbone.0.", _backbone(0)),
     ("backbone.1.", _backbone(1)),
@@ -434,45 +435,12 @@ STAGES = (
     ("head.1.", _head(1)),
     ("cls.rows", _classifier),
 )
-TRUNK_STAGES = 5
-
-
-def run_stages(state: ForwardState, params: DetectorParams, cfg: DetectorConfig,
-               start: int = 0, stop: int = len(STAGES)) -> ForwardState | DetectorOutputs:
-    """Run ``STAGES[start:stop]`` from ``state``, the state after stage
-    start - 1 (or :func:`forward_state`'s, for stage 0)."""
-    for _, stage in STAGES[start:stop]:
-        state = stage(state, params, cfg)
-    return state
-
-
-def trunk(images, gate: Tensor | None, params: DetectorParams,
-          cfg: DetectorConfig) -> tuple[list[Tensor], Tensor]:
-    """The backbone half of :func:`forward`: the image centering and the
-    first ``TRUNK_STAGES`` stages, the four backbone stages, the
-    global-context block and the bottom-up fusion.
-
-    Returns the two heads' input maps (stages 3 and 4) and the [B,h,w]
-    top-down maps. It reads the ``backbone.*`` and ``gc.*`` parameters
-    only, so its output holds for any change to the heads or classifier.
-    """
-    state = run_stages(forward_state(images, gate, cfg), params, cfg, 0, TRUNK_STAGES)
-    return list(state.head_inputs), state.topdown
-
-
-def heads(head_inputs: list[Tensor], topdown: Tensor, params: DetectorParams,
-          cfg: DetectorConfig) -> DetectorOutputs:
-    """The prediction half of :func:`forward`, from :func:`trunk`'s output:
-    the head maps and the cosine classifier. It reads the ``head.*``
-    parameters and ``cls.rows``."""
-    state = ForwardState(head_inputs[-1], None, topdown, tuple(head_inputs))
-    return run_stages(state, params, cfg, TRUNK_STAGES)
 
 
 def forward(images, gate: Tensor | None, params: DetectorParams,
             cfg: DetectorConfig) -> DetectorOutputs:
     """Run the detector on a stack of B images, [B,3,H,W]: every stage of
-    ``STAGES``, the ops of ``heads(*trunk(...))`` in their order.
+    ``STAGES`` in order, from :func:`forward_state`.
 
     ``gate`` is :func:`saliency_gate`'s [B,1,h,w] bottom-up gate for the
     images, or None; it is ignored unless cfg.use_bottom_up. Every output is
@@ -480,7 +448,10 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
     alone. The outputs carry the global-context block's attention maps as
     ``topdown``. Records on the active tape, if any.
     """
-    return run_stages(forward_state(images, gate, cfg), params, cfg)
+    state = forward_state(images, gate, cfg)
+    for _, stage in STAGES:
+        state = stage(state, params, cfg)
+    return state
 
 
 # scenes per no-grad forward in evaluation, imprinting and the distillation

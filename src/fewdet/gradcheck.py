@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import attention as att
 from . import detector as det
 from . import fewshot as fs
 from . import tensor as T
@@ -131,7 +132,7 @@ def _micro_setup(rng: np.random.Generator):
     gt_labels = [1, 3]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
     # the gate and the targets hold for every probe
-    gate = det.saliency_gate(saliency[None], cfg)
+    gate = det.saliency_gate(att.pool_saliency(saliency, *det.fusion_size(cfg))[None], cfg)
     targets = det.loss_targets(match, gt_boxes, anchors, params)
 
     # the unperturbed point's state before every stage, and its outputs
@@ -172,6 +173,10 @@ def _stage_of(name: str) -> int:
     return next(k for k, (prefix, _) in enumerate(det.STAGES) if name.startswith(prefix))
 
 
+# the index in ``detector.STAGES`` of head 0's stage; head s's stage follows it by s
+_FIRST_HEAD = next(k for k, (prefix, _) in enumerate(det.STAGES) if prefix.startswith("head."))
+
+
 def _stage_group(k: int, runs: list[det.DetectorParams], before: list[det.ForwardState],
                  params: det.DetectorParams, cfg: det.DetectorConfig
                  ) -> list[det.DetectorOutputs]:
@@ -192,7 +197,7 @@ def _stage_group(k: int, runs: list[det.DetectorParams], before: list[det.Forwar
     state = _stack([stage(start, run, cfg) for run in runs])
     unmoved = len(before[k].head_inputs)  # the head inputs made before stage k
     for j in range(k + 1, tail):
-        if j < det.TRUNK_STAGES or j - det.TRUNK_STAGES >= unmoved:
+        if j < _FIRST_HEAD or j - _FIRST_HEAD >= unmoved:
             state = det.STAGES[j][1](state, params, cfg)
     out = det.STAGES[tail][1](state, params, cfg)
     fields = (out.logits, out.offsets, out.features, out.topdown)

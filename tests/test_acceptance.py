@@ -111,15 +111,15 @@ class TestFusionNeutrality:
         rng = _rng(43)
         for _ in range(10):
             z = Tensor((rng.standard_normal((6, 8, 8)) * rng.uniform(0.1, 40))[None])
-            fused = A.fuse_bottom_up(z, A.bottom_up_gate(np.zeros((1, 8, 8)), 8, 8, math.e))
+            fused = A.fuse_bottom_up(z, A.bottom_up_gate(np.zeros((1, 8, 8)), math.e))
             assert np.array_equal(fused.data, z.data)
 
     def test_eps_e_constant_saliency_is_equally_neutral(self):
         # constant maps normalize to zero, so any flat input is a no-op
         rng = _rng(44)
         z = Tensor(rng.standard_normal((4, 8, 8))[None])
-        fused = A.fuse_bottom_up(z, A.bottom_up_gate(np.full((1, 32, 32), 0.7), 8, 8,
-                                                     math.e))
+        gate = A.bottom_up_gate(pool_saliency(np.full((32, 32), 0.7), 8, 8)[None], math.e)
+        fused = A.fuse_bottom_up(z, gate)
         assert np.array_equal(fused.data, z.data)
 
     def test_eps_one_zeroes_features_at_zero_saliency_pixels(self):
@@ -128,7 +128,8 @@ class TestFusionNeutrality:
             z = Tensor(rng.standard_normal((5, 4, 4))[None])
             s = rng.uniform(0.3, 1.0, (4, 4))
             s[2, 1] = 0.0
-            fused = A.fuse_bottom_up(z, A.bottom_up_gate(s[None], 4, 4, epsilon=1.0))
+            gate = A.bottom_up_gate(pool_saliency(s, 4, 4)[None], epsilon=1.0)
+            fused = A.fuse_bottom_up(z, gate)
             assert np.all(fused.data[0, :, 2, 1] == 0.0)
             assert np.all(fused.data[0, :, 0, 0] != 0.0)
 
@@ -154,8 +155,8 @@ def _random_instance(rng):
                          for _ in range(n_gt)])
     gt_labels = [int(rng.integers(1, 4)) for _ in range(n_gt)]
     match = det.match_anchors(anchors, gt_boxes, gt_labels, cfg.pos_thr)
-    out = det.forward(image[None], det.saliency_gate(saliency[None], cfg), params,
-                      cfg).single()
+    gate = det.saliency_gate(pool_saliency(saliency, *det.fusion_size(cfg))[None], cfg)
+    out = det.forward(image[None], gate, params, cfg).single()
     mined = det.hard_negative_mining(det.background_ce(out.logits.data), match,
                                      cfg.neg_pos_ratio)
     return cfg, det.loss_targets(match, gt_boxes, anchors, params), mined, params, out

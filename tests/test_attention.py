@@ -151,8 +151,9 @@ class TestPoolSaliency:
 
 
 def fuse(z, maps, epsilon):
-    """Fusion with the gate built from the maps at z's resolution."""
-    return A.fuse_bottom_up(z, A.bottom_up_gate(maps, *z.shape[2:], epsilon))
+    """Fusion with the gate built from the maps pooled to z's resolution."""
+    pooled = np.stack([A.pool_saliency(m, *z.shape[2:]) for m in maps])
+    return A.fuse_bottom_up(z, A.bottom_up_gate(pooled, epsilon))
 
 
 class TestFuseBottomUp:
@@ -203,15 +204,18 @@ class TestFuseBottomUp:
     def test_nonpositive_epsilon_rejected(self):
         for epsilon in (0.0, -1.0):
             with pytest.raises(ValueError, match="epsilon must be positive"):
-                A.bottom_up_gate(np.zeros((1, 2, 2)), 2, 2, epsilon)
+                A.bottom_up_gate(np.zeros((1, 2, 2)), epsilon)
 
     def test_non_integer_pooling_factor_rejected(self):
-        with pytest.raises(T.ShapeError, match="non-integer factor"):
-            A.bottom_up_gate(np.zeros((1, 6, 6)), 4, 4)
+        """The gate does not pool: a map not pooled to the fusion grid, here
+        6x6 for a 4x4 grid, is a ShapeError at the fusion."""
+        z = Tensor(np.ones((1, 3, 4, 4)))
+        with pytest.raises(T.ShapeError, match=r"\[B,1,H,W\] gate"):
+            A.fuse_bottom_up(z, A.bottom_up_gate(np.zeros((1, 6, 6))))
 
     def test_map_without_batch_axis_rejected(self):
         with pytest.raises(T.ShapeError, match=r"\[B,h,w\]"):
-            A.bottom_up_gate(np.zeros((4, 4)), 4, 4)
+            A.bottom_up_gate(np.zeros((4, 4)))
 
     @pytest.mark.parametrize("gate_shape", [(1, 1, 4, 4), (2, 3, 4, 4), (2, 1, 2, 2),
                                             (2, 4, 4), (2, 1, 4, 4, 1)])
@@ -223,8 +227,9 @@ class TestFuseBottomUp:
             A.fuse_bottom_up(z, Tensor(np.ones(gate_shape)))
 
     def test_gate_matches_per_call_fusion_bitwise(self):
-        """Pooled and unpooled maps, a constant map and a batch: the gate
-        built once fuses to the bytes of fusion from the maps."""
+        """Pooled and unpooled maps, a constant map and a batch: pooled
+        once and made a gate once, they fuse to the bytes of the fusion
+        that pooled the maps inside every call."""
         rng = np.random.default_rng(15)
         z = Tensor(rng.standard_normal((3, 5, 4, 4)))
         for maps in (rng.uniform(0, 1, (3, 4, 4)), rng.uniform(0, 1, (3, 16, 16)),

@@ -47,12 +47,15 @@ print(json.dumps(Tracer().install()))
 def test_tracer_patches_the_gate_in_cli_and_in_its_module():
     """The gate lives in fewdet.gradcheck and cli imports it; the tracer
     rebinds both names, so the benchmark's ``cli.gradcheck_suite`` calls
-    are traced under that name."""
+    are traced under that name. It also rebinds the ``pool_saliency`` and
+    ``bms_saliency`` names fewshot imports, which bench/selftest.py
+    requires."""
     proc = subprocess.run([sys.executable, "-c", INSTALLED], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     patched = json.loads(proc.stdout.splitlines()[-1])
     assert {"fewdet.cli.gradcheck_suite", "fewdet.gradcheck.gradcheck_suite"} <= set(patched)
+    assert {"fewdet.fewshot.pool_saliency", "fewdet.fewshot.bms_saliency"} <= set(patched)
 
 
 def test_benchmark_reads_the_schema_through_cli():
@@ -141,6 +144,7 @@ print(json.dumps({{
     "chunk": det.INFERENCE_CHUNK,
     "eval_forward": calls(evaluation, "detector.forward"),
     "eval_bms": calls(evaluation, "saliency.bms_saliency"),
+    "eval_pool": calls(evaluation, "attention.pool_saliency"),
     "train_scenes": len(bench.base_train),
     "train_sgd": calls(train, "tensor.sgd_momentum_step"),
     "train_spans": train_spans,
@@ -201,6 +205,15 @@ def test_evaluation_runs_one_forward_per_chunk_and_bms_per_scene(traced_counts):
     as one per item."""
     assert traced_counts["eval_forward"] == 2
     assert traced_counts["eval_bms"] == traced_counts["chunk"] + 1
+
+
+def test_evaluation_pools_each_scenes_saliency_once(traced_counts):
+    """The provider pools each scene's map to the fusion grid, and the gate
+    takes it as it is: evaluating chunk + 1 scenes pools chunk + 1 maps.
+    bench/selftest.py requires attention.pool_saliency to read above zero
+    on eval and novel_sweep, so the provider's pooling must stay a call
+    through the attention module."""
+    assert traced_counts["eval_pool"] == traced_counts["chunk"] + 1
 
 
 TWO_CELLS = f"""

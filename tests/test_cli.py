@@ -692,6 +692,32 @@ class TestRenderAttention:
         assert read_ppm(render / "topdown.ppm").shape == (3, 64, 64)
 
 
+class TestImageSize:
+    """detector.image_size is the scene side in pixels: the benchmark's
+    scenes and render-attention's scene are generated at it."""
+
+    def test_side_32_trains_and_renders_at_its_side(self, tmp_path, capsys):
+        base, render = tmp_path / "base", tmp_path / "render"
+        assert run(["train-base", "--out", str(base), *TINY, "--set",
+                    "detector.image_size=32", "--set", "anchors.map_sizes=[[4,4],[2,2]]",
+                    "--set", "base.epochs=0"]) == 0
+        assert run(["render-attention", "--out", str(render),
+                    "--ckpt", str(base / "base.ckpt.json")]) == 0
+        for name in ("image.ppm", "saliency.ppm", "topdown.ppm"):
+            assert read_ppm(render / name).shape == (3, 32, 32), name
+        capsys.readouterr()
+
+    def test_side_not_a_multiple_of_8_is_one_error_line(self, tmp_path, capsys):
+        """Side 36 describes a working detector, but scenes are generated
+        on an 8x8 texture grid."""
+        rc = run(["train-base", "--out", str(tmp_path), *TINY, "--set",
+                  "detector.image_size=36", "--set", "anchors.map_sizes=[[5,5],[3,3]]",
+                  "--set", "base.epochs=0"])
+        assert (rc, capsys.readouterr().err.splitlines()) == (
+            1, ["error: image_size must be a multiple of 8"])
+        assert not (tmp_path / "base.ckpt.json").exists()
+
+
 class TestGradcheckCommand:
     def test_fresh_repo_passes(self, tmp_path):
         out = tmp_path / "g"
@@ -887,13 +913,20 @@ class TestSaliencyProvider:
     @pytest.mark.parametrize("mode", ["bms", "oracle"])
     def test_map_is_the_pooled_full_map(self, mode):
         cfg, provider = self.provider(mode)
-        side = cli.detector_config(cfg).image_size // 4
         scene = sd.generate_scene(5)
-        want = att.pool_saliency(cli.full_saliency(cfg, scene), side, side)
+        want = att.pool_saliency(cli.full_saliency(cfg, scene),
+                                 *det.fusion_size(cli.detector_config(cfg)))
         for _ in range(2):
             got = provider(scene)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", [32, 40, 64])
+    def test_map_has_the_fusion_size(self, side):
+        cfg = {**cli.DEFAULTS, "detector.image_size": side}
+        dcfg = cli.detector_config(cfg)
+        scene = sd.generate_scene(5, sd.GenConfig(image_size=side))
+        assert cli.saliency_provider(cfg, dcfg)(scene).shape == det.fusion_size(dcfg)
 
     def test_repeated_calls_run_bms_once(self, monkeypatch):
         calls = bms_images(monkeypatch)

@@ -13,7 +13,7 @@ from fewdet import cli
 from fewdet import detector as D
 from fewdet import synthdata as sd
 from fewdet import tensor as T
-from fewdet.attention import topdown_map
+from fewdet.attention import pool_saliency, topdown_map
 from fewdet.detector import AnchorConfig, DetectorConfig, DetectorOutputs, MatchResult
 from fewdet.tensor import Tensor, grad_check
 from oracles import (brute_force_matcher, brute_force_nms, center_to_corners, decode_box,
@@ -404,8 +404,9 @@ class TestForward:
             D.forward(self.image, None, bad, self.cfg)
 
     def test_saliency_changes_features_only_when_enabled(self):
-        sal = np.zeros((1, 16, 16))
-        sal[0, 4:10, 4:10] = 1.0
+        full = np.zeros((16, 16))
+        full[4:10, 4:10] = 1.0
+        sal = pool_saliency(full, *D.fusion_size(self.cfg))[None]
         gate = D.saliency_gate(sal, self.cfg)
         on = D.forward(self.image, gate, self.params, self.cfg)
         off_cfg = dataclasses.replace(self.cfg, use_bottom_up=False)
@@ -428,7 +429,7 @@ class TestForward:
             map_sizes=(((side + 7) // 8,) * 2, ((side + 15) // 16,) * 2),
             scales=(0.3, 0.6)))
         h, w = D.fusion_size(cfg)
-        gate = D.saliency_gate(self.rng.uniform(0, 1, (1, h, w)), cfg)
+        gate = D.saliency_gate(pool_saliency(self.rng.uniform(0, 1, (h, w)), h, w)[None], cfg)
         assert gate.shape == (1, 1, h, w)
         params = D.init_detector_params(cfg, [1], self.rng)
         D.forward(self.rng.uniform(0, 1, (1, 3, side, side)), gate, params, cfg)
@@ -555,52 +556,8 @@ CFG = cli.detector_config(dict(cli.DEFAULTS))
 
 
 class TestTrunkAndHeads:
-    """``forward`` is ``heads(*trunk(...))``: the same tape, the same values
-    and the same gradient of every parameter, stacked or not, fused with a
-    gate or not."""
-
-    @pytest.mark.parametrize("b", [1, 4])
-    @pytest.mark.parametrize("with_gate", [True, False])
-    def test_forward_is_heads_of_trunk(self, b, with_gate):
-        scenes, maps = TestStackedForward.setup_scenes(b)
-        images = np.stack([s.image for s in scenes])
-        gate = D.saliency_gate(np.stack(maps), CFG) if with_gate else None
-        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], np.random.default_rng(7))
-        rng = np.random.default_rng(8)
-        weights = None
-        runs = []
-        for split in (False, True):
-            params.zero_grads()
-            with T.Tape() as tape:
-                if split:
-                    head_inputs, topdown = D.trunk(images, gate, params, CFG)
-                    out = D.heads(head_inputs, topdown, params, CFG)
-                else:
-                    out = D.forward(images, gate, params, CFG)
-                outs = (out.logits, out.offsets, out.features, out.topdown)
-                if weights is None:
-                    weights = [Tensor(rng.standard_normal(o.data.shape)) for o in outs]
-                loss = T.sum_all(T.concat(
-                    [T.reshape(T.sum_all(T.mul(o, w)), (1,)) for o, w in zip(outs, weights)],
-                    axis=0))
-            T.backward(tape, loss)
-            runs.append(([n.op for n in tape.nodes], [o.data.tobytes() for o in outs],
-                         [params.tensors[k].grad.tobytes() for k in sorted(params.tensors)]))
-        assert runs[0] == runs[1]
-
-    def test_trunk_reads_no_head_or_classifier_parameter(self):
-        """The trunk's output is the same for any head and cls.rows values,
-        which is what lets a head probe of the gradient check reuse it."""
-        scenes, maps = TestStackedForward.setup_scenes(1)
-        gate = D.saliency_gate(maps[0][None], CFG)
-        params = D.init_detector_params(CFG, [2, 3], np.random.default_rng(7))
-        with T.Tape() as tape:
-            head_inputs, topdown = D.trunk(scenes[0].image[None], gate, params, CFG)
-            loss = T.add(T.sum_all(topdown), T.sum_all(T.concat(
-                [T.reshape(T.sum_all(x), (1,)) for x in head_inputs], axis=0)))
-        T.backward(tape, loss)
-        read = {k for k, t in params.tensors.items() if t.grad is not None}
-        assert read == {k for k in params.tensors if k.startswith(("backbone.", "gc."))}
+    """The stages of ``STAGES``, from the trunk's to the heads', each read
+    the parameters of their own prefix."""
 
     @pytest.mark.parametrize("with_gate", [True, False])
     def test_each_stage_reads_exactly_the_leaves_of_its_prefix(self, with_gate):

@@ -820,9 +820,9 @@ class TestTraining:
     @pytest.mark.parametrize("bottom_up", [True, False])
     def test_stages_match_per_call_oracles_bitwise(self, batch_size, bottom_up):
         """Both stages, every novel term weighted (gamma > 0), saliency maps
-        at the image resolution so that the gate pools: the gates and loss
-        targets built once per scene end on the bytes of rebuilding them on
-        every step."""
+        pooled from the image resolution: the gates and loss targets built
+        once per scene end on the bytes of rebuilding them, the gate's
+        pooling included, on every step."""
         rng = np.random.default_rng(25)
         cfg = tiny_config(use_bottom_up=bottom_up)
         boxes = [(0.5, 0.5, 0.4, 0.4), (0.35, 0.6, 0.5, 0.3), (0.6, 0.4, 0.3, 0.6)]
@@ -831,7 +831,8 @@ class TestTraining:
             scenes=[toy_scene(rng, cfg, c, boxes[i % 3]) for i, c in enumerate((3, 1, 4, 3))],
             novel_instances={3: [(0, 0), (3, 0)], 4: [(2, 0)]},
             base_instances={1: [(1, 0)]}, k=1)
-        maps = {id(s): s.image[0] for s in scenes + support.scenes}
+        maps = {id(s): att.pool_saliency(s.image[0], *det.fusion_size(cfg))
+                for s in scenes + support.scenes}
 
         def provider(scene):
             return maps[id(scene)]
@@ -906,12 +907,11 @@ class TestSaliencyCalls:
                     toy_scene(rng, cfg, 4), toy_scene(rng, cfg, 3)],
             novel_instances={3: [(0, 0), (3, 0)], 4: [(2, 0)]},
             base_instances={1: [(1, 0)]}, k=1)
-        side = cfg.image_size // 4
         calls = []
 
         def provider(scene):
             calls.append(scene)
-            return att.pool_saliency(scene.image.mean(axis=0), side, side)
+            return att.pool_saliency(scene.image.mean(axis=0), *det.fusion_size(cfg))
 
         params, _ = fs.train_novel(base, support, cfg, fs.TrainConfig(epochs=0),
                                    fs.Hyperparams(), seed=5, saliency_provider=provider)

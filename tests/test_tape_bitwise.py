@@ -5,7 +5,8 @@ against numpy's methods (``tests/oracles.py``), the 1x1 convolution against
 the im2col/col2im path, the checker against one that wraps every leaf afresh
 on each probe, and the suite against one that rebuilds the gate and the
 targets on each probe. The stages each group of the suite's probes runs
-are counted, and its grouping of leaves by stage is mutated."""
+are counted, and its grouping of leaves by stage is mutated, as is the
+backward of each op the suite records."""
 
 import dataclasses
 import itertools
@@ -643,6 +644,66 @@ class TestCheckerProbes:
                 T.grad_check_sampled(f, point, h=1e308, probe=probe)
             else:
                 T._check_coordinates(f, point, 1e308, np.ndindex, probe)
+
+
+def scaled_backward(op, factor):
+    """``tensor._record`` with the backward of every ``op`` node returning
+    its input gradients times ``factor``: a wrong backward of that op."""
+    record = T._record
+
+    def recording(name, inputs, out_data, backward_fn, finite=False):
+        if name == op:
+            right = backward_fn
+
+            def backward_fn(g):
+                return tuple(None if d is None else d * factor for d in right(g))
+        return record(name, inputs, out_data, backward_fn, finite)
+    return recording
+
+
+class TestGateMutation:
+
+    @staticmethod
+    def elementary_row_ops(monkeypatch):
+        """Each elementary row of a suite point, by name, with the op its
+        check records first (the op under test, before the scalarizing mul
+        and sum), and the set of ops the whole point records."""
+        firsts, recorded = [], set()
+        check, record = T.grad_check, T._record
+
+        def checking(*args, **kwargs):
+            firsts.append(None)
+            return check(*args, **kwargs)
+
+        def recording(op, *args, **kwargs):
+            if firsts and firsts[-1] is None:
+                firsts[-1] = op
+            recorded.add(op)
+            return record(op, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "grad_check", checking)
+            m.setattr(T, "_record", recording)
+            rows = [name for name, _ in cli.gradcheck_suite(seed=0, points=1)]
+        return dict(zip(rows, firsts)), recorded
+
+    def test_a_wrong_backward_fails_its_ops_row_at_every_seed(self, monkeypatch):
+        """The elementary rows pass at suite seeds 0-3 with one point each,
+        and the backward of each op the suite records, scaled by 1.01,
+        fails that op's row at each of those seeds. The tape names the full
+        reductions sum and mean, their rows sum_all and mean_all."""
+        row_op, recorded = self.elementary_row_ops(monkeypatch)
+        assert len(row_op) == 23 and len(set(row_op.values())) == 23
+        assert {row_op["sum_all"], row_op["mean_all"]} == {"sum", "mean"}
+        assert recorded <= set(row_op.values())
+        for seed in range(4):
+            errors = dict(cli.gradcheck_suite(seed=seed, points=1))
+            assert max(errors[row] for row in row_op) < gradcheck.TOLERANCE, seed
+        for row, op in row_op.items():
+            monkeypatch.setattr(T, "_record", scaled_backward(op, 1.01))
+            for seed in range(4):
+                errors = dict(cli.gradcheck_suite(seed=seed, points=1))
+                assert errors[row] >= gradcheck.TOLERANCE, (row, seed)
 
 
 # numpy 2.x file layout (checked on numpy 2.4): the Python-level wrappers of
