@@ -25,17 +25,19 @@ class UsageError(Exception):
 
 # key -> (default, bound). The bound is at once the range test, the tail of
 # the key's error line and README's bound cell: ">= x", "> x", an interval
-# such as "in [0,1)", "known" for split ids, a string key's quoted choices,
-# or None where only the blank-detector probe can judge the value. A list
-# key's bound applies to every item, so a sweep grid is checked before its
-# first cell trains.
+# such as "in [0,1)", "multiple of n" and an interval, "known" for split
+# ids, a string key's quoted choices, or None where only the blank-detector
+# probe can judge the value. A list key's bound applies to every item, so a
+# sweep grid is checked before its first cell trains.
 KEYS: dict[str, tuple[object, str | None]] = {
     "seed": (0, ">= 0"),
     "data.split": (1, "known"),
     "data.base_train": (200, ">= 1"),
     "data.novel_pool": (40, ">= 1"),
     "data.test": (200, ">= 1"),
-    "detector.image_size": (64, "in [1,1024]"),
+    # scenes are drawn on an 8x8 texture grid, and objects 12-22 px long
+    # often fail to place on sides below 32
+    "detector.image_size": (64, "multiple of 8 in [32,1024]"),
     "detector.backbone_channels": ([8, 16, 24, 32], ">= 1"),
     "detector.feat_dim": (16, ">= 1"),
     "detector.bottleneck_ratio": (4, ">= 1"),
@@ -54,7 +56,7 @@ KEYS: dict[str, tuple[object, str | None]] = {
     # checked as well as in full_saliency: with bottom-up off the mode is
     # never read before render-attention, but it is stored all the same
     "saliency.mode": ("bms", "'bms' or 'oracle'"),
-    # each saliency loop runs as many rounds as its key says
+    # each radius is a loop's round count, and BMS draws 3 maps per threshold
     "saliency.blur_radius": (2, "in [0,255]"),
     "saliency.thresholds_per_channel": (8, "in [1,255]"),
     "saliency.opening_radius": (1, "in [0,255]"),
@@ -164,6 +166,9 @@ def _in_bound(value, bound: str) -> bool:
         return True
     if bound.startswith("'"):
         return f"'{value}'" in bound.split(" or ")
+    if bound.startswith("multiple of "):
+        step, interval = bound[len("multiple of "):].split(" ", 1)
+        return value % int(step) == 0 and _in_bound(value, interval)
     if bound.startswith("in "):
         lo, hi = (float(x) for x in bound[4:-1].split(","))
         return (lo <= value if bound[3] == "[" else lo < value) and \

@@ -46,12 +46,12 @@ def _maps(canvas: np.ndarray, w: int) -> np.ndarray:
     return canvas[1:-1, 1:].reshape(h, n, w + 1)[:, :, :w]
 
 
-def threshold_levels(image: np.ndarray, config: BmsConfig) -> np.ndarray:
-    """How many thresholds t_k = k/(T+1), k=1..T, each value exceeds.
+def boolean_maps(image: np.ndarray, config: BmsConfig) -> np.ndarray:
+    """The image's 3T boolean maps as a [3T, H*W] stack, channel-major: row
+    c*T + k-1 is {value > t_k} of channel c, t_k = k/(T+1), k=1..T.
 
-    Thresholding is strict (value > t_k), so a value exactly at t_k stays
-    below level k. Boolean map k of a channel is {level >= k} and its
-    complement {level < k}. Returns a [3,H,W] integer array.
+    Thresholding is strict, so a value exactly at t_k is False in map k.
+    An image outside [0,1], NaN included, is a ValueError.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
@@ -61,12 +61,10 @@ def threshold_levels(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     t = config.thresholds_per_channel
     if t < 1:
         raise ValueError("thresholds_per_channel must be >= 1")
-    # the maps' own compares, added in place: a [3,H,W,T] compare and sum
-    # costs several times more
-    level = np.zeros(image.shape, dtype=np.min_scalar_type(t))
-    for k in range(1, t + 1):
-        level += image > k / (t + 1)
-    return level
+    # k/(T+1) and arange(1,T+1)/(T+1) are the same correctly rounded doubles
+    thresholds = np.arange(1, t + 1) / (t + 1)
+    pixels = image[0].size
+    return (image.reshape(3, 1, pixels) > thresholds[:, None]).reshape(3 * t, pixels)
 
 
 def _surround(canvas: np.ndarray, opening_radius: int) -> np.ndarray:
@@ -119,55 +117,39 @@ def bms_saliency(image: np.ndarray, config: BmsConfig) -> np.ndarray:
     A constant mean map (e.g. from a constant image, where no boolean map has
     an enclosed region) normalizes to all zeros.
 
-    The maps of a channel are nested, so only its distinct non-trivial ones
-    are labelled. With present levels L_0 < ... < L_m, maps k <= L_0 are
-    all-True and maps k > L_m all-False: neither they nor their complements
-    keep a pixel. Maps L_{j-1} < k <= L_j all equal {level >= L_j}, which
-    with its complement is labelled once and counted L_j - L_{j-1} times.
-    Maps also repeat across channels (all three of a grey image's do), so
-    each distinct map of the image is labelled once and counted as often as
-    all its copies together. A map's pixel count, the sum of its channel's
-    histogram from L_j up, is known without building it, and only maps of
-    equal count are compared pixel by pixel. The counts are exact integers,
-    so the mean is the one over all maps.
+    Only the image's distinct non-trivial maps are labelled. An all-True or
+    all-False map keeps no pixel, and nor does its complement. Maps repeat
+    within a channel (thresholds between two adjacent pixel values give one
+    map) and across channels (all three of a grey image's do), so each distinct
+    map is labelled once with its complement and counted as often as it
+    occurs. Maps are told apart by their packed bits. The counts are exact
+    integers, so the mean is the one over all maps.
     """
-    level = threshold_levels(image, config)
-    _, h, w = level.shape
-    # per channel, the levels of its maps that no earlier channel had; per
-    # distinct map, its multiplicity; per pixel count, the (slot, channel,
-    # level) of the distinct maps of that count
-    fresh, weights, by_size = [], [], {}
-    for channel in level:
-        hist = np.bincount(channel.ravel())
-        present = np.flatnonzero(hist).tolist()
-        sizes = np.add.accumulate(hist[::-1])[::-1].tolist()
-        fresh.append([])
-        # a channel's map sizes strictly fall, so its own maps never tie
-        for low, high in zip(present, present[1:]):
-            same = by_size.setdefault(sizes[high], [])
-            twin = next((slot for slot, other, at in same
-                         if np.array_equal(channel >= high, other >= at)), None)
-            if twin is None:
-                same.append((len(weights), channel, high))
-                weights.append(high - low)
-                fresh[-1].append(high)
-            else:
-                weights[twin] += high - low
-    n = len(weights)
+    maps = boolean_maps(image, config)
+    _, h, w = np.shape(image)
+    packed = np.packbits(maps, axis=1)
+    size = packed.shape[1]
+    trivial = {bytes(size), np.packbits(np.ones(h * w, dtype=bool)).tobytes()}
+    # per distinct non-trivial map, its first row and its number of copies
+    first, copies = {}, {}
+    for row, key in enumerate(map(bytes, packed)):
+        if key not in trivial:
+            first.setdefault(key, row)
+            copies[key] = copies.get(key, 0) + 1
+    n = len(first)
     if n == 0:
         return np.zeros((h, w))
     canvas = _ringed_canvas(2 * n, h, w)
     pairs = _maps(canvas, w).reshape(h, n, 2, w)
-    i = 0
-    for channel, levels in zip(level, fresh):
-        np.greater_equal(channel[:, None],
-                         np.array(levels, dtype=channel.dtype)[:, None],
-                         out=pairs[:, i:i + len(levels), 0])
-        i += len(levels)
+    pairs[:, :, 0] = maps.reshape(-1, h, w)[list(first.values())].transpose(1, 0, 2)
     np.logical_not(pairs[:, :, 0], out=pairs[:, :, 1])
     kept = _surround(canvas, config.opening_radius)
-    counts = np.matmul(np.repeat(weights, 2), _maps(kept.view(np.uint8), w))
-    return minmax_or_zeros(counts / (3 * config.thresholds_per_channel * 2))
+    # float32 holds every partial count exactly: each is an integer <= 3T,
+    # far below 2**24
+    weights = np.repeat(np.array(list(copies.values()), dtype=np.float32), 2)
+    counts = np.matmul(weights, _maps(kept.view(np.uint8), w))
+    return minmax_or_zeros(np.divide(counts, 3 * config.thresholds_per_channel * 2,
+                                     dtype=np.float64))
 
 
 def box_blur(m: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ BOUND_ERRORS = [
     ("data.novel_pool", "0", "data.novel_pool must be an integer >= 1, got 0"),
     ("data.test", "0", "data.test must be an integer >= 1, got 0"),
     ("detector.image_size", "1025",
-     "detector.image_size must be an integer in [1,1024], got 1025"),
+     "detector.image_size must be an integer multiple of 8 in [32,1024], got 1025"),
     ("detector.backbone_channels", "[8,16,0,32]",  # no bound before
      "detector.backbone_channels must be a list of integers >= 1, got [8, 16, 0, 32]"),
     ("detector.feat_dim", "0",  # no bound before
@@ -707,15 +707,29 @@ class TestImageSize:
             assert read_ppm(render / name).shape == (3, 32, 32), name
         capsys.readouterr()
 
-    def test_side_not_a_multiple_of_8_is_one_error_line(self, tmp_path, capsys):
-        """Side 36 describes a working detector, but scenes are generated
-        on an 8x8 texture grid."""
+    @staticmethod
+    def rejected_before_writing(tmp_path, capsys, side, map_sizes):
         rc = run(["train-base", "--out", str(tmp_path), *TINY, "--set",
-                  "detector.image_size=36", "--set", "anchors.map_sizes=[[5,5],[3,3]]",
+                  f"detector.image_size={side}", "--set", f"anchors.map_sizes={map_sizes}",
                   "--set", "base.epochs=0"])
         assert (rc, capsys.readouterr().err.splitlines()) == (
-            1, ["error: image_size must be a multiple of 8"])
-        assert not (tmp_path / "base.ckpt.json").exists()
+            1, [f"error: detector.image_size must be an integer multiple of 8 in "
+                f"[32,1024], got {side}"])
+        assert not (tmp_path / "config.json").exists()
+
+    def test_side_not_a_multiple_of_8_is_one_error_line(self, tmp_path, capsys):
+        """Side 36 describes a working detector, but scenes are generated
+        on an 8x8 texture grid: the bound rejects it before anything is
+        written."""
+        self.rejected_before_writing(tmp_path, capsys, 36, "[[5,5],[3,3]]")
+
+    @pytest.mark.parametrize("side,map_sizes", [(16, "[[2,2],[1,1]]"),
+                                                (24, "[[3,3],[2,2]]")])
+    def test_side_too_small_for_its_objects_is_one_error_line(self, tmp_path, capsys,
+                                                              side, map_sizes):
+        """Objects 12-22 px long do not fit a 16-px scene and often fail to
+        place on a 24-px one."""
+        self.rejected_before_writing(tmp_path, capsys, side, map_sizes)
 
 
 class TestGradcheckCommand:

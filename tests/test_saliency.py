@@ -26,40 +26,53 @@ class FakeScene:
 
 
 class TestBooleanMaps:
-    """The maps as threshold levels: map k of a channel, value > t_k, is
-    {level >= k} and its complement {level < k}."""
+    """The maps as one [3T, H*W] stack: row c*T + k-1 is channel c's
+    value > t_k, t_k = k/(T+1)."""
 
     def test_count_and_layout(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 1, size=(3, 6, 6))
-        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=8))
-        assert level.shape == img.shape
-        assert level.min() >= 0 and level.max() <= 8
-        for k in range(1, 9):
-            np.testing.assert_array_equal(level >= k, img > k / 9)
+        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=8))
+        assert maps.shape == (24, 36) and maps.dtype == bool
+        for c in range(3):
+            for k in range(1, 9):
+                np.testing.assert_array_equal(maps[c * 8 + k - 1], img[c].ravel() > k / 9)
 
     def test_constant_zero_image_single_threshold(self):
         img = np.zeros((3, 4, 4))
-        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=1))
-        assert not level.any()
+        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=1))
+        assert maps.shape == (3, 16) and not maps.any()
 
     def test_exact_threshold_goes_to_complement(self):
         """t_1 = 1/2 at T=1 and t_2 = 1/2 at T=3; pixels exactly at 0.5 fail
-        the strict compare, so they stay below the threshold's level."""
+        the strict compare, so they are False in that threshold's map."""
         img = np.full((3, 3, 3), 0.5)
-        assert (S.threshold_levels(img, BmsConfig(thresholds_per_channel=1)) < 1).all()
-        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=3))
-        assert (level >= 1).all() and (level < 2).all()
+        assert not S.boolean_maps(img, BmsConfig(thresholds_per_channel=1)).any()
+        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=3)).reshape(3, 3, 9)
+        assert maps[:, 0].all() and not maps[:, 1:].any()
+
+    @pytest.mark.parametrize("thresholds", [16, 85, 255])
+    def test_values_at_every_threshold_stay_below(self, thresholds):
+        """Every t_k, and one float step either side of it: the stack's
+        thresholds are the doubles k/(T+1), compared strictly."""
+        at = np.arange(thresholds + 2) / (thresholds + 1)
+        values = np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, 1.0)])
+        img = np.stack([values, values[::-1], np.roll(values, 7)])[:, None, :]
+        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=thresholds))
+        for c in range(3):
+            for k in range(1, thresholds + 1):
+                assert np.array_equal(maps[c * thresholds + k - 1],
+                                      img[c, 0] > k / (thresholds + 1))
 
     def test_checkerboard_thresholding(self):
         board = np.indices((4, 4)).sum(axis=0) % 2
         img = np.stack([board * 0.9 + 0.1] * 3)  # low 0.1, high 1.0
-        level = S.threshold_levels(img, BmsConfig(thresholds_per_channel=1))
-        np.testing.assert_array_equal(level[0] >= 1, board.astype(bool))
+        maps = S.boolean_maps(img, BmsConfig(thresholds_per_channel=1))
+        np.testing.assert_array_equal(maps[0].reshape(4, 4), board.astype(bool))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            S.threshold_levels(np.full((3, 2, 2), 1.5), BmsConfig())
+            S.boolean_maps(np.full((3, 2, 2), 1.5), BmsConfig())
 
     @pytest.mark.parametrize("bad", [-0.25, np.inf, np.nan])
     def test_one_bad_pixel_rejected(self, bad):
@@ -239,6 +252,17 @@ class TestBmsSaliency:
                 n = distinct(img)
                 assert calls == ([(12, 2 * n * 13 + 1)] if n else [])
 
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 5), (17, 23), (8, 8)])
+    def test_trivial_maps_make_no_label_call(self, monkeypatch, shape):
+        """All-True and all-False maps are told apart from the others
+        whatever the padding of their packed bits."""
+        calls = []
+        monkeypatch.setattr(ndimage, "label", lambda *a, **k: calls.append(a))
+        for value in (0.0, 0.3, 0.9, 1.0):
+            got = S.bms_saliency(np.full((3, *shape), value), BmsConfig())
+            assert not got.any() and got.shape == shape
+        assert calls == []
+
     def test_never_records_on_tape(self):
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 1, size=(3, 8, 8))
@@ -341,6 +365,23 @@ class TestStackedBmsMatchesPerMap:
             assert got.tobytes() == want.tobytes()
         if radius == 5:
             assert not S.bms_saliency(disk, cfg).any()
+
+
+class TestManyThresholds:
+    """Up to the 255-threshold cap, where a map can have 3T = 765 copies and a
+    pixel's weighted count no longer fits a byte."""
+
+    @pytest.mark.parametrize("thresholds", [16, 85, 255])
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_byte_identical(self, thresholds, radius):
+        images = list(TestStackedBmsMatchesPerMap.images(thresholds))
+        edges = images[14]  # values at, and one float step beside, each t_k
+        assert edges.shape == (3, 18, 24)
+        cfg = BmsConfig(thresholds_per_channel=thresholds, opening_radius=radius)
+        for img in (sd.generate_scene(2).image, edges):
+            got = S.bms_saliency(img, cfg)
+            want = bms_saliency_per_map(img, thresholds, radius)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestOracleSaliency:
