@@ -60,10 +60,6 @@ def checkpoint_meta(cfg: dict[str, object], stage: str,
             "config": {k: cfg[k] for k in keep}}
 
 
-def save_checkpoint(path: str, params: det.DetectorParams, meta: dict) -> None:
-    T.save_arrays(path, params.as_arrays(), meta=meta)
-
-
 def load_checkpoint(path: str) -> tuple[det.DetectorParams, dict]:
     """Read a checkpoint and check it against the architecture its metadata
     describes: the parameter names and shapes must be exactly those a
@@ -148,16 +144,6 @@ def print_report(report: dict) -> None:
           f"all={report['map_all']:.4f}")
 
 
-def eval_report(params: det.DetectorParams, dcfg: det.DetectorConfig,
-                scenes: list[sd.Scene], provider, novel_ids) -> dict:
-    result = det.evaluate_detector(params, dcfg, scenes,
-                                   saliency_provider=provider,
-                                   novel_ids=novel_ids)
-    return {"per_class_ap": {str(k): v for k, v in result["per_class_ap"].items()},
-            "map_base": result["map_base"], "map_novel": result["map_novel"],
-            "map_all": result["map_all"]}
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -190,10 +176,11 @@ def cmd_train_base(cfg: dict[str, object], args: argparse.Namespace) -> int:
                                     train_config(cfg, "base"),
                                     sorted(split.base), seed=int(cfg["seed"]),
                                     saliency_provider=provider)
-    save_checkpoint(os.path.join(outdir, "base.ckpt.json"), params,
-                    checkpoint_meta(cfg, "base", params, split.split_id))
+    T.save_arrays(os.path.join(outdir, "base.ckpt.json"), params.as_arrays(),
+                  meta=checkpoint_meta(cfg, "base", params, split.split_id))
     write_metrics(os.path.join(outdir, "metrics.jsonl"), metrics)
-    report = eval_report(params, dcfg, bench.test, provider, split.novel)
+    report = det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
+                                   novel_ids=split.novel)
     write_report(os.path.join(outdir, "report.json"), report)
     print_report(report)
     return 0
@@ -220,10 +207,11 @@ def cmd_train_novel(cfg: dict[str, object], args: argparse.Namespace) -> int:
                                      train_config(run_cfg, "novel"), hp,
                                      seed=int(run_cfg["seed"]),
                                      saliency_provider=provider)
-    save_checkpoint(os.path.join(outdir, "novel.ckpt.json"), params,
-                    checkpoint_meta(run_cfg, "novel", params, split.split_id))
+    T.save_arrays(os.path.join(outdir, "novel.ckpt.json"), params.as_arrays(),
+                  meta=checkpoint_meta(run_cfg, "novel", params, split.split_id))
     write_metrics(os.path.join(outdir, "metrics.jsonl"), metrics)
-    report = eval_report(params, dcfg, bench.test, provider, split.novel)
+    report = det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
+                                   novel_ids=split.novel)
     write_report(os.path.join(outdir, "report.json"), report)
     print_report(report)
     return 0
@@ -239,7 +227,8 @@ def cmd_eval(cfg: dict[str, object], args: argparse.Namespace) -> int:
     bench, split = benchmark(run_cfg)
     dcfg = detector_config(run_cfg)
     provider = saliency_provider(run_cfg, dcfg)
-    report = eval_report(params, dcfg, bench.test, provider, split.novel)
+    report = det.evaluate_detector(params, dcfg, bench.test, saliency_provider=provider,
+                                   novel_ids=split.novel)
     report["stage"] = meta.get("stage", "")
     write_report(os.path.join(outdir, "report.json"), report)
     print_report(report)
@@ -251,7 +240,6 @@ def cmd_render_attention(cfg: dict[str, object], args: argparse.Namespace) -> in
     params, meta = load_checkpoint(args.ckpt)
     run_cfg = meta_run_config(cfg, meta)
     dcfg = detector_config(run_cfg)
-    params.set_requires_grad(False)
     scene_seed = int(run_cfg["render.scene_seed"])
     scene = sd.generate_scene(scene_seed, sd.GenConfig(image_size=dcfg.image_size))
     full = full_saliency(run_cfg, scene)

@@ -222,10 +222,6 @@ class DetectorParams:
     def row_of(self, class_id: int) -> int:
         return 1 + self.class_ids.index(class_id)
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self.tensors.values():
-            t.requires_grad = flag
-
     def zero_grads(self) -> None:
         for t in self.tensors.values():
             t.grad = None
@@ -454,25 +450,22 @@ def forward(images, gate: Tensor | None, params: DetectorParams,
     return state
 
 
-# scenes per no-grad forward in evaluation, imprinting and the distillation
-# precompute; README ("Package layout") has the speed and memory figures
+# scenes per no-grad forward in evaluation and the novel stage's frozen-base
+# pass; README ("Package layout") has the speed and memory figures
 INFERENCE_CHUNK = 4
 
 
-def forward_chunks(images, saliency_of, params: DetectorParams,
-                   cfg: DetectorConfig):
+def forward_chunks(images, maps, params: DetectorParams, cfg: DetectorConfig):
     """Run the detector over a list of [3,H,W] images, INFERENCE_CHUNK at a
     time, and yield each image's (logits, offsets, features) arrays in order.
 
-    ``saliency_of(i)`` gives image i's map (None, or a None result: no
-    bottom-up input); it is asked once per image, chunk by chunk, just
-    before that chunk's forward, whose gate it builds.
+    ``maps`` is a list of pooled saliency maps, one per image, or None for
+    no bottom-up input; each chunk's gate stacks that chunk's maps.
     """
     for start in range(0, len(images), INFERENCE_CHUNK):
-        idx = range(start, min(start + INFERENCE_CHUNK, len(images)))
-        maps = [saliency_of(i) for i in idx] if saliency_of else [None]
-        gate = saliency_gate(None if maps[0] is None else np.stack(maps), cfg)
-        out = forward(np.stack([images[i] for i in idx]), gate, params, cfg)
+        stop = start + INFERENCE_CHUNK
+        gate = saliency_gate(None if maps is None else np.stack(maps[start:stop]), cfg)
+        out = forward(np.stack(images[start:stop]), gate, params, cfg)
         yield from zip(out.logits.data, out.offsets.data, out.features.data)
 
 
@@ -712,8 +705,8 @@ def evaluate_detector(params: DetectorParams, cfg: DetectorConfig, scenes,
     benchmark's annotation gaps are a training-time condition only.
     """
     anchors = generate_anchors(cfg.anchors)
-    saliency_of = (lambda i: saliency_provider(scenes[i])) if saliency_provider else None
-    outputs = forward_chunks([s.image for s in scenes], saliency_of, params, cfg)
+    maps = [saliency_provider(s) for s in scenes] if saliency_provider else None
+    outputs = forward_chunks([s.image for s in scenes], maps, params, cfg)
     all_dets = [detect(logits, offsets, anchors, params, cfg)
                 for logits, offsets, _ in outputs]
     all_gts = [(scene.labels, scene.boxes) for scene in scenes]

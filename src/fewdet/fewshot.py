@@ -250,15 +250,15 @@ def imprint_row(features: list[np.ndarray]) -> np.ndarray:
 
 
 def init_novel_detector(base_params: DetectorParams, support: SupportSet,
-                        cfg: DetectorConfig,
-                        saliency_provider=None) -> DetectorParams:
+                        cfg: DetectorConfig, features) -> DetectorParams:
     """Novel detector from a trained base: copy every parameter, then append
     one imprinted classifier row per novel class.
 
-    Each support instance contributes the penultimate feature of its
-    best-IoU anchor; a best IoU of zero is an error. Backbone, attention,
-    heads, and regression convs transfer verbatim; base classifier rows keep
-    their positions, so base-category logits stay column-aligned.
+    ``features[pos]`` holds support scene pos's [N,d] base features. Each
+    support instance contributes the feature of its best-IoU anchor; a best
+    IoU of zero is an error. Backbone, attention, heads, and regression convs
+    transfer verbatim; base classifier rows keep their positions, so
+    base-category logits stay column-aligned.
     """
     params = base_params.copy()
     anchors = det.generate_anchors(cfg.anchors)
@@ -266,26 +266,16 @@ def init_novel_detector(base_params: DetectorParams, support: SupportSet,
     for cid in novel:
         if cid in params.class_ids:
             raise ValueError(f"class {cid} already present in the base detector")
-    # one forward per support scene that holds a novel instance
-    scene_pos = sorted({pos for cid in novel for pos, _ in support.novel_instances[cid]})
-    saliency_of = ((lambda i: saliency_provider(support.scenes[scene_pos[i]]))
-                   if saliency_provider else None)
-    outputs = det.forward_chunks([support.scenes[pos].image for pos in scene_pos],
-                                 saliency_of, base_params, cfg)
-    features_of = {pos: features for pos, (_, _, features) in zip(scene_pos, outputs)}
-    # column o: every anchor's IoU with the scene's object o
-    ious_of = {pos: det.iou_matrix(anchors, support.scenes[pos].boxes)
-               for pos in scene_pos}
     new_rows = [params.cls_rows.data]
     for cid in novel:
         feats = []
         for pos, obj_idx in support.novel_instances[cid]:
-            ious = ious_of[pos][:, obj_idx]
+            ious = det.iou_matrix(anchors, support.scenes[pos].boxes[obj_idx:obj_idx + 1])[:, 0]
             best = int(np.argmax(ious))
             if ious[best] == 0.0:
                 raise ImprintError(
                     f"support instance of class {cid} overlaps no anchor")
-            feats.append(features_of[pos][best])
+            feats.append(features[pos][best])
         new_rows.append(imprint_row(feats)[None, :])
         params.class_ids.append(cid)
     params.tensors["cls.rows"] = Tensor(np.concatenate(new_rows, axis=0),
@@ -468,10 +458,11 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
                 ) -> tuple[DetectorParams, list[dict]]:
     """Novel stage: imprint-initialized fine-tune with the combined loss.
 
-    The frozen base detector's outputs are computed once per support scene
-    (they cannot change) and fed to the distillation term as constants.
-    Saliency is computed once per scene and serves imprinting, the base
-    outputs and the steps' gates.
+    One no-grad pass of the frozen base detector over the support scenes
+    gives the features that imprint the novel rows and, when gamma > 0, the
+    outputs that the distillation term reads as constants (they cannot
+    change). Saliency is asked once per scene and serves that pass and the
+    steps' gates.
     """
     # backpropagation multiplies every weight by a gradient, and a weight
     # whose square overflows leaves a gradient no room above its own size
@@ -481,16 +472,12 @@ def train_novel(base_params: DetectorParams, support: SupportSet,
     anchors = det.generate_anchors(cfg.anchors)
     scenes = support.scenes
     maps = [saliency_provider(s) for s in scenes] if saliency_provider else None
-    cached = {id(s): m for s, m in zip(scenes, maps or ())}
-    params = init_novel_detector(base_params, support, cfg,
-                                 (lambda s: cached[id(s)]) if maps else None)
+    base_out = list(det.forward_chunks([s.image for s in scenes], maps, base_params, cfg))
+    params = init_novel_detector(base_params, support, cfg, [f for _, _, f in base_out])
     # the targets' classifier rows are the novel detector's
     caches = _prepare(scenes, maps, cfg, anchors, params)
     if hp.gamma != 0.0:
-        outputs = det.forward_chunks([s.image for s in scenes],
-                                     (lambda i: maps[i]) if maps else None,
-                                     base_params, cfg)
-        for cache, (logits, offsets, _) in zip(caches, outputs):
+        for cache, (logits, offsets, _) in zip(caches, base_out):
             # the distillation term squares novel-minus-base differences, so
             # such an output overflows on the first step that moves it
             _check_squares([logits, offsets], "its outputs overflow when squared, "

@@ -24,7 +24,7 @@ from .ppm import write_ppm
 
 
 class GenerationError(Exception):
-    """Object placement failed under the configured overlap cap."""
+    """The config asks for a scene with no objects but forbids empty ones."""
 
 
 SHAPES = ("circle", "square", "triangle", "bar")
@@ -162,7 +162,9 @@ def _background(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
     """One scene, fully determined by the seed: textured background plus 1-4
-    colored shape instances with pairwise box IoU <= the overlap cap."""
+    colored shape instances with pairwise box IoU <= the overlap cap. An
+    object that finds no room in max_place_attempts ends the scene with the
+    objects placed so far; an empty frame always takes the first."""
     rng = np.random.default_rng(seed)
     size = cfg.image_size
     if size % 8:
@@ -192,9 +194,7 @@ def generate_scene(seed, cfg: GenConfig = GenConfig()) -> Scene:
             if np.all(iou_matrix(box, boxes) <= cfg.overlap_cap):
                 break
         else:
-            raise GenerationError(
-                f"could not place object {len(labels) + 1} of {n_objects} "
-                f"after {cfg.max_place_attempts} attempts")
+            break  # no room left: the scene keeps the objects placed so far
         image[:, mask] = color[:, None]
         labels.append(class_id)
         masks.append(mask)

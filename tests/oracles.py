@@ -318,7 +318,7 @@ def generate_scene_per_pair(seed, cfg=None):
             if all(iou(box, placed) <= cfg.overlap_cap for placed in boxes):
                 break
         else:
-            raise sd.GenerationError("placement failed")
+            break  # no room left: keep the objects placed so far
         image[:, mask] = color[:, None]
         labels.append(class_id)
         boxes.append(box)

@@ -367,8 +367,9 @@ class TestMatrixImprinting:
         identity_err = {}
         for row in matrix["rows"]:
             base, support = row["base_params"], row["support"]
-            novel = fs.init_novel_detector(base, support, cfg,
-                                           saliency_provider=_oracle)
+            features = [oracles.forward_one(s.image, _oracle(s), base, cfg)[2]
+                        for s in support.scenes]
+            novel = fs.init_novel_detector(base, support, cfg, features)
             novel_ids = sorted(support.novel_instances)
             rows_hat = novel.cls_rows.data / np.linalg.norm(
                 novel.cls_rows.data, axis=1, keepdims=True)
@@ -382,10 +383,8 @@ class TestMatrixImprinting:
                 feats = []
                 for scene_pos, obj_idx in support.novel_instances[cid]:
                     scene = support.scenes[scene_pos]
-                    features = oracles.forward_one(scene.image, _oracle(scene), base,
-                                                   cfg)[2]
                     ious = det.iou_matrix(anchors, scene.boxes[obj_idx:obj_idx + 1])[:, 0]
-                    feat = features[int(np.argmax(ious))]
+                    feat = features[scene_pos][int(np.argmax(ious))]
                     feats.append(feat / np.linalg.norm(feat))
                 assert len(feats) == 2
                 own_row = rows_hat[novel.row_of(cid)]

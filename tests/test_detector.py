@@ -509,6 +509,22 @@ class TestStackedForward:
                 for stacked, single in zip(got, alone[b]):
                     assert stacked[b].tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("with_saliency", [True, False])
+    def test_forward_chunks_matches_single_scenes(self, with_saliency):
+        """Each chunk's gate stacks that chunk's slice of the map list: image
+        i's outputs, in a last short chunk too, are bitwise those of image i
+        run alone with map i."""
+        n = D.INFERENCE_CHUNK + 1
+        scenes, maps = self.setup_scenes(n)
+        params = D.init_detector_params(CFG, [2, 3, 5, 6, 7, 8], np.random.default_rng(6))
+        got = list(D.forward_chunks([s.image for s in scenes],
+                                    maps if with_saliency else None, params, CFG))
+        assert len(got) == n
+        for s, m, outputs in zip(scenes, maps, got):
+            alone = forward_one(s.image, m if with_saliency else None, params, CFG)
+            for chunked, single in zip(outputs, alone[:3]):
+                assert chunked.tobytes() == single.tobytes()
+
     def test_fused_heads_match_separate_convs(self):
         """Values and every parameter gradient of a training-style loss are
         bitwise those of running each head's feature and regression convs

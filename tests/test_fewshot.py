@@ -42,6 +42,14 @@ def toy_scene(rng, cfg, class_id, box=(0.5, 0.5, 0.4, 0.4)) -> Scene:
                  annotated=np.ones(1, dtype=bool))
 
 
+def base_features(base, support, cfg, provider=None) -> list[np.ndarray]:
+    """Each support scene's [N,d] base features from one forward_chunks
+    pass, the features init_novel_detector imprints from."""
+    maps = [provider(s) for s in support.scenes] if provider else None
+    return [f for _, _, f in det.forward_chunks([s.image for s in support.scenes], maps,
+                                                base, cfg)]
+
+
 def targets_of(match: det.MatchResult, params: det.DetectorParams) -> det.LossTargets:
     """The loss targets of a match on unit boxes: the concentration losses
     read only their positives and classifier rows."""
@@ -448,12 +456,15 @@ class TestInitNovelDetector:
         return fs.SupportSet(scenes=[scene], novel_instances={cid: [(0, 0)]},
                              base_instances={}, k=1)
 
+    def _imprint(self, base, support, cfg):
+        return fs.init_novel_detector(base, support, cfg, base_features(base, support, cfg))
+
     def test_one_shot_row_equals_normalized_feature(self):
         rng = np.random.default_rng(15)
         cfg = tiny_config()
         base = self._base(rng, cfg)
         scene = toy_scene(rng, cfg, 3)
-        novel = fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
+        novel = self._imprint(base, self._support_one(scene, 3), cfg)
 
         anchors = det.generate_anchors(cfg.anchors)
         out = det.forward(scene.image[None], None, base, cfg)
@@ -467,7 +478,7 @@ class TestInitNovelDetector:
         cfg = tiny_config()
         base = self._base(rng, cfg)
         scene = toy_scene(rng, cfg, 3)
-        novel = fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
+        novel = self._imprint(base, self._support_one(scene, 3), cfg)
 
         for name, t in base.tensors.items():
             if name == "cls.rows":
@@ -486,7 +497,7 @@ class TestInitNovelDetector:
             scenes=[toy_scene(rng, cfg, 3), toy_scene(rng, cfg, 4)],
             novel_instances={3: [(0, 0)], 4: [(1, 0)]},
             base_instances={}, k=1)
-        novel = fs.init_novel_detector(base, support, cfg)
+        novel = self._imprint(base, support, cfg)
         for row in novel.cls_rows.data[-2:]:
             assert abs(np.linalg.norm(row) - 1.0) < 1e-12
 
@@ -496,7 +507,7 @@ class TestInitNovelDetector:
         base = self._base(rng, cfg)
         scene = toy_scene(rng, cfg, 3, box=(5.0, 5.0, 0.05, 0.05))
         with pytest.raises(fs.ImprintError):
-            fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
+            self._imprint(base, self._support_one(scene, 3), cfg)
 
     def test_existing_class_rejected(self):
         rng = np.random.default_rng(19)
@@ -504,7 +515,7 @@ class TestInitNovelDetector:
         base = self._base(rng, cfg)
         scene = toy_scene(rng, cfg, 2)
         with pytest.raises(ValueError):
-            fs.init_novel_detector(base, self._support_one(scene, 2), cfg)
+            self._imprint(base, self._support_one(scene, 2), cfg)
 
     def test_base_params_untouched(self):
         rng = np.random.default_rng(20)
@@ -512,10 +523,28 @@ class TestInitNovelDetector:
         base = self._base(rng, cfg)
         snapshot = {k: v.data.copy() for k, v in base.tensors.items()}
         scene = toy_scene(rng, cfg, 3)
-        fs.init_novel_detector(base, self._support_one(scene, 3), cfg)
+        self._imprint(base, self._support_one(scene, 3), cfg)
         for name, arr in snapshot.items():
             assert np.array_equal(base.tensors[name].data, arr)
         assert base.class_ids == [1, 2]
+
+    def test_imprints_the_given_features_without_a_forward(self, monkeypatch):
+        """features[pos] is all it reads of support scene pos's pixels: it
+        runs no forward, and the row is the given feature at the instance's
+        best-IoU anchor, normalized."""
+        rng = np.random.default_rng(21)
+        cfg = tiny_config()
+        base = self._base(rng, cfg)
+        support = fs.SupportSet(scenes=[toy_scene(rng, cfg, 1), toy_scene(rng, cfg, 3)],
+                                novel_instances={3: [(1, 0)]},
+                                base_instances={1: [(0, 0)]}, k=1)
+        anchors = det.generate_anchors(cfg.anchors)
+        features = [rng.standard_normal((len(anchors), cfg.feat_dim)) for _ in range(2)]
+        monkeypatch.setattr(det, "forward", None)  # a forward would raise
+        novel = fs.init_novel_detector(base, support, cfg, features)
+        ious = det.iou_matrix(anchors, support.scenes[1].boxes)[:, 0]
+        f = features[1][int(np.argmax(ious))]
+        assert np.array_equal(novel.cls_rows.data[-1], f / np.linalg.norm(f))
 
 
 @pytest.fixture(scope="module")
@@ -792,7 +821,7 @@ class TestTraining:
         trained, _ = fs.train_novel(base, support, cfg, tc, hp, seed=seed)
 
         # hand-rolled fine-tune: same init, same shuffling, base loss only
-        params = fs.init_novel_detector(base, support, cfg)
+        params = fs.init_novel_detector(base, support, cfg, base_features(base, support, cfg))
         hand_rolled_training(params, support.scenes, cfg, tc, seed)
         for name in trained.tensors:
             assert np.array_equal(trained.tensors[name].data,
@@ -852,12 +881,12 @@ class TestTraining:
         for name, t in base.tensors.items():
             assert t.data.tobytes() == params.tensors[name].data.tobytes(), name
 
-        params = fs.init_novel_detector(base, support, cfg, provider)
         support_maps = [maps[id(s)] for s in support.scenes]
-        frozen = [forward_one(s.image, m, base, cfg)[:2]
+        frozen = [forward_one(s.image, m, base, cfg)
                   for s, m in zip(support.scenes, support_maps)]
+        params = fs.init_novel_detector(base, support, cfg, [f[2] for f in frozen])
         hand_rolled_training(params, support.scenes, cfg, tc, seed, maps=support_maps,
-                             hp=hp, base_outputs=frozen)
+                             hp=hp, base_outputs=[f[:2] for f in frozen])
         for name, t in novel.tensors.items():
             assert t.data.tobytes() == params.tensors[name].data.tobytes(), name
         assert not np.array_equal(novel.cls_rows.data[:3], base.cls_rows.data)
@@ -896,9 +925,10 @@ class TestTraining:
 
 class TestSaliencyCalls:
     def test_train_novel_asks_the_provider_once_per_support_scene(self):
-        """Imprinting reads the maps the training caches hold, so a scene
-        with a novel instance is not asked for twice; the imprinted rows
-        are those a direct init_novel_detector call gives."""
+        """One frozen-base pass serves imprinting and distillation, so no
+        scene is asked for twice; the imprinted rows are those
+        init_novel_detector gives on the features of one direct
+        forward_chunks pass."""
         rng = np.random.default_rng(31)
         cfg = tiny_config()
         base = det.init_detector_params(cfg, [1, 2], rng)
@@ -917,9 +947,35 @@ class TestSaliencyCalls:
                                    fs.Hyperparams(), seed=5, saliency_provider=provider)
         assert len(calls) == len(support.scenes)
         assert {id(s) for s in calls} == {id(s) for s in support.scenes}
-        direct = fs.init_novel_detector(base, support, cfg, provider)
+        direct = fs.init_novel_detector(base, support, cfg,
+                                        base_features(base, support, cfg, provider))
         for name, t in direct.tensors.items():
             assert params.tensors[name].data.tobytes() == t.data.tobytes(), name
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.0])
+    def test_train_novel_runs_one_base_pass(self, monkeypatch, gamma):
+        """Imprinting and the distillation targets share one forward_chunks
+        pass over every support scene, a last short chunk included,
+        whatever gamma is."""
+        rng = np.random.default_rng(32)
+        cfg = tiny_config()
+        base = det.init_detector_params(cfg, [1, 2], rng)
+        support = fs.SupportSet(
+            scenes=[toy_scene(rng, cfg, c) for c in (3, 1, 4, 2, 3)],
+            novel_instances={3: [(0, 0), (4, 0)], 4: [(2, 0)]},
+            base_instances={1: [(1, 0)], 2: [(3, 0)]}, k=1)
+        stacks = []
+        forward = det.forward
+
+        def counted(images, gate, params, cfg):
+            stacks.append(len(images))
+            return forward(images, gate, params, cfg)
+
+        monkeypatch.setattr(det, "forward", counted)
+        fs.train_novel(base, support, cfg, fs.TrainConfig(epochs=0),
+                       fs.Hyperparams(gamma=gamma), seed=5)
+        assert len(stacks) == math.ceil(len(support.scenes) / det.INFERENCE_CHUNK)
+        assert sum(stacks) == len(support.scenes)
 
 
 class TestSaliencyProvider:

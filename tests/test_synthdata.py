@@ -73,6 +73,19 @@ class TestSceneGeneration:
             assert got.boxes.tobytes() == want.boxes.tobytes()
             assert got.masks.tobytes() == want.masks.tobytes()
 
+    @pytest.mark.parametrize("seed", [741, 951, 1071])
+    def test_object_without_room_ends_the_scene(self, seed):
+        """At side 32 these scenes find no room for the last of their four
+        objects: they keep the three placed before it, to the byte as the
+        per-pair oracle does."""
+        cfg = GenConfig(image_size=32)
+        got, want = generate_scene(seed, cfg), generate_scene_per_pair(seed, cfg)
+        assert len(got.labels) == 3
+        assert got.image.tobytes() == want.image.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.boxes.tobytes() == want.boxes.tobytes()
+        assert got.masks.tobytes() == want.masks.tobytes()
+
     def test_empty_scene_requires_allow_empty(self):
         with pytest.raises(SD.GenerationError):
             generate_scene(0, GenConfig(max_objects=0))
@@ -174,6 +187,16 @@ class TestBenchmark:
             for class_id in scene.labels.tolist():
                 counts[class_id] += 1
         assert all(v >= 30 for v in counts.values()), counts
+
+    def test_cli_default_sizes_build_at_side_32(self):
+        """The smallest side detector.image_size accepts builds the CLI's
+        default 200/40/200 benchmark at seed 0, one object or more a scene."""
+        bm = SD.build_benchmark(0, SD.make_split(1), sizes=(200, 40, 200),
+                                cfg=GenConfig(image_size=32))
+        scenes = bm.base_train + bm.novel_pool + bm.test
+        assert len(scenes) == 440
+        assert all(1 <= len(s.labels) <= 4 for s in scenes)
+        assert all(s.image.shape == (3, 32, 32) for s in scenes)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
